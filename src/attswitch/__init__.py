@@ -55,6 +55,7 @@ from .rigid_body import (
     DEFAULT_INERTIA,
     BodyState,
     SimulationError,
+    Trajectory,
     open_loop_derivative,
     rk4_step,
     simulate,

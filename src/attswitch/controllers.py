@@ -14,17 +14,26 @@ of the inertia matrix:
 The switching signal s selects which of the two antipodal closed-loop
 equilibria is stabilized; it is updated once per control step from the
 switching function value Lambda with a dead band of width 2*delta.
+
+Each law has exactly one form, written on plain floats: the error state is
+a pair (q_err, w_err) of 4- and 3-sequences, the inertia nested rows, and
+the result a tuple of floats.  The controllers call these forms directly
+once per control step; the public ndarray functions (``attitude_error``,
+``continuous_torque``, ``benchmark_torque``, ``switching_torque``,
+``switch_function``, ``nu_sigma``, ``error_vector_rate``) unpack an
+ErrorState, delegate to them and wrap the result.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .quat import quat_inverse, quat_mul
-from .reference import ManeuverTracker, ReferenceSample
-from .rigid_body import BodyState
+from .quat import hamilton_product, yaw_of
+from .reference import ManeuverTracker
+from .rigid_body import BodyState, gyroscopic
 
 
 @dataclass
@@ -64,15 +73,10 @@ class GainSet:
 
 @dataclass
 class ErrorState:
-    """Attitude-error quaternion and angular-velocity error.
-
-    ``nu`` is filled in by the switching controller for the active switch
-    sign; plain error computation leaves it None.
-    """
+    """Attitude-error quaternion and angular-velocity error."""
 
     q_err: np.ndarray  # (4,) error quaternion, never sign-normalized
     w_err: np.ndarray  # (3,) rad/s
-    nu: np.ndarray | None = None
 
     @property
     def m_e(self) -> float:
@@ -85,20 +89,46 @@ class ErrorState:
 
 @dataclass(frozen=True)
 class SwitchState:
+    """Switch sign and history; a new one is made only when the sign changes."""
+
     sigma: int = +1
-    last_lambda: float = 0.0
     switch_count: int = 0
     switch_times: tuple = ()
 
 
+def _error(q, q_d, w, w_d):
+    """Float error state: q_err = q^-1 * q_d (lazily renormalized), w_err = w_d - w."""
+    qw, qx, qy, qz = q
+    return (
+        hamilton_product((qw, -qx, -qy, -qz), q_d),
+        (w_d[0] - w[0], w_d[1] - w[1], w_d[2] - w[2]),
+    )
+
+
 def attitude_error(q: np.ndarray, q_d: np.ndarray, w: np.ndarray, w_d: np.ndarray) -> ErrorState:
     """Error state: q_err = q^-1 * q_d, w_err = w_d - w (no sign flip)."""
-    return ErrorState(q_err=quat_mul(quat_inverse(q), q_d), w_err=w_d - w)
+    q_err, w_err = _error(q, q_d, w, w_d)
+    return ErrorState(q_err=np.array(q_err), w_err=np.array(w_err))
+
+
+def _nu(q_err, w_err, sigma, kn):
+    g = sigma * kn
+    return w_err[0] + g * q_err[1], w_err[1] + g * q_err[2], w_err[2] + g * q_err[3]
 
 
 def nu_sigma(err: ErrorState, sigma: int, gains: GainSet) -> np.ndarray:
     """Composite error w_err + sigma * kn * n_e for the given switch sign."""
-    return err.w_err + (sigma * gains.kn) * err.n_e
+    return np.array(_nu(err.q_err, err.w_err, sigma, gains.kn))
+
+
+def _error_vector_rate(q_err, w_err):
+    m, nx, ny, nz = q_err
+    wx, wy, wz = w_err
+    return (
+        0.5 * (m * wx + wy * nz - wz * ny),
+        0.5 * (m * wy + wz * nx - wx * nz),
+        0.5 * (m * wz + wx * ny - wy * nx),
+    )
 
 
 def error_vector_rate(err: ErrorState) -> np.ndarray:
@@ -108,41 +138,63 @@ def error_vector_rate(err: ErrorState) -> np.ndarray:
     piecewise-constant reference; using it instead of a numerical
     difference keeps the switching law noise-free.
     """
-    m = err.q_err[0]
-    nx, ny, nz = err.q_err[1], err.q_err[2], err.q_err[3]
-    wx, wy, wz = err.w_err
-    return 0.5 * np.array(
-        [
-            m * wx + wy * nz - wz * ny,
-            m * wy + wz * nx - wx * nz,
-            m * wz + wx * ny - wy * nx,
-        ]
+    return np.array(_error_vector_rate(err.q_err, err.w_err))
+
+
+def _linearized(ax, ay, az, w, J):
+    """Feedback-linearizing torque J a + w x Jw for the error acceleration a."""
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
+    gx, gy, gz = gyroscopic(w, J)
+    return (
+        j00 * ax + j01 * ay + j02 * az + gx,
+        j10 * ax + j11 * ay + j12 * az + gy,
+        j20 * ax + j21 * ay + j22 * az + gz,
     )
 
 
-def _gyro(w: np.ndarray, J: np.ndarray) -> np.ndarray:
-    Jw = J @ w
-    return np.array(
-        [
-            w[1] * Jw[2] - w[2] * Jw[1],
-            w[2] * Jw[0] - w[0] * Jw[2],
-            w[0] * Jw[1] - w[1] * Jw[0],
-        ]
+def _pd_torque(s, q_err, w_err, w, wdot_d, gains: GainSet, J):
+    """J((s kq) n_e + kw w_err + wdot_d) + w x Jw: the continuous law for
+    s = +1 and the shorter-path benchmark law for s = sgn(m_e)."""
+    kp = s * gains.kq
+    kw = gains.kw
+    return _linearized(
+        kp * q_err[1] + kw * w_err[0] + wdot_d[0],
+        kp * q_err[2] + kw * w_err[1] + wdot_d[1],
+        kp * q_err[3] + kw * w_err[2] + wdot_d[2],
+        w, J,
+    )
+
+
+def _shorter_path_sign(m_e) -> int:
+    # sgn(0) is defined as +1; m_e = 0 is a measure-zero tie
+    return +1 if m_e >= 0.0 else -1
+
+
+def _switching_torque(q_err, w_err, sigma, w, wdot_d, gains: GainSet, J):
+    kp = sigma * gains.kq
+    kw = gains.kw
+    kd = sigma * gains.kn
+    nx, ny, nz = _nu(q_err, w_err, sigma, gains.kn)
+    dx, dy, dz = _error_vector_rate(q_err, w_err)
+    return _linearized(
+        kp * q_err[1] + kw * nx + wdot_d[0] + kd * dx,
+        kp * q_err[2] + kw * ny + wdot_d[1] + kd * dy,
+        kp * q_err[3] + kw * nz + wdot_d[2] + kd * dz,
+        w, J,
     )
 
 
 def continuous_torque(
     err: ErrorState, w: np.ndarray, wdot_d: np.ndarray, gains: GainSet, J: np.ndarray
 ) -> np.ndarray:
-    return J @ (gains.kq * err.n_e + gains.kw * err.w_err + wdot_d) + _gyro(w, J)
+    return np.array(_pd_torque(+1, err.q_err, err.w_err, w, wdot_d, gains, J))
 
 
 def benchmark_torque(
     err: ErrorState, w: np.ndarray, wdot_d: np.ndarray, gains: GainSet, J: np.ndarray
 ) -> np.ndarray:
-    # sgn(0) is defined as +1; m_e = 0 is a measure-zero tie
-    s = 1.0 if err.m_e >= 0.0 else -1.0
-    return J @ ((s * gains.kq) * err.n_e + gains.kw * err.w_err + wdot_d) + _gyro(w, J)
+    s = _shorter_path_sign(err.m_e)
+    return np.array(_pd_torque(s, err.q_err, err.w_err, w, wdot_d, gains, J))
 
 
 def switching_torque(
@@ -153,20 +205,17 @@ def switching_torque(
     gains: GainSet,
     J: np.ndarray,
 ) -> np.ndarray:
-    nu = nu_sigma(err, sigma, gains)
-    ndot = error_vector_rate(err)
-    return (
-        J @ ((sigma * gains.kq) * err.n_e + gains.kw * nu + wdot_d + (sigma * gains.kn) * ndot)
-        + _gyro(w, J)
-    )
+    return np.array(_switching_torque(err.q_err, err.w_err, sigma, w, wdot_d, gains, J))
+
+
+def _switch_function(q_err, w_err, gains: GainSet) -> float:
+    dot = w_err[0] * q_err[1] + w_err[1] * q_err[2] + w_err[2] * q_err[3]
+    return -2.0 * gains.kn / gains.kq * dot + 4.0 * gains.c * q_err[0]
 
 
 def switch_function(err: ErrorState, gains: GainSet) -> float:
     """Lyapunov difference Lambda = V(-1) - V(+1) in closed form."""
-    w_err = err.w_err
-    q = err.q_err
-    dot = w_err[0] * q[1] + w_err[1] * q[2] + w_err[2] * q[3]
-    return -2.0 * gains.kn / gains.kq * dot + 4.0 * gains.c * err.m_e
+    return _switch_function(err.q_err, err.w_err, gains)
 
 
 def update_sigma(
@@ -175,8 +224,9 @@ def update_sigma(
     """Hysteretic update of the switch sign.
 
     Holds the current sign inside the dead band (-delta, delta), selects +1
-    for lam >= delta and -1 for lam <= -delta.  A sign change increments the
-    switch count and records t when provided.
+    for lam >= delta and -1 for lam <= -delta.  A sign change returns a new
+    state with the switch count incremented and t recorded when provided;
+    otherwise ``state`` itself is returned.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -185,40 +235,48 @@ def update_sigma(
     elif lam <= -delta:
         new = -1
     else:
-        new = state.sigma
-    if new != state.sigma:
-        times = state.switch_times + (t,) if t is not None else state.switch_times
-        return SwitchState(
-            sigma=new,
-            last_lambda=lam,
-            switch_count=state.switch_count + 1,
-            switch_times=times,
-        )
-    return replace(state, last_lambda=lam)
+        return state
+    if new == state.sigma:
+        return state
+    times = state.switch_times + (t,) if t is not None else state.switch_times
+    return SwitchState(sigma=new, switch_count=state.switch_count + 1, switch_times=times)
 
 
-@dataclass
-class ControlTelemetry:
+class ControlTelemetry(NamedTuple):
+    """Error and switch values of one control step.
+
+    Flat floats, so that a run's telemetry becomes an (N, 9) array in one
+    ``np.array`` call.
+    """
+
     m_e: float
-    n_e: np.ndarray
-    w_err: np.ndarray
+    nex: float
+    ney: float
+    nez: float
+    wex: float
+    wey: float
+    wez: float
     sigma: int
     lam: float
 
 
 class _ControllerBase:
-    """Shared plumbing: reference tracking and yaw unwrapping."""
+    """Shared plumbing: reference tracking and yaw unwrapping.
+
+    A controller is called as ``controller(t, state)`` and returns the
+    torque as a tuple of floats with its ControlTelemetry.
+    """
 
     def __init__(self, gains: GainSet, J: np.ndarray, tracker: ManeuverTracker):
         self.gains = gains
         self.J = np.asarray(J, dtype=float)
+        self._rows = self.J.tolist()
         self.tracker = tracker
         self._prev_yaw = None
         self._yaw_accum = 0.0
 
-    def _unwrapped_yaw(self, q: np.ndarray) -> float:
-        w, x, y, z = q
-        yaw = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+    def _unwrapped_yaw(self, q) -> float:
+        yaw = yaw_of(q)
         if self._prev_yaw is None:
             self._yaw_accum = yaw
         else:
@@ -231,29 +289,39 @@ class _ControllerBase:
         self._prev_yaw = yaw
         return self._yaw_accum
 
-    def _reference(self, t: float, state: BodyState) -> ReferenceSample:
-        return self.tracker.sample(t, self._unwrapped_yaw(state.q))
+    def _track(self, t: float, state: BodyState):
+        """Sample the reference and return (q_err, w_err, w, wdot_d) as floats.
+
+        The measured yaw only matters until the tracker pins the stage-3
+        start, so it is unwrapped only while that start is pending.
+        """
+        q = state.q.tolist()
+        w = state.w.tolist()
+        if self.tracker.t0 is None:
+            ref = self.tracker.sample(t, self._unwrapped_yaw(q))
+        else:
+            ref = self.tracker.sample(t)
+        q_err, w_err = _error(q, ref.q_d.tolist(), w, ref.w_d.tolist())
+        return q_err, w_err, w, ref.wdot_d.tolist()
 
 
 class ContinuousController(_ControllerBase):
     def __call__(self, t: float, state: BodyState):
-        ref = self._reference(t, state)
-        err = attitude_error(state.q, ref.q_d, state.w, ref.w_d)
-        tau = continuous_torque(err, state.w, ref.wdot_d, self.gains, self.J)
-        lam = switch_function(err, self.gains)
-        return tau, ControlTelemetry(err.m_e, err.n_e, err.w_err, +1, lam)
+        q_err, w_err, w, wdot_d = self._track(t, state)
+        tau = _pd_torque(+1, q_err, w_err, w, wdot_d, self.gains, self._rows)
+        lam = _switch_function(q_err, w_err, self.gains)
+        return tau, ControlTelemetry(*q_err, *w_err, +1, lam)
 
 
 class BenchmarkController(_ControllerBase):
     """Stateless shorter-path law; its effective sign is re-read every step."""
 
     def __call__(self, t: float, state: BodyState):
-        ref = self._reference(t, state)
-        err = attitude_error(state.q, ref.q_d, state.w, ref.w_d)
-        tau = benchmark_torque(err, state.w, ref.wdot_d, self.gains, self.J)
-        lam = switch_function(err, self.gains)
-        sigma = +1 if err.m_e >= 0.0 else -1
-        return tau, ControlTelemetry(err.m_e, err.n_e, err.w_err, sigma, lam)
+        q_err, w_err, w, wdot_d = self._track(t, state)
+        sigma = _shorter_path_sign(q_err[0])
+        tau = _pd_torque(sigma, q_err, w_err, w, wdot_d, self.gains, self._rows)
+        lam = _switch_function(q_err, w_err, self.gains)
+        return tau, ControlTelemetry(*q_err, *w_err, sigma, lam)
 
 
 class SwitchingController(_ControllerBase):
@@ -264,11 +332,9 @@ class SwitchingController(_ControllerBase):
         self.switch_state = SwitchState(sigma=+1)
 
     def __call__(self, t: float, state: BodyState):
-        ref = self._reference(t, state)
-        err = attitude_error(state.q, ref.q_d, state.w, ref.w_d)
-        lam = switch_function(err, self.gains)
+        q_err, w_err, w, wdot_d = self._track(t, state)
+        lam = _switch_function(q_err, w_err, self.gains)
         self.switch_state = update_sigma(self.switch_state, lam, self.gains.delta, t)
         sigma = self.switch_state.sigma
-        err.nu = nu_sigma(err, sigma, self.gains)
-        tau = switching_torque(err, sigma, state.w, ref.wdot_d, self.gains, self.J)
-        return tau, ControlTelemetry(err.m_e, err.n_e, err.w_err, sigma, lam)
+        tau = _switching_torque(q_err, w_err, sigma, w, wdot_d, self.gains, self._rows)
+        return tau, ControlTelemetry(*q_err, *w_err, sigma, lam)

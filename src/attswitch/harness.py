@@ -74,10 +74,12 @@ class Scenario:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
-        if self.horizon_after_t0 <= 0.0:
-            raise ValueError("horizon_after_t0 must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.horizon_after_t0) and self.horizon_after_t0 > 0.0):
+            raise ValueError(
+                f"horizon_after_t0 must be positive and finite, got {self.horizon_after_t0}"
+            )
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         self.inertia = validate_inertia(self.inertia)
 
 
@@ -131,33 +133,17 @@ def run_scenario(scenario: Scenario) -> RunResult:
         state = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
         stage2_allowance = 1.5 * spec.psi0 / rate + 0.5
         duration = spec.stage1_duration + stage2_allowance + scenario.horizon_after_t0
-    samples = simulate(state, controller, scenario.inertia, scenario.dt, duration)
+    traj = simulate(state, controller, scenario.inertia, scenario.dt, duration)
 
     t0 = controller.tracker.t0
     if t0 is None:
         raise SimulationError("stage-2 -> stage-3 transition never triggered")
     tf = t0 + scenario.horizon_after_t0
 
-    n = len(samples)
-    t = np.empty(n)
-    q = np.empty((n, 4))
-    w = np.empty((n, 3))
-    m_e = np.empty(n)
-    n_e = np.empty((n, 3))
-    w_e = np.empty((n, 3))
-    tau = np.empty((n, 3))
-    sigma = np.empty(n, dtype=int)
-    lam = np.empty(n)
-    for i, (ti, s, taui, tel) in enumerate(samples):
-        t[i] = ti
-        q[i] = s.q
-        w[i] = s.w
-        m_e[i] = tel.m_e
-        n_e[i] = tel.n_e
-        w_e[i] = tel.w_err
-        tau[i] = taui
-        sigma[i] = tel.sigma
-        lam[i] = tel.lam
+    t = traj.t
+    tel = np.array(traj.telemetry)  # (N, 9) ControlTelemetry rows
+    m_e, n_e, w_e, lam = tel[:, 0], tel[:, 1:4], tel[:, 4:7], tel[:, 8]
+    sigma = tel[:, 7].astype(int)
     V = stability.lyapunov_series(m_e, n_e, w_e, sigma, scenario.gains)
 
     if tf > t[-1] + 1e-9:
@@ -172,12 +158,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
     )
     run = RunResult(
         scenario=scenario,
-        t=t, q=q, w=w, m_e=m_e, n_e=n_e, w_e=w_e, tau=tau,
+        t=t, q=traj.q, w=traj.w, m_e=m_e, n_e=n_e, w_e=w_e, tau=traj.tau,
         sigma=sigma, lam=lam, V=V,
         t0=t0, tf=tf,
         gamma_tau=0.0,
         switch_times=switch_times,
-        final_yaw_error=yaw_of(q[i_f]),
+        final_yaw_error=yaw_of(traj.q[i_f]),
     )
     run.gamma_tau = control_effort(run, t0, tf)
     return run

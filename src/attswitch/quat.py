@@ -22,7 +22,8 @@ NORM_DRIFT_TOL = 1e-12
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def _renorm_if_drifted(w: float, x: float, y: float, z: float):
+def renorm_if_drifted(w: float, x: float, y: float, z: float):
+    """(w, x, y, z) rescaled to unit norm only if its norm has drifted."""
     nn = w * w + x * x + y * y + z * z
     if abs(nn - 1.0) > NORM_DRIFT_TOL:
         s = 1.0 / math.sqrt(nn)
@@ -30,15 +31,21 @@ def _renorm_if_drifted(w: float, x: float, y: float, z: float):
     return w, x, y, z
 
 
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a * b (sign-preserving, lazily renormalized)."""
+def hamilton_product(a, b) -> tuple:
+    """Hamilton product a * b of two 4-sequences as a tuple of floats
+    (sign-preserving, lazily renormalized)."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     w = aw * bw - ax * bx - ay * by - az * bz
     x = aw * bx + ax * bw + ay * bz - az * by
     y = aw * by - ax * bz + ay * bw + az * bx
     z = aw * bz + ax * by - ay * bx + az * bw
-    return np.array(_renorm_if_drifted(w, x, y, z))
+    return renorm_if_drifted(w, x, y, z)
+
+
+def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a * b (sign-preserving, lazily renormalized)."""
+    return np.array(hamilton_product(a, b))
 
 
 def quat_inverse(q: np.ndarray) -> np.ndarray:

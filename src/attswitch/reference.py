@@ -54,7 +54,15 @@ class ReferenceSample:
     wdot_d: np.ndarray  # (3,) rad/s^2, feedforward
 
 
-_ZERO3 = np.zeros(3)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+# shared by every sample that holds them, so no caller may write into them
+_IDENTITY = _read_only(quat.IDENTITY)
+_ZERO3 = _read_only(np.zeros(3))
 
 
 def reference_at(spec: ManeuverSpec, t: float, t0: float | None = None) -> ReferenceSample:
@@ -66,18 +74,18 @@ def reference_at(spec: ManeuverSpec, t: float, t0: float | None = None) -> Refer
     treating the reference change as an ideal discontinuity.
     """
     if t0 is not None and t >= t0:
-        return ReferenceSample(quat.IDENTITY.copy(), _ZERO3.copy(), _ZERO3.copy())
+        return ReferenceSample(_IDENTITY, _ZERO3, _ZERO3)
     if t < spec.stage1_duration:
-        return ReferenceSample(quat.IDENTITY.copy(), _ZERO3.copy(), _ZERO3.copy())
+        return ReferenceSample(_IDENTITY, _ZERO3, _ZERO3)
     rate = math.sqrt(float(spec.w0 @ spec.w0))
     if rate < 1e-15:
-        return ReferenceSample(quat.IDENTITY.copy(), _ZERO3.copy(), _ZERO3.copy())
+        return ReferenceSample(_IDENTITY, _ZERO3, _ZERO3)
     angle = rate * (t - spec.stage1_duration)
     axis = spec.w0 / rate
     h = 0.5 * angle
     s = math.sin(h)
     q_d = np.array([math.cos(h), axis[0] * s, axis[1] * s, axis[2] * s])
-    return ReferenceSample(q_d, spec.w0.copy(), _ZERO3.copy())
+    return ReferenceSample(q_d, spec.w0.copy(), _ZERO3)
 
 
 def stage3_initial_state(spec: ManeuverSpec) -> BodyState:

@@ -9,6 +9,13 @@ body angular velocity, and Euler's equation for the angular acceleration,
 integrated with classical fixed-step RK4 while holding the commanded torque
 constant over each step.  The quaternion is renormalized (sign-preserving)
 after each step only when its norm has drifted.
+
+The closed-loop hot path runs on plain Python floats: the state is a
+7-tuple (qw, qx, qy, qz, wx, wy, wz), the torque a 3-tuple and the inertia
+and its inverse nested row sequences.  ``gyroscopic``, ``_derivative`` and
+``_rk4`` are the only implementations of the gyroscopic term, the state
+derivative and the RK4 step; ``open_loop_derivative`` and ``rk4_step`` are
+ndarray wrappers over them, and ``simulate`` calls them directly.
 """
 
 import math
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import NORM_DRIFT_TOL, quat_kinematics
+from .quat import renorm_if_drifted
 
 DEFAULT_INERTIA = np.diag([1.66e-5, 1.66e-5, 2.93e-5])  # kg m^2, 31-g quadrotor scale
 DEFAULT_DT = 1e-3
@@ -47,6 +54,11 @@ def validate_inertia(J: np.ndarray) -> np.ndarray:
     return J
 
 
+def _check_step(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
 @dataclass
 class BodyState:
     """Attitude quaternion (body w.r.t. inertial) and body-frame angular velocity."""
@@ -55,72 +67,109 @@ class BodyState:
     w: np.ndarray  # (3,) rad/s
 
 
-def open_loop_derivative(state: BodyState, tau: np.ndarray, J: np.ndarray):
-    """State derivative (q_dot, w_dot) for torque tau."""
-    qdot = quat_kinematics(state.q, state.w)
-    w = state.w
-    Jw = J @ w
-    gyro = np.array(
-        [
-            w[1] * Jw[2] - w[2] * Jw[1],
-            w[2] * Jw[0] - w[0] * Jw[2],
-            w[0] * Jw[1] - w[1] * Jw[0],
-        ]
-    )
-    wdot = np.linalg.solve(J, tau - gyro)
-    return qdot, wdot
+def gyroscopic(w, J) -> tuple:
+    """Gyroscopic term w x Jw as floats, for body rates w and inertia rows J."""
+    wx, wy, wz = w
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
+    jx = j00 * wx + j01 * wy + j02 * wz
+    jy = j10 * wx + j11 * wy + j12 * wz
+    jz = j20 * wx + j21 * wy + j22 * wz
+    return wy * jz - wz * jy, wz * jx - wx * jz, wx * jy - wy * jx
 
 
-def _deriv7(y, tx, ty, tz, J, Jinv):
-    """Packed derivative of (q, w) as plain floats; tau held constant."""
+def _derivative(y, tau, J, Jinv) -> tuple:
+    """Derivative of the packed state y = (q, w) for a held torque tau."""
     qw, qx, qy, qz, wx, wy, wz = y
-    jx = J[0][0] * wx + J[0][1] * wy + J[0][2] * wz
-    jy = J[1][0] * wx + J[1][1] * wy + J[1][2] * wz
-    jz = J[2][0] * wx + J[2][1] * wy + J[2][2] * wz
-    rx = tx - (wy * jz - wz * jy)
-    ry = ty - (wz * jx - wx * jz)
-    rz = tz - (wx * jy - wy * jx)
+    gx, gy, gz = gyroscopic((wx, wy, wz), J)
+    rx = tau[0] - gx
+    ry = tau[1] - gy
+    rz = tau[2] - gz
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = Jinv
     return (
         0.5 * (-qx * wx - qy * wy - qz * wz),
         0.5 * (qw * wx + qy * wz - qz * wy),
         0.5 * (qw * wy - qx * wz + qz * wx),
         0.5 * (qw * wz + qx * wy - qy * wx),
-        Jinv[0][0] * rx + Jinv[0][1] * ry + Jinv[0][2] * rz,
-        Jinv[1][0] * rx + Jinv[1][1] * ry + Jinv[1][2] * rz,
-        Jinv[2][0] * rx + Jinv[2][1] * ry + Jinv[2][2] * rz,
+        i00 * rx + i01 * ry + i02 * rz,
+        i10 * rx + i11 * ry + i12 * rz,
+        i20 * rx + i21 * ry + i22 * rz,
     )
 
 
-def _rk4_core(y, tx, ty, tz, J, Jinv, dt):
-    k1 = _deriv7(y, tx, ty, tz, J, Jinv)
+def _rk4(y, tau, J, Jinv, dt: float) -> tuple:
+    """One RK4 step of the packed state with tau held, quaternion lazily renormalized."""
     h = 0.5 * dt
-    y2 = tuple(y[i] + h * k1[i] for i in range(7))
-    k2 = _deriv7(y2, tx, ty, tz, J, Jinv)
-    y3 = tuple(y[i] + h * k2[i] for i in range(7))
-    k3 = _deriv7(y3, tx, ty, tz, J, Jinv)
-    y4 = tuple(y[i] + dt * k3[i] for i in range(7))
-    k4 = _deriv7(y4, tx, ty, tz, J, Jinv)
+    y0, y1, y2, y3, y4, y5, y6 = y
+    a0, a1, a2, a3, a4, a5, a6 = _derivative(y, tau, J, Jinv)
+    b0, b1, b2, b3, b4, b5, b6 = _derivative(
+        (y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4, y5 + h * a5, y6 + h * a6),
+        tau, J, Jinv,
+    )
+    c0, c1, c2, c3, c4, c5, c6 = _derivative(
+        (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4, y5 + h * b5, y6 + h * b6),
+        tau, J, Jinv,
+    )
+    d0, d1, d2, d3, d4, d5, d6 = _derivative(
+        (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
+         y4 + dt * c4, y5 + dt * c5, y6 + dt * c6),
+        tau, J, Jinv,
+    )
     s = dt / 6.0
-    y = tuple(y[i] + s * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(7))
-    qw, qx, qy, qz, wx, wy, wz = y
-    nn = qw * qw + qx * qx + qy * qy + qz * qz
-    if abs(nn - 1.0) > NORM_DRIFT_TOL:
-        r = 1.0 / math.sqrt(nn)
-        qw, qx, qy, qz = qw * r, qx * r, qy * r, qz * r
-    return qw, qx, qy, qz, wx, wy, wz
+    return (
+        *renorm_if_drifted(
+            y0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+            y1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            y2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            y3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+        ),
+        y4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+        y5 + s * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+        y6 + s * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+    )
+
+
+def _all_finite(y) -> bool:
+    return all(map(math.isfinite, y))
+
+
+def _packed(state: BodyState) -> tuple:
+    q, w = np.asarray(state.q, dtype=float), np.asarray(state.w, dtype=float)
+    return (*q.tolist(), *w.tolist())
+
+
+def open_loop_derivative(state: BodyState, tau: np.ndarray, J: np.ndarray):
+    """State derivative (q_dot, w_dot) for torque tau."""
+    Jm = np.asarray(J, dtype=float)
+    d = _derivative(_packed(state), [float(v) for v in tau], Jm.tolist(), np.linalg.inv(Jm).tolist())
+    return np.array(d[:4]), np.array(d[4:])
 
 
 def rk4_step(state: BodyState, tau: np.ndarray, J: np.ndarray, dt: float) -> BodyState:
     """One RK4 step of the open-loop dynamics with tau held constant."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_step(dt)
     Jm = np.asarray(J, dtype=float)
-    y = _rk4_core(
-        (*state.q, *state.w), tau[0], tau[1], tau[2], Jm.tolist(), np.linalg.inv(Jm).tolist(), dt
-    )
-    if not all(math.isfinite(v) for v in y):
+    y = _rk4(_packed(state), [float(v) for v in tau], Jm.tolist(), np.linalg.inv(Jm).tolist(), dt)
+    if not _all_finite(y):
         raise SimulationError(f"non-finite state after step: q={y[:4]}, w={y[4:]}")
     return BodyState(q=np.array(y[:4]), w=np.array(y[4:]))
+
+
+@dataclass
+class Trajectory:
+    """Sampled closed-loop run: one row per physics step plus the final state.
+
+    Row k holds the state at t[k] and the torque and telemetry that the
+    controller returned for it (held over the step that starts there).
+    """
+
+    t: np.ndarray    # (N,)
+    q: np.ndarray    # (N, 4)
+    w: np.ndarray    # (N, 3)
+    tau: np.ndarray  # (N, 3)
+    telemetry: list  # (N,) controller telemetry objects, as returned
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def simulate(
@@ -131,59 +180,60 @@ def simulate(
     duration: float,
     control_decimation: int = 1,
     torque_limit: float | None = None,
-):
+) -> Trajectory:
     """Integrate the closed loop and record the sampled trajectory.
 
     ``controller`` is a callable ``(t, BodyState) -> (tau, telemetry)`` invoked
     at t = 0 and then every ``control_decimation`` physics steps; the returned
-    torque is held constant in between (and clamped per axis to
-    ``torque_limit`` when one is configured).  Returns a list of samples
-    ``(t, BodyState, tau, telemetry)`` with one entry per physics step plus
-    the final state.  Controller and integration failures are re-raised as
-    SimulationError tagged with the failure time.
+    torque (any 3-sequence) is converted to floats once and held constant in
+    between (and clamped per axis to ``torque_limit`` when one is
+    configured).  The telemetry object is recorded as returned.  Returns a
+    Trajectory with one row per physics step plus the final state.
+    Controller and integration failures are re-raised as SimulationError
+    tagged with the failure time.
     """
-    if duration < 0.0:
-        raise ValueError(f"duration must be non-negative, got {duration}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(duration) and duration >= 0.0):
+        raise ValueError(f"duration must be non-negative and finite, got {duration}")
+    _check_step(dt)
     if control_decimation < 1:
         raise ValueError("control_decimation must be a positive integer")
     Jm = validate_inertia(J)
     Jl = Jm.tolist()
     Jinv = np.linalg.inv(Jm).tolist()
 
-    def call_controller(t, s):
+    def call_controller(t, y):
         try:
-            tau, telemetry = controller(t, s)
+            tau, telemetry = controller(t, BodyState(q=np.array(y[:4]), w=np.array(y[4:])))
+            tx, ty, tz = tau
+            tau = (float(tx), float(ty), float(tz))
         except SimulationError:
             raise
         except Exception as exc:
             raise SimulationError(f"controller failed at t={t:.6f}: {exc}") from exc
-        tau = np.asarray(tau, dtype=float)
         if torque_limit is not None:
-            tau = np.clip(tau, -torque_limit, torque_limit)
+            tau = tuple(min(max(v, -torque_limit), torque_limit) for v in tau)
         return tau, telemetry
 
     n_steps = int(round(duration / dt))
-    samples = []
-    tau, telemetry = call_controller(0.0, state)
-    y = (*state.q, *state.w)
+    y = _packed(state)
+    tau, telemetry = call_controller(0.0, y)
+    ys, taus, telemetries = [y], [tau], [telemetry]
     for k in range(n_steps):
-        samples.append((k * dt, state, tau, telemetry))
         try:
-            y = _rk4_core(y, tau[0], tau[1], tau[2], Jl, Jinv, dt)
+            y = _rk4(y, tau, Jl, Jinv, dt)
         except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
             raise SimulationError(f"integration failed at t={k * dt:.6f}: {exc}") from exc
-        if not (
-            math.isfinite(y[0]) and math.isfinite(y[1]) and math.isfinite(y[2])
-            and math.isfinite(y[3]) and math.isfinite(y[4]) and math.isfinite(y[5])
-            and math.isfinite(y[6])
-        ):
+        if not _all_finite(y):
             raise SimulationError(
                 f"non-finite state at t={(k + 1) * dt:.6f}: q={y[:4]}, w={y[4:]}"
             )
-        state = BodyState(q=np.array(y[:4]), w=np.array(y[4:]))
         if (k + 1) % control_decimation == 0:
-            tau, telemetry = call_controller((k + 1) * dt, state)
-    samples.append((n_steps * dt, state, tau, telemetry))
-    return samples
+            tau, telemetry = call_controller((k + 1) * dt, y)
+        ys.append(y)
+        taus.append(tau)
+        telemetries.append(telemetry)
+    y = np.array(ys)
+    return Trajectory(
+        t=np.arange(n_steps + 1) * dt, q=y[:, :4], w=y[:, 4:], tau=np.array(taus),
+        telemetry=telemetries,
+    )

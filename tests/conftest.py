@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,131 @@ def integrate_feedback(q0, w0, torque_of, J, dt, n_steps):
         out[k + 1] = y
     t = np.arange(n_steps + 1) * dt
     return t, out[:, :4], out[:, 4:]
+
+
+# --- Reference closed loop -------------------------------------------------
+# The closed-loop step as first written, kept as the reference the float hot
+# path is compared against: ndarray error and torque laws (J @ v through
+# numpy) and RK4 on the packed state.  Stage-3 tracking only: the reference
+# attitude is the identity and the reference rates are zero, which is what
+# every stage3-mode scenario sees.
+
+
+def _ref_quat_mul(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    w = aw * bw - ax * bx - ay * by - az * bz
+    x = aw * bx + ax * bw + ay * bz - az * by
+    y = aw * by - ax * bz + ay * bw + az * bx
+    z = aw * bz + ax * by - ay * bx + az * bw
+    nn = w * w + x * x + y * y + z * z
+    if abs(nn - 1.0) > 1e-12:
+        s = 1.0 / math.sqrt(nn)
+        w, x, y, z = w * s, x * s, y * s, z * s
+    return np.array([w, x, y, z])
+
+
+def _ref_gyro(w, J):
+    Jw = J @ w
+    return np.array(
+        [
+            w[1] * Jw[2] - w[2] * Jw[1],
+            w[2] * Jw[0] - w[0] * Jw[2],
+            w[0] * Jw[1] - w[1] * Jw[0],
+        ]
+    )
+
+
+def _ref_torque(law, q_err, w_err, sigma, w, wdot_d, gains, J):
+    n_e = q_err[1:]
+    if law == "continuous":
+        a = gains.kq * n_e + gains.kw * w_err + wdot_d
+    elif law == "benchmark":
+        s = 1.0 if float(q_err[0]) >= 0.0 else -1.0
+        a = (s * gains.kq) * n_e + gains.kw * w_err + wdot_d
+    else:
+        nu = w_err + (sigma * gains.kn) * n_e
+        m = q_err[0]
+        nx, ny, nz = q_err[1], q_err[2], q_err[3]
+        wx, wy, wz = w_err
+        ndot = 0.5 * np.array(
+            [m * wx + wy * nz - wz * ny, m * wy + wz * nx - wx * nz, m * wz + wx * ny - wy * nx]
+        )
+        a = (sigma * gains.kq) * n_e + gains.kw * nu + wdot_d + (sigma * gains.kn) * ndot
+    return J @ a + _ref_gyro(w, J)
+
+
+def _ref_deriv7(y, tx, ty, tz, J, Jinv):
+    qw, qx, qy, qz, wx, wy, wz = y
+    jx = J[0][0] * wx + J[0][1] * wy + J[0][2] * wz
+    jy = J[1][0] * wx + J[1][1] * wy + J[1][2] * wz
+    jz = J[2][0] * wx + J[2][1] * wy + J[2][2] * wz
+    rx = tx - (wy * jz - wz * jy)
+    ry = ty - (wz * jx - wx * jz)
+    rz = tz - (wx * jy - wy * jx)
+    return (
+        0.5 * (-qx * wx - qy * wy - qz * wz),
+        0.5 * (qw * wx + qy * wz - qz * wy),
+        0.5 * (qw * wy - qx * wz + qz * wx),
+        0.5 * (qw * wz + qx * wy - qy * wx),
+        Jinv[0][0] * rx + Jinv[0][1] * ry + Jinv[0][2] * rz,
+        Jinv[1][0] * rx + Jinv[1][1] * ry + Jinv[1][2] * rz,
+        Jinv[2][0] * rx + Jinv[2][1] * ry + Jinv[2][2] * rz,
+    )
+
+
+def _ref_rk4(y, tx, ty, tz, J, Jinv, dt):
+    k1 = _ref_deriv7(y, tx, ty, tz, J, Jinv)
+    h = 0.5 * dt
+    y2 = tuple(y[i] + h * k1[i] for i in range(7))
+    k2 = _ref_deriv7(y2, tx, ty, tz, J, Jinv)
+    y3 = tuple(y[i] + h * k2[i] for i in range(7))
+    k3 = _ref_deriv7(y3, tx, ty, tz, J, Jinv)
+    y4 = tuple(y[i] + dt * k3[i] for i in range(7))
+    k4 = _ref_deriv7(y4, tx, ty, tz, J, Jinv)
+    s = dt / 6.0
+    y = tuple(y[i] + s * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(7))
+    qw, qx, qy, qz, wx, wy, wz = y
+    nn = qw * qw + qx * qx + qy * qy + qz * qz
+    if abs(nn - 1.0) > 1e-12:
+        r = 1.0 / math.sqrt(nn)
+        qw, qx, qy, qz = qw * r, qx * r, qy * r, qz * r
+    return qw, qx, qy, qz, wx, wy, wz
+
+
+def reference_closed_loop(law, q0, w0, J, gains, dt, n_steps):
+    """Stage-3 closed loop of ``law`` from (q0, w0), one control call per step.
+
+    Returns a dict of per-sample arrays (n_steps + 1 rows) named like the
+    RunResult fields, plus ``switch_times``.
+    """
+    J = np.asarray(J, dtype=float)
+    Jl, Jinv = J.tolist(), np.linalg.inv(J).tolist()
+    q_d, w_d, wdot_d = np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), np.zeros(3)
+    sigma, switch_times = +1, []
+    rows = {k: [] for k in ("q", "w", "tau", "m_e", "n_e", "w_e", "sigma", "lam")}
+    y = (*q0, *w0)
+    for k in range(n_steps + 1):
+        q, w = np.array(y[:4]), np.array(y[4:])
+        q_err = _ref_quat_mul(np.array([q[0], -q[1], -q[2], -q[3]]), q_d)
+        w_err = w_d - w
+        dot = w_err[0] * q_err[1] + w_err[1] * q_err[2] + w_err[2] * q_err[3]
+        lam = -2.0 * gains.kn / gains.kq * dot + 4.0 * gains.c * float(q_err[0])
+        if law == "switching":
+            new = +1 if lam >= gains.delta else -1 if lam <= -gains.delta else sigma
+            if new != sigma:
+                sigma = new
+                switch_times.append(k * dt)
+            s = sigma
+        elif law == "benchmark":
+            s = +1 if q_err[0] >= 0.0 else -1
+        else:
+            s = +1
+        tau = _ref_torque(law, q_err, w_err, sigma, w, wdot_d, gains, J)
+        for name, v in zip(rows, (q, w, tau, q_err[0], q_err[1:], w_err, s, lam)):
+            rows[name].append(v)
+        if k < n_steps:
+            y = _ref_rk4(y, tau[0], tau[1], tau[2], Jl, Jinv, dt)
+    out = {name: np.array(v) for name, v in rows.items()}
+    out["switch_times"] = tuple(switch_times)
+    return out

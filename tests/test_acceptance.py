@@ -185,11 +185,11 @@ def test_criterion_8_numerical_hygiene():
     with criterion(8, "norm drift, momentum conservation, and 4th-order convergence"):
         J = np.diag([1.66e-5, 1.86e-5, 2.93e-5])
         state = BodyState(q=IDENTITY.copy(), w=np.array([1.0, 0.6, -0.8]))
-        samples = simulate(state, lambda t, s: (np.zeros(3), None), J, 1e-3, 10.0)
-        h0 = rotate_vector(samples[0][1].q, J @ samples[0][1].w)
-        for _, st, _, _ in samples[::25]:
-            assert abs(st.q @ st.q - 1.0) <= 1e-9
-            h = rotate_vector(st.q, J @ st.w)
+        traj = simulate(state, lambda t, s: (np.zeros(3), None), J, 1e-3, 10.0)
+        h0 = rotate_vector(traj.q[0], J @ traj.w[0])
+        for q, w in zip(traj.q[::25], traj.w[::25]):
+            assert abs(q @ q - 1.0) <= 1e-9
+            h = rotate_vector(q, J @ w)
             assert np.linalg.norm(h - h0) / np.linalg.norm(h0) <= 1e-6
 
         def terminal(dt):

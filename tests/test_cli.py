@@ -102,6 +102,14 @@ class TestSimulateCommand:
         assert (out1 / "telemetry.csv").read_bytes() == (out2 / "telemetry.csv").read_bytes()
         assert (out1 / "scenario.txt").read_bytes() == (out2 / "scenario.txt").read_bytes()
 
+    @pytest.mark.parametrize("flag,value", [("--dt", "inf"), ("--dt", "nan"), ("--horizon", "inf")])
+    def test_nonfinite_step_or_horizon_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        args = ["simulate", "--mode", "stage3", "--ic", "2,150", flag, value, "--out", str(out)]
+        assert main(args) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_ic_usage_error(self, capsys):
         assert main(["simulate"]) == 1
         assert "initial condition" in capsys.readouterr().err

@@ -73,6 +73,15 @@ class TestAttitudeError:
         assert err.m_e == pytest.approx(-0.25882, abs=1e-5)
         assert err.m_e == pytest.approx(math.cos(math.radians(105.0)), abs=1e-12)
 
+    @pytest.mark.parametrize("drift,rescaled", [(1e-13, False), (1e-9, True)])
+    def test_error_quaternion_renormalized_only_past_drift_tolerance(self, drift, rescaled):
+        q = from_axis_angle(B3, math.radians(210.0)) * math.sqrt(1.0 + drift)
+        err = attitude_error(q, IDENTITY, np.zeros(3), np.zeros(3))
+        raw = np.array([q[0], -q[1], -q[2], -q[3]])
+        assert np.array_equal(err.q_err, raw) is not rescaled
+        assert abs(err.q_err @ err.q_err - 1.0) <= (1e-15 if rescaled else 2e-13)
+        assert err.m_e < 0.0
+
 
 class TestContinuousTorque:
     def test_fixed_point_zero_torque(self):

@@ -92,19 +92,25 @@ class TestRk4Step:
 class TestSimulate:
     def test_zero_duration_single_sample(self):
         s = BodyState(q=from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.4), w=np.array([0.1, 0.0, 0.0]))
-        samples = simulate(s, zero_controller, np.eye(3), 1e-3, 0.0)
-        assert len(samples) == 1
-        t, state, tau, _ = samples[0]
-        assert t == 0.0
-        assert np.allclose(state.q, s.q)
-        assert np.allclose(state.w, s.w)
-        assert np.allclose(tau, 0.0)
+        traj = simulate(s, zero_controller, np.eye(3), 1e-3, 0.0)
+        assert len(traj) == 1
+        assert traj.t[0] == 0.0
+        assert np.allclose(traj.q[0], s.q)
+        assert np.allclose(traj.w[0], s.w)
+        assert np.allclose(traj.tau[0], 0.0)
 
     def test_torque_free_principal_spin_constant_rate(self):
         s = BodyState(q=IDENTITY.copy(), w=np.array([0.0, 0.0, 1.5]))
-        samples = simulate(s, zero_controller, np.diag([1.0, 2.0, 3.0]), 1e-3, 0.5)
-        rates = np.array([st.w for _, st, _, _ in samples])
+        rates = simulate(s, zero_controller, np.diag([1.0, 2.0, 3.0]), 1e-3, 0.5).w
         assert np.allclose(rates, rates[0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dt,duration", [(math.inf, 1.0), (math.nan, 1.0), (1e-3, math.inf), (1e-3, math.nan)]
+    )
+    def test_rejects_nonfinite_step_or_duration(self, dt, duration):
+        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            simulate(s, zero_controller, np.eye(3), dt, duration)
 
     def test_controller_error_carries_timestamp(self):
         def bad_controller(t, state):
@@ -132,8 +138,7 @@ class TestSimulate:
             return np.array([0.0, 0.0, 1e-6 * (1 + len(calls))]), None
 
         s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
-        samples = simulate(s, counting_controller, np.eye(3), 1e-3, 0.01, control_decimation=5)
-        taus = np.array([tau for _, _, tau, _ in samples])
+        taus = simulate(s, counting_controller, np.eye(3), 1e-3, 0.01, control_decimation=5).tau
         # 10 steps + final boundary: invocations at t = 0, 5e-3, 1e-2
         assert len(calls) == 3
         assert np.allclose(taus[0:5], taus[0])
@@ -145,8 +150,8 @@ class TestSimulate:
             return np.array([5.0, -5.0, 0.2]), None
 
         s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
-        samples = simulate(s, big_torque, np.eye(3), 1e-3, 0.002, torque_limit=1.0)
-        for _, _, tau, _ in samples:
+        traj = simulate(s, big_torque, np.eye(3), 1e-3, 0.002, torque_limit=1.0)
+        for tau in traj.tau:
             assert np.all(np.abs(tau) <= 1.0)
 
     def test_small_error_regulation_decays_monotonically(self):
@@ -167,9 +172,9 @@ class TestSimulate:
 
         axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         s = BodyState(q=from_axis_angle(axis, 0.1), w=np.zeros(3))
-        samples = simulate(s, controller, J, 1e-3, 1.2)
-        n_norm = np.array([np.linalg.norm(err.n_e) for _, _, _, err in samples])
-        w_norm = np.array([np.linalg.norm(err.w_err) for _, _, _, err in samples])
+        errs = simulate(s, controller, J, 1e-3, 1.2).telemetry
+        n_norm = np.array([np.linalg.norm(err.n_e) for err in errs])
+        w_norm = np.array([np.linalg.norm(err.w_err) for err in errs])
         settle = 150  # past the angular-rate build-up
         assert np.all(np.diff(n_norm[settle:]) <= 1e-12)
         assert np.all(np.diff(w_norm[settle:]) <= 1e-12)
@@ -179,16 +184,16 @@ class TestSimulate:
 class TestConservation:
     def test_torque_free_invariants_over_10k_steps(self):
         s = BodyState(q=IDENTITY.copy(), w=TUMBLE_W.copy())
-        samples = simulate(s, zero_controller, TUMBLE_J, 1e-3, 10.0)
-        h0 = rotate_vector(samples[0][1].q, TUMBLE_J @ samples[0][1].w)
-        e0 = 0.5 * samples[0][1].w @ (TUMBLE_J @ samples[0][1].w)
+        traj = simulate(s, zero_controller, TUMBLE_J, 1e-3, 10.0)
+        h0 = rotate_vector(traj.q[0], TUMBLE_J @ traj.w[0])
+        e0 = 0.5 * traj.w[0] @ (TUMBLE_J @ traj.w[0])
         h_drift = e_drift = n_drift = 0.0
-        for _, st, _, _ in samples[::50]:
-            h = rotate_vector(st.q, TUMBLE_J @ st.w)
+        for q, w in zip(traj.q[::50], traj.w[::50]):
+            h = rotate_vector(q, TUMBLE_J @ w)
             h_drift = max(h_drift, np.linalg.norm(h - h0) / np.linalg.norm(h0))
-            e = 0.5 * st.w @ (TUMBLE_J @ st.w)
+            e = 0.5 * w @ (TUMBLE_J @ w)
             e_drift = max(e_drift, abs(e - e0) / e0)
-            n_drift = max(n_drift, abs(st.q @ st.q - 1.0))
+            n_drift = max(n_drift, abs(q @ q - 1.0))
         assert h_drift <= 1e-6
         assert e_drift <= 1e-8
         assert n_drift <= 1e-9
