@@ -15,13 +15,17 @@ The switching signal s selects which of the two antipodal closed-loop
 equilibria is stabilized; it is updated once per control step from the
 switching function value Lambda with a dead band of width 2*delta.
 
-Each law has exactly one form, written on plain floats: the error state is
-a pair (q_err, w_err) of 4- and 3-sequences, the inertia nested rows, and
-the result a tuple of floats.  The controllers call these forms directly
-once per control step; the public ndarray functions (``attitude_error``,
-``continuous_torque``, ``benchmark_torque``, ``switching_torque``,
-``switch_function``, ``nu_sigma``, ``error_vector_rate``) unpack an
-ErrorState, delegate to them and wrap the result.
+Each law, the error, Lambda and the sigma update have exactly one form,
+written on plain floats: the error state is a pair (q_err, w_err) of 4- and
+3-sequences and every result a tuple of floats.  The torque laws and Lambda
+are factories (``_bind_pd_torque``, ``_bind_switching_torque``,
+``_bind_switch_function``) that close over the gains and the inertia rows;
+each controller calls them once, in ``__init__``, and then per control step
+passes only the float tuples of the state, the reference and the error.
+The public ndarray functions (``attitude_error``, ``continuous_torque``,
+``benchmark_torque``, ``switching_torque``, ``switch_function``,
+``nu_sigma``, ``error_vector_rate``) delegate to the same forms and wrap
+the result.
 """
 
 import math
@@ -33,7 +37,7 @@ import numpy as np
 
 from .quat import hamilton_product, yaw_of
 from .reference import ManeuverTracker
-from .rigid_body import BodyState, gyroscopic
+from .rigid_body import BodyState, bind_gyroscopic
 
 
 @dataclass
@@ -118,7 +122,7 @@ def _nu(q_err, w_err, sigma, kn):
 
 def nu_sigma(err: ErrorState, sigma: int, gains: GainSet) -> np.ndarray:
     """Composite error w_err + sigma * kn * n_e for the given switch sign."""
-    return np.array(_nu(err.q_err, err.w_err, sigma, gains.kn))
+    return np.array(_nu(err.q_err.tolist(), err.w_err.tolist(), sigma, gains.kn))
 
 
 def _error_vector_rate(q_err, w_err):
@@ -141,28 +145,38 @@ def error_vector_rate(err: ErrorState) -> np.ndarray:
     return np.array(_error_vector_rate(err.q_err, err.w_err))
 
 
-def _linearized(ax, ay, az, w, J):
-    """Feedback-linearizing torque J a + w x Jw for the error acceleration a."""
+def _bind_linearized(J):
+    """Feedback-linearizing torque ``(a, w) -> J a + w x Jw`` bound to the inertia rows J."""
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
-    gx, gy, gz = gyroscopic(w, J)
-    return (
-        j00 * ax + j01 * ay + j02 * az + gx,
-        j10 * ax + j11 * ay + j12 * az + gy,
-        j20 * ax + j21 * ay + j22 * az + gz,
-    )
+    gyroscopic = bind_gyroscopic(J)
+
+    def linearized(ax, ay, az, w):
+        gx, gy, gz = gyroscopic(*w)
+        return (
+            j00 * ax + j01 * ay + j02 * az + gx,
+            j10 * ax + j11 * ay + j12 * az + gy,
+            j20 * ax + j21 * ay + j22 * az + gz,
+        )
+
+    return linearized
 
 
-def _pd_torque(s, q_err, w_err, w, wdot_d, gains: GainSet, J):
-    """J((s kq) n_e + kw w_err + wdot_d) + w x Jw: the continuous law for
-    s = +1 and the shorter-path benchmark law for s = sgn(m_e)."""
-    kp = s * gains.kq
-    kw = gains.kw
-    return _linearized(
-        kp * q_err[1] + kw * w_err[0] + wdot_d[0],
-        kp * q_err[2] + kw * w_err[1] + wdot_d[1],
-        kp * q_err[3] + kw * w_err[2] + wdot_d[2],
-        w, J,
-    )
+def _bind_pd_torque(gains: GainSet, J):
+    """``torque(s, q_err, w_err, w, wdot_d)`` = J((s kq) n_e + kw w_err + wdot_d) + w x Jw:
+    the continuous law for s = +1 and the shorter-path benchmark law for s = sgn(m_e)."""
+    kq, kw = gains.kq, gains.kw
+    linearized = _bind_linearized(J)
+
+    def torque(s, q_err, w_err, w, wdot_d):
+        kp = s * kq
+        return linearized(
+            kp * q_err[1] + kw * w_err[0] + wdot_d[0],
+            kp * q_err[2] + kw * w_err[1] + wdot_d[1],
+            kp * q_err[3] + kw * w_err[2] + wdot_d[2],
+            w,
+        )
+
+    return torque
 
 
 def _shorter_path_sign(m_e) -> int:
@@ -170,31 +184,37 @@ def _shorter_path_sign(m_e) -> int:
     return +1 if m_e >= 0.0 else -1
 
 
-def _switching_torque(q_err, w_err, sigma, w, wdot_d, gains: GainSet, J):
-    kp = sigma * gains.kq
-    kw = gains.kw
-    kd = sigma * gains.kn
-    nx, ny, nz = _nu(q_err, w_err, sigma, gains.kn)
-    dx, dy, dz = _error_vector_rate(q_err, w_err)
-    return _linearized(
-        kp * q_err[1] + kw * nx + wdot_d[0] + kd * dx,
-        kp * q_err[2] + kw * ny + wdot_d[1] + kd * dy,
-        kp * q_err[3] + kw * nz + wdot_d[2] + kd * dz,
-        w, J,
-    )
+def _bind_switching_torque(gains: GainSet, J):
+    """``torque(sigma, q_err, w_err, w, wdot_d)`` of the switching law."""
+    kq, kw, kn = gains.kq, gains.kw, gains.kn
+    linearized = _bind_linearized(J)
+
+    def torque(sigma, q_err, w_err, w, wdot_d):
+        kp = sigma * kq
+        kd = sigma * kn
+        nx, ny, nz = _nu(q_err, w_err, sigma, kn)
+        dx, dy, dz = _error_vector_rate(q_err, w_err)
+        return linearized(
+            kp * q_err[1] + kw * nx + wdot_d[0] + kd * dx,
+            kp * q_err[2] + kw * ny + wdot_d[1] + kd * dy,
+            kp * q_err[3] + kw * nz + wdot_d[2] + kd * dz,
+            w,
+        )
+
+    return torque
 
 
 def continuous_torque(
     err: ErrorState, w: np.ndarray, wdot_d: np.ndarray, gains: GainSet, J: np.ndarray
 ) -> np.ndarray:
-    return np.array(_pd_torque(+1, err.q_err, err.w_err, w, wdot_d, gains, J))
+    return np.array(_bind_pd_torque(gains, J)(+1, err.q_err, err.w_err, w, wdot_d))
 
 
 def benchmark_torque(
     err: ErrorState, w: np.ndarray, wdot_d: np.ndarray, gains: GainSet, J: np.ndarray
 ) -> np.ndarray:
     s = _shorter_path_sign(err.m_e)
-    return np.array(_pd_torque(s, err.q_err, err.w_err, w, wdot_d, gains, J))
+    return np.array(_bind_pd_torque(gains, J)(s, err.q_err, err.w_err, w, wdot_d))
 
 
 def switching_torque(
@@ -205,17 +225,24 @@ def switching_torque(
     gains: GainSet,
     J: np.ndarray,
 ) -> np.ndarray:
-    return np.array(_switching_torque(err.q_err, err.w_err, sigma, w, wdot_d, gains, J))
+    return np.array(_bind_switching_torque(gains, J)(sigma, err.q_err, err.w_err, w, wdot_d))
 
 
-def _switch_function(q_err, w_err, gains: GainSet) -> float:
-    dot = w_err[0] * q_err[1] + w_err[1] * q_err[2] + w_err[2] * q_err[3]
-    return -2.0 * gains.kn / gains.kq * dot + 4.0 * gains.c * q_err[0]
+def _bind_switch_function(gains: GainSet):
+    """``lam(q_err, w_err)`` = -2 kn/kq (w_err . n_e) + 4c m_e, bound to the gains."""
+    a = -2.0 * gains.kn / gains.kq
+    b = 4.0 * gains.c
+
+    def switch_function(q_err, w_err):
+        dot = w_err[0] * q_err[1] + w_err[1] * q_err[2] + w_err[2] * q_err[3]
+        return a * dot + b * q_err[0]
+
+    return switch_function
 
 
 def switch_function(err: ErrorState, gains: GainSet) -> float:
     """Lyapunov difference Lambda = V(-1) - V(+1) in closed form."""
-    return _switch_function(err.q_err, err.w_err, gains)
+    return _bind_switch_function(gains)(err.q_err.tolist(), err.w_err.tolist())
 
 
 def update_sigma(
@@ -264,14 +291,19 @@ class _ControllerBase:
     """Shared plumbing: reference tracking and yaw unwrapping.
 
     A controller is called as ``controller(t, state)`` and returns the
-    torque as a tuple of floats with its ControlTelemetry.
+    torque as a tuple of floats with its ControlTelemetry.  Its torque law
+    (``_bind_torque``) and switching function are bound to its gains and
+    inertia once, here.
     """
+
+    _bind_torque = staticmethod(_bind_pd_torque)
 
     def __init__(self, gains: GainSet, J: np.ndarray, tracker: ManeuverTracker):
         self.gains = gains
         self.J = np.asarray(J, dtype=float)
-        self._rows = self.J.tolist()
         self.tracker = tracker
+        self._torque = self._bind_torque(gains, self.J.tolist())
+        self._switch_function = _bind_switch_function(gains)
         self._prev_yaw = None
         self._yaw_accum = 0.0
 
@@ -295,21 +327,21 @@ class _ControllerBase:
         The measured yaw only matters until the tracker pins the stage-3
         start, so it is unwrapped only while that start is pending.
         """
-        q = state.q.tolist()
-        w = state.w.tolist()
+        q = tuple(state.q)
+        w = tuple(state.w)
         if self.tracker.t0 is None:
             ref = self.tracker.sample(t, self._unwrapped_yaw(q))
         else:
             ref = self.tracker.sample(t)
-        q_err, w_err = _error(q, ref.q_d.tolist(), w, ref.w_d.tolist())
-        return q_err, w_err, w, ref.wdot_d.tolist()
+        q_err, w_err = _error(q, ref.q_d, w, ref.w_d)
+        return q_err, w_err, w, ref.wdot_d
 
 
 class ContinuousController(_ControllerBase):
     def __call__(self, t: float, state: BodyState):
         q_err, w_err, w, wdot_d = self._track(t, state)
-        tau = _pd_torque(+1, q_err, w_err, w, wdot_d, self.gains, self._rows)
-        lam = _switch_function(q_err, w_err, self.gains)
+        tau = self._torque(+1, q_err, w_err, w, wdot_d)
+        lam = self._switch_function(q_err, w_err)
         return tau, ControlTelemetry(*q_err, *w_err, +1, lam)
 
 
@@ -319,13 +351,15 @@ class BenchmarkController(_ControllerBase):
     def __call__(self, t: float, state: BodyState):
         q_err, w_err, w, wdot_d = self._track(t, state)
         sigma = _shorter_path_sign(q_err[0])
-        tau = _pd_torque(sigma, q_err, w_err, w, wdot_d, self.gains, self._rows)
-        lam = _switch_function(q_err, w_err, self.gains)
+        tau = self._torque(sigma, q_err, w_err, w, wdot_d)
+        lam = self._switch_function(q_err, w_err)
         return tau, ControlTelemetry(*q_err, *w_err, sigma, lam)
 
 
 class SwitchingController(_ControllerBase):
     """Hysteretic Lyapunov-based switching law; owns the switch state."""
+
+    _bind_torque = staticmethod(_bind_switching_torque)
 
     def __init__(self, gains: GainSet, J: np.ndarray, tracker: ManeuverTracker):
         super().__init__(gains, J, tracker)
@@ -333,8 +367,8 @@ class SwitchingController(_ControllerBase):
 
     def __call__(self, t: float, state: BodyState):
         q_err, w_err, w, wdot_d = self._track(t, state)
-        lam = _switch_function(q_err, w_err, self.gains)
+        lam = self._switch_function(q_err, w_err)
         self.switch_state = update_sigma(self.switch_state, lam, self.gains.delta, t)
         sigma = self.switch_state.sigma
-        tau = _switching_torque(q_err, w_err, sigma, w, wdot_d, self.gains, self._rows)
+        tau = self._torque(sigma, q_err, w_err, w, wdot_d)
         return tau, ControlTelemetry(*q_err, *w_err, sigma, lam)

@@ -30,6 +30,7 @@ from .rigid_body import (
     DEFAULT_INERTIA,
     BodyState,
     SimulationError,
+    float_rows,
     simulate,
     validate_inertia,
 )
@@ -80,6 +81,10 @@ class Scenario:
             )
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if self.horizon_after_t0 < self.dt:
+            raise ValueError(
+                f"horizon_after_t0 = {self.horizon_after_t0} is shorter than one step dt = {self.dt}"
+            )
         self.inertia = validate_inertia(self.inertia)
 
 
@@ -141,7 +146,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     tf = t0 + scenario.horizon_after_t0
 
     t = traj.t
-    tel = np.array(traj.telemetry)  # (N, 9) ControlTelemetry rows
+    tel = float_rows(traj.telemetry, 9)  # ControlTelemetry rows
     m_e, n_e, w_e, lam = tel[:, 0], tel[:, 1:4], tel[:, 4:7], tel[:, 8]
     sigma = tel[:, 7].astype(int)
     V = stability.lyapunov_series(m_e, n_e, w_e, sigma, scenario.gains)
@@ -238,6 +243,12 @@ class PerturbationSpec:
 
     psi0_deg: float = 1.0
     wz: float = 0.05
+
+    def __post_init__(self):
+        for name in ("psi0_deg", "wz"):
+            v = float(getattr(self, name))
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"perturbation {name} must be non-negative and finite, got {v}")
 
 
 @dataclass
@@ -361,11 +372,11 @@ def export_run(run: RunResult, path) -> None:
             run.V,
         ]
     )
+    line = ",".join(["%.17g"] * cols.shape[1]) + "\n"
     try:
         with open(path, "w") as f:
             f.write(CSV_HEADER + "\n")
-            for row in cols:
-                f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            f.writelines(line % tuple(row.tolist()) for row in cols)
     except OSError as exc:
         raise OSError(f"cannot write telemetry to {path}: {exc}") from exc
 

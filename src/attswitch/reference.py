@@ -6,14 +6,20 @@ target angle, and stage 3 snaps the reference back to identity as an ideal
 step.  The stage-2 quaternion is obtained by integrating the constant rate
 from identity, which keeps it kinematically consistent and lets its scalar
 part go negative for targets beyond pi (no shortest-path flip).
+
+The reference has one form, ``_bind_reference(spec)``: a closure over the
+maneuver's constants (stage-1 length, rate, axis) that returns a
+ReferenceSample of float tuples.  ``ManeuverTracker`` binds it once per run
+and its ``sample`` returns those tuples; ``reference_at`` wraps the same
+form in ndarrays.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import quat
 from .rigid_body import BodyState
 
 MODE_FULL = "full"
@@ -47,45 +53,49 @@ class ManeuverSpec:
             raise ValueError(f"unknown maneuver mode {self.mode!r}")
 
 
-@dataclass
-class ReferenceSample:
-    q_d: np.ndarray   # (4,) desired attitude
-    w_d: np.ndarray   # (3,) rad/s, desired body rate
-    wdot_d: np.ndarray  # (3,) rad/s^2, feedforward
+class ReferenceSample(NamedTuple):
+    """Float tuples from ``ManeuverTracker.sample``, ndarrays from ``reference_at``."""
+
+    q_d: tuple     # (4,) desired attitude
+    w_d: tuple     # (3,) rad/s, desired body rate
+    wdot_d: tuple  # (3,) rad/s^2, feedforward
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    a.flags.writeable = False
-    return a
+_HOLD = ReferenceSample((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
-# shared by every sample that holds them, so no caller may write into them
-_IDENTITY = _read_only(quat.IDENTITY)
-_ZERO3 = _read_only(np.zeros(3))
-
-
-def reference_at(spec: ManeuverSpec, t: float, t0: float | None = None) -> ReferenceSample:
-    """Reference sample at time t, given the stage-3 start time t0.
+def _bind_reference(spec: ManeuverSpec):
+    """Float reference ``sample(t, t0) -> ReferenceSample`` of float tuples,
+    bound to the maneuver.
 
     ``t0 = None`` means the stage-2 -> stage-3 transition has not happened
     yet (full mode while still spinning up); in stage3 mode callers pass
     t0 = 0.  The stage-3 feedforward at the step instant is defined as zero,
     treating the reference change as an ideal discontinuity.
     """
-    if t0 is not None and t >= t0:
-        return ReferenceSample(_IDENTITY, _ZERO3, _ZERO3)
-    if t < spec.stage1_duration:
-        return ReferenceSample(_IDENTITY, _ZERO3, _ZERO3)
     rate = math.sqrt(float(spec.w0 @ spec.w0))
     if rate < 1e-15:
-        return ReferenceSample(_IDENTITY, _ZERO3, _ZERO3)
-    angle = rate * (t - spec.stage1_duration)
-    axis = spec.w0 / rate
-    h = 0.5 * angle
-    s = math.sin(h)
-    q_d = np.array([math.cos(h), axis[0] * s, axis[1] * s, axis[2] * s])
-    return ReferenceSample(q_d, spec.w0.copy(), _ZERO3)
+        return lambda t, t0: _HOLD
+    t1 = spec.stage1_duration
+    w0 = tuple(spec.w0.tolist())
+    ax, ay, az = (spec.w0 / rate).tolist()
+
+    def sample(t: float, t0: float | None) -> ReferenceSample:
+        if (t0 is not None and t >= t0) or t < t1:
+            return _HOLD
+        h = 0.5 * (rate * (t - t1))
+        s = math.sin(h)
+        return ReferenceSample((math.cos(h), ax * s, ay * s, az * s), w0, _HOLD.wdot_d)
+
+    return sample
+
+
+def reference_at(spec: ManeuverSpec, t: float, t0: float | None = None) -> ReferenceSample:
+    """Reference sample at time t, given the stage-3 start time t0, as ndarrays.
+
+    See ``_bind_reference`` for the meaning of t0.
+    """
+    return ReferenceSample(*map(np.array, _bind_reference(spec)(t, t0)))
 
 
 def stage3_initial_state(spec: ManeuverSpec) -> BodyState:
@@ -113,6 +123,7 @@ class ManeuverTracker:
 
     def __post_init__(self):
         self.t0 = 0.0 if self.spec.mode == MODE_STAGE3 else None
+        self._reference = _bind_reference(self.spec)
 
     def sample(self, t: float, measured_yaw: float | None = None) -> ReferenceSample:
         if (
@@ -122,4 +133,4 @@ class ManeuverTracker:
             and measured_yaw >= self.spec.psi0
         ):
             self.t0 = t
-        return reference_at(self.spec, t, self.t0)
+        return self._reference(t, self.t0)

@@ -10,16 +10,21 @@ integrated with classical fixed-step RK4 while holding the commanded torque
 constant over each step.  The quaternion is renormalized (sign-preserving)
 after each step only when its norm has drifted.
 
-The closed-loop hot path runs on plain Python floats: the state is a
-7-tuple (qw, qx, qy, qz, wx, wy, wz), the torque a 3-tuple and the inertia
-and its inverse nested row sequences.  ``gyroscopic``, ``_derivative`` and
-``_rk4`` are the only implementations of the gyroscopic term, the state
-derivative and the RK4 step; ``open_loop_derivative`` and ``rk4_step`` are
-ndarray wrappers over them, and ``simulate`` calls them directly.
+Everything that stays constant over a run is bound once, when the run is
+set up: ``bind_rk4(J, dt)`` returns the RK4 step ``step(y, tau) -> y`` as a
+closure over the inertia rows, their inverse and the step size, and every
+step after that passes only float tuples: the packed state
+y = (qw, qx, qy, qz, wx, wy, wz) and the held torque tau.
+``bind_gyroscopic`` (the term w x Jw) and ``_bind_derivative`` are the only
+forms of the gyroscopic term and the state derivative;
+``open_loop_derivative`` and ``rk4_step`` are ndarray wrappers over them.
+``simulate`` hands its controller a BodyState whose ``q`` and ``w`` are
+float-tuple slices of the packed state, so no ndarray is built per step.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,71 +66,99 @@ def _check_step(dt: float) -> None:
 
 @dataclass
 class BodyState:
-    """Attitude quaternion (body w.r.t. inertial) and body-frame angular velocity."""
+    """Attitude quaternion (body w.r.t. inertial) and body-frame angular velocity.
+
+    Any 4- and 3-sequences of floats; ``simulate`` hands controllers float
+    tuples, callers elsewhere use ndarrays.
+    """
 
     q: np.ndarray  # (4,) scalar-first unit quaternion
     w: np.ndarray  # (3,) rad/s
 
 
-def gyroscopic(w, J) -> tuple:
-    """Gyroscopic term w x Jw as floats, for body rates w and inertia rows J."""
-    wx, wy, wz = w
+def bind_gyroscopic(J):
+    """Gyroscopic term ``g(wx, wy, wz) -> w x Jw`` bound to the inertia rows J."""
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
-    jx = j00 * wx + j01 * wy + j02 * wz
-    jy = j10 * wx + j11 * wy + j12 * wz
-    jz = j20 * wx + j21 * wy + j22 * wz
-    return wy * jz - wz * jy, wz * jx - wx * jz, wx * jy - wy * jx
+
+    def gyroscopic(wx, wy, wz):
+        jx = j00 * wx + j01 * wy + j02 * wz
+        jy = j10 * wx + j11 * wy + j12 * wz
+        jz = j20 * wx + j21 * wy + j22 * wz
+        return wy * jz - wz * jy, wz * jx - wx * jz, wx * jy - wy * jx
+
+    return gyroscopic
 
 
-def _derivative(y, tau, J, Jinv) -> tuple:
-    """Derivative of the packed state y = (q, w) for a held torque tau."""
-    qw, qx, qy, qz, wx, wy, wz = y
-    gx, gy, gz = gyroscopic((wx, wy, wz), J)
-    rx = tau[0] - gx
-    ry = tau[1] - gy
-    rz = tau[2] - gz
+def _bind_derivative(J, Jinv):
+    """Derivative ``f(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz)`` of the packed
+    state for a held torque, bound to the inertia rows J and their inverse."""
+    gyroscopic = bind_gyroscopic(J)
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = Jinv
-    return (
-        0.5 * (-qx * wx - qy * wy - qz * wz),
-        0.5 * (qw * wx + qy * wz - qz * wy),
-        0.5 * (qw * wy - qx * wz + qz * wx),
-        0.5 * (qw * wz + qx * wy - qy * wx),
-        i00 * rx + i01 * ry + i02 * rz,
-        i10 * rx + i11 * ry + i12 * rz,
-        i20 * rx + i21 * ry + i22 * rz,
-    )
+
+    def derivative(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz):
+        gx, gy, gz = gyroscopic(wx, wy, wz)
+        rx = tx - gx
+        ry = ty - gy
+        rz = tz - gz
+        return (
+            0.5 * (-qx * wx - qy * wy - qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            i00 * rx + i01 * ry + i02 * rz,
+            i10 * rx + i11 * ry + i12 * rz,
+            i20 * rx + i21 * ry + i22 * rz,
+        )
+
+    return derivative
 
 
-def _rk4(y, tau, J, Jinv, dt: float) -> tuple:
-    """One RK4 step of the packed state with tau held, quaternion lazily renormalized."""
+def _inertia_rows(J) -> tuple:
+    Jm = np.asarray(J, dtype=float)
+    return Jm.tolist(), np.linalg.inv(Jm).tolist()
+
+
+def bind_rk4(J, dt: float):
+    """RK4 step ``step(y, tau) -> y`` bound to the inertia J and step dt.
+
+    y is the packed state (qw, qx, qy, qz, wx, wy, wz) and tau the torque
+    held over the step, both float sequences; the result is a 7-tuple with
+    the quaternion lazily renormalized.
+    """
+    _check_step(dt)
+    f = _bind_derivative(*_inertia_rows(J))
     h = 0.5 * dt
-    y0, y1, y2, y3, y4, y5, y6 = y
-    a0, a1, a2, a3, a4, a5, a6 = _derivative(y, tau, J, Jinv)
-    b0, b1, b2, b3, b4, b5, b6 = _derivative(
-        (y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4, y5 + h * a5, y6 + h * a6),
-        tau, J, Jinv,
-    )
-    c0, c1, c2, c3, c4, c5, c6 = _derivative(
-        (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4, y5 + h * b5, y6 + h * b6),
-        tau, J, Jinv,
-    )
-    d0, d1, d2, d3, d4, d5, d6 = _derivative(
-        (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
-         y4 + dt * c4, y5 + dt * c5, y6 + dt * c6),
-        tau, J, Jinv,
-    )
     s = dt / 6.0
-    return (
-        *renorm_if_drifted(
-            y0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-            y1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-            y2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-            y3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-        ),
-        y4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
-        y5 + s * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-        y6 + s * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
-    )
+
+    def step(y, tau):
+        y0, y1, y2, y3, y4, y5, y6 = y
+        tx, ty, tz = tau
+        a0, a1, a2, a3, a4, a5, a6 = f(y0, y1, y2, y3, y4, y5, y6, tx, ty, tz)
+        b0, b1, b2, b3, b4, b5, b6 = f(
+            y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4, y5 + h * a5,
+            y6 + h * a6, tx, ty, tz,
+        )
+        c0, c1, c2, c3, c4, c5, c6 = f(
+            y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4, y5 + h * b5,
+            y6 + h * b6, tx, ty, tz,
+        )
+        d0, d1, d2, d3, d4, d5, d6 = f(
+            y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3, y4 + dt * c4, y5 + dt * c5,
+            y6 + dt * c6, tx, ty, tz,
+        )
+        return (
+            *renorm_if_drifted(
+                y0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                y1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                y2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                y3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            ),
+            y4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+            y5 + s * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+            y6 + s * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+        )
+
+    return step
 
 
 def _all_finite(y) -> bool:
@@ -133,22 +166,18 @@ def _all_finite(y) -> bool:
 
 
 def _packed(state: BodyState) -> tuple:
-    q, w = np.asarray(state.q, dtype=float), np.asarray(state.w, dtype=float)
-    return (*q.tolist(), *w.tolist())
+    return (*map(float, state.q), *map(float, state.w))
 
 
 def open_loop_derivative(state: BodyState, tau: np.ndarray, J: np.ndarray):
     """State derivative (q_dot, w_dot) for torque tau."""
-    Jm = np.asarray(J, dtype=float)
-    d = _derivative(_packed(state), [float(v) for v in tau], Jm.tolist(), np.linalg.inv(Jm).tolist())
+    d = _bind_derivative(*_inertia_rows(J))(*_packed(state), *map(float, tau))
     return np.array(d[:4]), np.array(d[4:])
 
 
 def rk4_step(state: BodyState, tau: np.ndarray, J: np.ndarray, dt: float) -> BodyState:
     """One RK4 step of the open-loop dynamics with tau held constant."""
-    _check_step(dt)
-    Jm = np.asarray(J, dtype=float)
-    y = _rk4(_packed(state), [float(v) for v in tau], Jm.tolist(), np.linalg.inv(Jm).tolist(), dt)
+    y = bind_rk4(J, dt)(_packed(state), tuple(map(float, tau)))
     if not _all_finite(y):
         raise SimulationError(f"non-finite state after step: q={y[:4]}, w={y[4:]}")
     return BodyState(q=np.array(y[:4]), w=np.array(y[4:]))
@@ -172,68 +201,59 @@ class Trajectory:
         return len(self.t)
 
 
+def float_rows(rows, width: int) -> np.ndarray:
+    """(len(rows), width) float array from a list of rows of ``width`` floats."""
+    return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
+
+
 def simulate(
     state: BodyState,
     controller,
     J: np.ndarray,
     dt: float,
     duration: float,
-    control_decimation: int = 1,
-    torque_limit: float | None = None,
 ) -> Trajectory:
     """Integrate the closed loop and record the sampled trajectory.
 
-    ``controller`` is a callable ``(t, BodyState) -> (tau, telemetry)`` invoked
-    at t = 0 and then every ``control_decimation`` physics steps; the returned
-    torque (any 3-sequence) is converted to floats once and held constant in
-    between (and clamped per axis to ``torque_limit`` when one is
-    configured).  The telemetry object is recorded as returned.  Returns a
-    Trajectory with one row per physics step plus the final state.
+    ``controller`` is a callable ``(t, BodyState) -> (tau, telemetry)``
+    invoked once per physics step, with the state's ``q`` and ``w`` as float
+    tuples; the returned torque (any 3-sequence) is converted to floats once
+    and held over the step.  The telemetry object is recorded as returned.
+    Returns a Trajectory with one row per physics step plus the final state.
     Controller and integration failures are re-raised as SimulationError
     tagged with the failure time.
     """
     if not (math.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be non-negative and finite, got {duration}")
-    _check_step(dt)
-    if control_decimation < 1:
-        raise ValueError("control_decimation must be a positive integer")
-    Jm = validate_inertia(J)
-    Jl = Jm.tolist()
-    Jinv = np.linalg.inv(Jm).tolist()
-
-    def call_controller(t, y):
+    step = bind_rk4(validate_inertia(J), dt)
+    n_steps = int(round(duration / dt))
+    y = _packed(state)
+    ys, taus, telemetries = [y], [], []
+    for k in range(n_steps + 1):
+        t = k * dt
         try:
-            tau, telemetry = controller(t, BodyState(q=np.array(y[:4]), w=np.array(y[4:])))
+            tau, telemetry = controller(t, BodyState(y[:4], y[4:]))
             tx, ty, tz = tau
             tau = (float(tx), float(ty), float(tz))
         except SimulationError:
             raise
         except Exception as exc:
             raise SimulationError(f"controller failed at t={t:.6f}: {exc}") from exc
-        if torque_limit is not None:
-            tau = tuple(min(max(v, -torque_limit), torque_limit) for v in tau)
-        return tau, telemetry
-
-    n_steps = int(round(duration / dt))
-    y = _packed(state)
-    tau, telemetry = call_controller(0.0, y)
-    ys, taus, telemetries = [y], [tau], [telemetry]
-    for k in range(n_steps):
+        taus.append(tau)
+        telemetries.append(telemetry)
+        if k == n_steps:
+            break
         try:
-            y = _rk4(y, tau, Jl, Jinv, dt)
+            y = step(y, tau)
         except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
-            raise SimulationError(f"integration failed at t={k * dt:.6f}: {exc}") from exc
+            raise SimulationError(f"integration failed at t={t:.6f}: {exc}") from exc
         if not _all_finite(y):
             raise SimulationError(
                 f"non-finite state at t={(k + 1) * dt:.6f}: q={y[:4]}, w={y[4:]}"
             )
-        if (k + 1) % control_decimation == 0:
-            tau, telemetry = call_controller((k + 1) * dt, y)
         ys.append(y)
-        taus.append(tau)
-        telemetries.append(telemetry)
-    y = np.array(ys)
+    y = float_rows(ys, 7)
     return Trajectory(
-        t=np.arange(n_steps + 1) * dt, q=y[:, :4], w=y[:, 4:], tau=np.array(taus),
+        t=np.arange(n_steps + 1) * dt, q=y[:, :4], w=y[:, 4:], tau=float_rows(taus, 3),
         telemetry=telemetries,
     )

@@ -110,6 +110,13 @@ class TestSimulateCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_horizon_shorter_than_a_step_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ["simulate", "--mode", "stage3", "--ic", "2,150", "--horizon", "1e-9"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "shorter than one step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_ic_usage_error(self, capsys):
         assert main(["simulate"]) == 1
         assert "initial condition" in capsys.readouterr().err
@@ -184,6 +191,12 @@ class TestCompareCommand:
         assert "ic_4_100,switching," in text
         assert (out / "params.txt").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--perturb-wz", "inf"), ("--perturb-psi", "nan")])
+    def test_nonfinite_perturbation_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--repeats", "1", flag, value, "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_grid_rows_written(self, tmp_path, capsys):
@@ -205,6 +218,12 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("wz,psi0_deg,sigma_t0,V_t0,in_roa")
         assert len(lines) == 1 + 4
+
+    def test_horizon_shorter_than_a_step_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--wz", "2,2,1", "--psi", "150,150,1", "--horizon", "0.0001"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "shorter than one step" in capsys.readouterr().err
 
     def test_bad_grid_usage_error(self, capsys):
         assert main(["sweep", "--wz", "2,3"]) == 1

@@ -97,6 +97,19 @@ DIGESTS = {
         "e218d2158a4c1b10090ff79277cecb6a91093c0fe3332b761d88be644d06ced8",
         "a025802dcbdb990b7b24cfd39d604cfde91de0868b77b2fea7805b9ac952fdbf",
     ),
+    # stage-2 reference with a negative scalar part
+    ("full", "2,210", "benchmark"): (
+        "54a042f706613eb2ae48d0c6c408ea899876a321871037abf872b7de0f96c5e5",
+        "48d44c668ab9535b138cdd17e03fe232e6733b6376daab5d867b5bcaf77ae811",
+    ),
+    ("full", "2,210", "switching"): (
+        "6a1d196d5b5ae682ca40f06145653c240a31a25b63e3d08f867e9b58e7f5fa36",
+        "2494e8f9376d4c89c4195bce29a351833146c4a9157ffb7d96bfc92c5868d704",
+    ),
+    ("full", "2,210", "continuous"): (
+        "27b5cf3dd69d257b8dddd5ee12ce35f6fb4b7808b403e4df1e7665cc2523cd0c",
+        "49e208e541ce8ac0303f792e42af68bb420e26218222046069089d711dec566c",
+    ),
 }
 
 

@@ -358,3 +358,20 @@ class TestControllers:
         ctrl = ContinuousController(PAPER_GAINS, np.eye(3), tracker)
         _, tel = ctrl(0.0, stage3_initial_state(spec))
         assert tel.sigma == +1
+
+    @pytest.mark.parametrize("cls", [ContinuousController, BenchmarkController, SwitchingController])
+    @pytest.mark.parametrize("mode,t", [(MODE_STAGE3, 0.0), ("full", 1.3)])
+    def test_ndarray_and_float_tuple_states_agree(self, cls, mode, t):
+        # simulate hands controllers float tuples; callers may pass ndarrays
+        spec = ManeuverSpec(w0=np.array([0.3, -0.2, 2.0]), psi0=math.radians(210.0), mode=mode)
+        J = np.array([[2.0, 0.1, -0.05], [0.1, 1.5, 0.02], [-0.05, 0.02, 3.0]]) * 1e-5
+        q = from_axis_angle(np.array([0.6, 0.0, 0.8]), 2.5)
+        w = np.array([0.4, -1.1, 2.2])
+        got = [
+            cls(PAPER_GAINS, J, ManeuverTracker(spec))(t, state)
+            for state in (BodyState(q.copy(), w.copy()), BodyState(tuple(q.tolist()), tuple(w.tolist())))
+        ]
+        (tau_nd, tel_nd), (tau_fl, tel_fl) = got
+        assert tuple(map(float, tau_nd)) == tau_fl
+        assert all(type(v) is float for v in tau_fl)
+        assert tuple(tel_nd) == tuple(tel_fl)

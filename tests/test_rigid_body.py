@@ -130,30 +130,6 @@ class TestSimulate:
         with pytest.raises(SimulationError, match="non-finite state"):
             simulate(s, nan_controller, np.eye(3), 1e-3, 0.1)
 
-    def test_control_decimation_holds_torque(self):
-        calls = []
-
-        def counting_controller(t, state):
-            calls.append(t)
-            return np.array([0.0, 0.0, 1e-6 * (1 + len(calls))]), None
-
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
-        taus = simulate(s, counting_controller, np.eye(3), 1e-3, 0.01, control_decimation=5).tau
-        # 10 steps + final boundary: invocations at t = 0, 5e-3, 1e-2
-        assert len(calls) == 3
-        assert np.allclose(taus[0:5], taus[0])
-        assert np.allclose(taus[5:10], taus[5])
-        assert not np.allclose(taus[0], taus[5])
-
-    def test_torque_limit_clamps(self):
-        def big_torque(t, state):
-            return np.array([5.0, -5.0, 0.2]), None
-
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
-        traj = simulate(s, big_torque, np.eye(3), 1e-3, 0.002, torque_limit=1.0)
-        for tau in traj.tau:
-            assert np.all(np.abs(tau) <= 1.0)
-
     def test_small_error_regulation_decays_monotonically(self):
         # proportional-derivative law from a small tilt: after the rate
         # transient both error norms shrink monotonically
