@@ -62,7 +62,6 @@ from .rigid_body import (
     validate_inertia,
 )
 from .stability import (
-    LyapunovSample,
     SaddleSpectrum,
     closed_loop_field,
     error_jacobian,
@@ -72,7 +71,6 @@ from .stability import (
     inter_switch_decrease_check,
     lyapunov_decay_bound,
     lyapunov_rate,
-    lyapunov_sample,
     lyapunov_series,
     lyapunov_value,
     p_matrix_certificate,

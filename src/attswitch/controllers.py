@@ -20,8 +20,10 @@ written on plain floats: the error state is a pair (q_err, w_err) of 4- and
 3-sequences and every result a tuple of floats.  The torque laws and Lambda
 are factories (``_bind_pd_torque``, ``_bind_switching_torque``,
 ``_bind_switch_function``) that close over the gains and the inertia rows;
-each controller calls them once, in ``__init__``, and then per control step
-passes only the float tuples of the state, the reference and the error.
+each torque law writes J a + w x Jw in its own body.  Each controller binds
+them once, in ``__init__``; it is then called per control step as
+``controller(t, y)`` with the packed state y = (qw, qx, qy, qz, wx, wy, wz)
+and returns the torque and a telemetry row, both tuples of floats.
 The public ndarray functions (``attitude_error``, ``continuous_torque``,
 ``benchmark_torque``, ``switching_torque``, ``switch_function``,
 ``nu_sigma``, ``error_vector_rate``) delegate to the same forms and wrap
@@ -37,7 +39,6 @@ import numpy as np
 
 from .quat import hamilton_product, yaw_of
 from .reference import ManeuverTracker
-from .rigid_body import BodyState, bind_gyroscopic
 
 
 @dataclass
@@ -100,18 +101,19 @@ class SwitchState:
     switch_times: tuple = ()
 
 
-def _error(q, q_d, w, w_d):
-    """Float error state: q_err = q^-1 * q_d (lazily renormalized), w_err = w_d - w."""
-    qw, qx, qy, qz = q
+def _error(y, q_d, w_d):
+    """Float error state of the packed state y = (qw, qx, qy, qz, wx, wy, wz):
+    q_err = q^-1 * q_d (lazily renormalized), w_err = w_d - w."""
+    qw, qx, qy, qz, wx, wy, wz = y
     return (
         hamilton_product((qw, -qx, -qy, -qz), q_d),
-        (w_d[0] - w[0], w_d[1] - w[1], w_d[2] - w[2]),
+        (w_d[0] - wx, w_d[1] - wy, w_d[2] - wz),
     )
 
 
 def attitude_error(q: np.ndarray, q_d: np.ndarray, w: np.ndarray, w_d: np.ndarray) -> ErrorState:
     """Error state: q_err = q^-1 * q_d, w_err = w_d - w (no sign flip)."""
-    q_err, w_err = _error(q, q_d, w, w_d)
+    q_err, w_err = _error((*q, *w), q_d, w_d)
     return ErrorState(q_err=np.array(q_err), w_err=np.array(w_err))
 
 
@@ -145,35 +147,25 @@ def error_vector_rate(err: ErrorState) -> np.ndarray:
     return np.array(_error_vector_rate(err.q_err, err.w_err))
 
 
-def _bind_linearized(J):
-    """Feedback-linearizing torque ``(a, w) -> J a + w x Jw`` bound to the inertia rows J."""
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
-    gyroscopic = bind_gyroscopic(J)
-
-    def linearized(ax, ay, az, w):
-        gx, gy, gz = gyroscopic(*w)
-        return (
-            j00 * ax + j01 * ay + j02 * az + gx,
-            j10 * ax + j11 * ay + j12 * az + gy,
-            j20 * ax + j21 * ay + j22 * az + gz,
-        )
-
-    return linearized
-
-
 def _bind_pd_torque(gains: GainSet, J):
     """``torque(s, q_err, w_err, w, wdot_d)`` = J((s kq) n_e + kw w_err + wdot_d) + w x Jw:
     the continuous law for s = +1 and the shorter-path benchmark law for s = sgn(m_e)."""
     kq, kw = gains.kq, gains.kw
-    linearized = _bind_linearized(J)
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
 
     def torque(s, q_err, w_err, w, wdot_d):
+        wx, wy, wz = w
         kp = s * kq
-        return linearized(
-            kp * q_err[1] + kw * w_err[0] + wdot_d[0],
-            kp * q_err[2] + kw * w_err[1] + wdot_d[1],
-            kp * q_err[3] + kw * w_err[2] + wdot_d[2],
-            w,
+        ax = kp * q_err[1] + kw * w_err[0] + wdot_d[0]
+        ay = kp * q_err[2] + kw * w_err[1] + wdot_d[1]
+        az = kp * q_err[3] + kw * w_err[2] + wdot_d[2]
+        jx = j00 * wx + j01 * wy + j02 * wz
+        jy = j10 * wx + j11 * wy + j12 * wz
+        jz = j20 * wx + j21 * wy + j22 * wz
+        return (
+            j00 * ax + j01 * ay + j02 * az + (wy * jz - wz * jy),
+            j10 * ax + j11 * ay + j12 * az + (wz * jx - wx * jz),
+            j20 * ax + j21 * ay + j22 * az + (wx * jy - wy * jx),
         )
 
     return torque
@@ -187,18 +179,30 @@ def _shorter_path_sign(m_e) -> int:
 def _bind_switching_torque(gains: GainSet, J):
     """``torque(sigma, q_err, w_err, w, wdot_d)`` of the switching law."""
     kq, kw, kn = gains.kq, gains.kw, gains.kn
-    linearized = _bind_linearized(J)
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
 
     def torque(sigma, q_err, w_err, w, wdot_d):
+        m, nx, ny, nz = q_err
+        ex, ey, ez = w_err
+        wx, wy, wz = w
         kp = sigma * kq
         kd = sigma * kn
-        nx, ny, nz = _nu(q_err, w_err, sigma, kn)
-        dx, dy, dz = _error_vector_rate(q_err, w_err)
-        return linearized(
-            kp * q_err[1] + kw * nx + wdot_d[0] + kd * dx,
-            kp * q_err[2] + kw * ny + wdot_d[1] + kd * dy,
-            kp * q_err[3] + kw * nz + wdot_d[2] + kd * dz,
-            w,
+        # nu and n_e_dot as in _nu and _error_vector_rate, written out here
+        # because the two calls cost more than the arithmetic
+        ux, uy, uz = ex + kd * nx, ey + kd * ny, ez + kd * nz
+        dx = 0.5 * (m * ex + ey * nz - ez * ny)
+        dy = 0.5 * (m * ey + ez * nx - ex * nz)
+        dz = 0.5 * (m * ez + ex * ny - ey * nx)
+        ax = kp * nx + kw * ux + wdot_d[0] + kd * dx
+        ay = kp * ny + kw * uy + wdot_d[1] + kd * dy
+        az = kp * nz + kw * uz + wdot_d[2] + kd * dz
+        jx = j00 * wx + j01 * wy + j02 * wz
+        jy = j10 * wx + j11 * wy + j12 * wz
+        jz = j20 * wx + j21 * wy + j22 * wz
+        return (
+            j00 * ax + j01 * ay + j02 * az + (wy * jz - wz * jy),
+            j10 * ax + j11 * ay + j12 * az + (wz * jx - wx * jz),
+            j20 * ax + j21 * ay + j22 * az + (wx * jy - wy * jx),
         )
 
     return torque
@@ -270,10 +274,11 @@ def update_sigma(
 
 
 class ControlTelemetry(NamedTuple):
-    """Error and switch values of one control step.
+    """Column names of a controller's telemetry row.
 
-    Flat floats, so that a run's telemetry becomes an (N, 9) array in one
-    ``np.array`` call.
+    A controller returns each row as a plain tuple of floats in this order,
+    so that a run's telemetry becomes an (N, 9) array in one call;
+    ``ControlTelemetry(*row)`` names its fields.
     """
 
     m_e: float
@@ -288,12 +293,15 @@ class ControlTelemetry(NamedTuple):
 
 
 class _ControllerBase:
-    """Shared plumbing: reference tracking and yaw unwrapping.
+    """Shared set-up: gains, inertia, reference tracker and yaw unwrapping.
 
-    A controller is called as ``controller(t, state)`` and returns the
-    torque as a tuple of floats with its ControlTelemetry.  Its torque law
+    A controller is called as ``controller(t, y)`` with the packed state
+    y = (qw, qx, qy, qz, wx, wy, wz) and returns the torque as a tuple of
+    floats with its telemetry row (see ControlTelemetry).  Its torque law
     (``_bind_torque``) and switching function are bound to its gains and
-    inertia once, here.
+    inertia once, here.  Each law's ``__call__`` samples the reference and
+    forms the error itself; the measured yaw only matters until the tracker
+    pins the stage-3 start, so it is unwrapped only while that is pending.
     """
 
     _bind_torque = staticmethod(_bind_pd_torque)
@@ -307,8 +315,8 @@ class _ControllerBase:
         self._prev_yaw = None
         self._yaw_accum = 0.0
 
-    def _unwrapped_yaw(self, q) -> float:
-        yaw = yaw_of(q)
+    def _unwrapped_yaw(self, y) -> float:
+        yaw = yaw_of(y[:4])
         if self._prev_yaw is None:
             self._yaw_accum = yaw
         else:
@@ -321,39 +329,26 @@ class _ControllerBase:
         self._prev_yaw = yaw
         return self._yaw_accum
 
-    def _track(self, t: float, state: BodyState):
-        """Sample the reference and return (q_err, w_err, w, wdot_d) as floats.
-
-        The measured yaw only matters until the tracker pins the stage-3
-        start, so it is unwrapped only while that start is pending.
-        """
-        q = tuple(state.q)
-        w = tuple(state.w)
-        if self.tracker.t0 is None:
-            ref = self.tracker.sample(t, self._unwrapped_yaw(q))
-        else:
-            ref = self.tracker.sample(t)
-        q_err, w_err = _error(q, ref.q_d, w, ref.w_d)
-        return q_err, w_err, w, ref.wdot_d
-
 
 class ContinuousController(_ControllerBase):
-    def __call__(self, t: float, state: BodyState):
-        q_err, w_err, w, wdot_d = self._track(t, state)
-        tau = self._torque(+1, q_err, w_err, w, wdot_d)
-        lam = self._switch_function(q_err, w_err)
-        return tau, ControlTelemetry(*q_err, *w_err, +1, lam)
+    def __call__(self, t: float, y):
+        tracker = self.tracker
+        ref = tracker.sample(t, self._unwrapped_yaw(y) if tracker.t0 is None else None)
+        q_err, w_err = _error(y, ref.q_d, ref.w_d)
+        tau = self._torque(+1, q_err, w_err, y[4:], ref.wdot_d)
+        return tau, (*q_err, *w_err, +1, self._switch_function(q_err, w_err))
 
 
 class BenchmarkController(_ControllerBase):
     """Stateless shorter-path law; its effective sign is re-read every step."""
 
-    def __call__(self, t: float, state: BodyState):
-        q_err, w_err, w, wdot_d = self._track(t, state)
+    def __call__(self, t: float, y):
+        tracker = self.tracker
+        ref = tracker.sample(t, self._unwrapped_yaw(y) if tracker.t0 is None else None)
+        q_err, w_err = _error(y, ref.q_d, ref.w_d)
         sigma = _shorter_path_sign(q_err[0])
-        tau = self._torque(sigma, q_err, w_err, w, wdot_d)
-        lam = self._switch_function(q_err, w_err)
-        return tau, ControlTelemetry(*q_err, *w_err, sigma, lam)
+        tau = self._torque(sigma, q_err, w_err, y[4:], ref.wdot_d)
+        return tau, (*q_err, *w_err, sigma, self._switch_function(q_err, w_err))
 
 
 class SwitchingController(_ControllerBase):
@@ -365,10 +360,12 @@ class SwitchingController(_ControllerBase):
         super().__init__(gains, J, tracker)
         self.switch_state = SwitchState(sigma=+1)
 
-    def __call__(self, t: float, state: BodyState):
-        q_err, w_err, w, wdot_d = self._track(t, state)
+    def __call__(self, t: float, y):
+        tracker = self.tracker
+        ref = tracker.sample(t, self._unwrapped_yaw(y) if tracker.t0 is None else None)
+        q_err, w_err = _error(y, ref.q_d, ref.w_d)
         lam = self._switch_function(q_err, w_err)
         self.switch_state = update_sigma(self.switch_state, lam, self.gains.delta, t)
         sigma = self.switch_state.sigma
-        tau = self._torque(sigma, q_err, w_err, w, wdot_d)
-        return tau, ControlTelemetry(*q_err, *w_err, sigma, lam)
+        tau = self._torque(sigma, q_err, w_err, y[4:], ref.wdot_d)
+        return tau, (*q_err, *w_err, sigma, lam)

@@ -16,6 +16,7 @@ from . import stability
 from .controllers import (
     BenchmarkController,
     ContinuousController,
+    ControlTelemetry,
     GainSet,
     SwitchingController,
     SwitchState,
@@ -146,7 +147,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     tf = t0 + scenario.horizon_after_t0
 
     t = traj.t
-    tel = float_rows(traj.telemetry, 9)  # ControlTelemetry rows
+    tel = float_rows(traj.telemetry, len(ControlTelemetry._fields))
     m_e, n_e, w_e, lam = tel[:, 0], tel[:, 1:4], tel[:, 4:7], tel[:, 8]
     sigma = tel[:, 7].astype(int)
     V = stability.lyapunov_series(m_e, n_e, w_e, sigma, scenario.gains)
@@ -428,8 +429,15 @@ def format_comparison_report(report: ComparisonReport) -> str:
 
 
 def scenario_to_text(scenario: Scenario) -> str:
-    """Flat key-value echo of a scenario, readable back as a scenario file."""
+    """Flat key-value echo of a scenario, readable back as a scenario file.
+
+    A scenario file holds only the inertia diagonal (``j_diag``), so a
+    non-diagonal inertia raises ValueError instead of being echoed without
+    its off-diagonal terms.
+    """
     j = np.diag(scenario.inertia)
+    if not np.array_equal(scenario.inertia, np.diag(j)):
+        raise ValueError("scenario.txt holds only j_diag; the inertia has off-diagonal terms")
     lines = [
         f"name = {scenario.name}",
         f"mode = {scenario.maneuver.mode}",

@@ -15,11 +15,10 @@ set up: ``bind_rk4(J, dt)`` returns the RK4 step ``step(y, tau) -> y`` as a
 closure over the inertia rows, their inverse and the step size, and every
 step after that passes only float tuples: the packed state
 y = (qw, qx, qy, qz, wx, wy, wz) and the held torque tau.
-``bind_gyroscopic`` (the term w x Jw) and ``_bind_derivative`` are the only
-forms of the gyroscopic term and the state derivative;
-``open_loop_derivative`` and ``rk4_step`` are ndarray wrappers over them.
-``simulate`` hands its controller a BodyState whose ``q`` and ``w`` are
-float-tuple slices of the packed state, so no ndarray is built per step.
+``_bind_derivative`` is the only form of the state derivative, with the
+gyroscopic term w x Jw written in its body; ``open_loop_derivative`` and
+``rk4_step`` are ndarray wrappers over it.  ``simulate`` hands its
+controller the packed state y itself, so nothing is built per step.
 """
 
 import math
@@ -68,38 +67,27 @@ def _check_step(dt: float) -> None:
 class BodyState:
     """Attitude quaternion (body w.r.t. inertial) and body-frame angular velocity.
 
-    Any 4- and 3-sequences of floats; ``simulate`` hands controllers float
-    tuples, callers elsewhere use ndarrays.
+    Any 4- and 3-sequences of floats: the initial state of ``simulate`` and
+    the state of ``rk4_step``.
     """
 
     q: np.ndarray  # (4,) scalar-first unit quaternion
     w: np.ndarray  # (3,) rad/s
 
 
-def bind_gyroscopic(J):
-    """Gyroscopic term ``g(wx, wy, wz) -> w x Jw`` bound to the inertia rows J."""
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
-
-    def gyroscopic(wx, wy, wz):
-        jx = j00 * wx + j01 * wy + j02 * wz
-        jy = j10 * wx + j11 * wy + j12 * wz
-        jz = j20 * wx + j21 * wy + j22 * wz
-        return wy * jz - wz * jy, wz * jx - wx * jz, wx * jy - wy * jx
-
-    return gyroscopic
-
-
 def _bind_derivative(J, Jinv):
     """Derivative ``f(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz)`` of the packed
     state for a held torque, bound to the inertia rows J and their inverse."""
-    gyroscopic = bind_gyroscopic(J)
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = Jinv
 
     def derivative(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz):
-        gx, gy, gz = gyroscopic(wx, wy, wz)
-        rx = tx - gx
-        ry = ty - gy
-        rz = tz - gz
+        jx = j00 * wx + j01 * wy + j02 * wz
+        jy = j10 * wx + j11 * wy + j12 * wz
+        jz = j20 * wx + j21 * wy + j22 * wz
+        rx = tx - (wy * jz - wz * jy)
+        ry = ty - (wz * jx - wx * jz)
+        rz = tz - (wx * jy - wy * jx)
         return (
             0.5 * (-qx * wx - qy * wy - qz * wz),
             0.5 * (qw * wx + qy * wz - qz * wy),
@@ -215,10 +203,10 @@ def simulate(
 ) -> Trajectory:
     """Integrate the closed loop and record the sampled trajectory.
 
-    ``controller`` is a callable ``(t, BodyState) -> (tau, telemetry)``
-    invoked once per physics step, with the state's ``q`` and ``w`` as float
-    tuples; the returned torque (any 3-sequence) is converted to floats once
-    and held over the step.  The telemetry object is recorded as returned.
+    ``controller`` is a callable ``(t, y) -> (tau, telemetry)`` invoked once
+    per physics step with the packed state y = (qw, qx, qy, qz, wx, wy, wz),
+    a tuple of floats; the returned torque (any 3-sequence) is converted to
+    floats once and held over the step.  The telemetry object is recorded as returned.
     Returns a Trajectory with one row per physics step plus the final state.
     Controller and integration failures are re-raised as SimulationError
     tagged with the failure time.
@@ -228,19 +216,21 @@ def simulate(
     step = bind_rk4(validate_inertia(J), dt)
     n_steps = int(round(duration / dt))
     y = _packed(state)
-    ys, taus, telemetries = [y], [], []
-    for k in range(n_steps + 1):
+    # filled by index: a store costs less than an append call per step
+    n = n_steps + 1
+    ys, taus, telemetries = [y] * n, [None] * n, [None] * n
+    for k in range(n):
         t = k * dt
         try:
-            tau, telemetry = controller(t, BodyState(y[:4], y[4:]))
+            tau, telemetry = controller(t, y)
             tx, ty, tz = tau
             tau = (float(tx), float(ty), float(tz))
         except SimulationError:
             raise
         except Exception as exc:
             raise SimulationError(f"controller failed at t={t:.6f}: {exc}") from exc
-        taus.append(tau)
-        telemetries.append(telemetry)
+        taus[k] = tau
+        telemetries[k] = telemetry
         if k == n_steps:
             break
         try:
@@ -251,9 +241,9 @@ def simulate(
             raise SimulationError(
                 f"non-finite state at t={(k + 1) * dt:.6f}: q={y[:4]}, w={y[4:]}"
             )
-        ys.append(y)
+        ys[k + 1] = y
     y = float_rows(ys, 7)
     return Trajectory(
-        t=np.arange(n_steps + 1) * dt, q=y[:, :4], w=y[:, 4:], tau=float_rows(taus, 3),
+        t=np.arange(n) * dt, q=y[:, :4], w=y[:, 4:], tau=float_rows(taus, 3),
         telemetry=telemetries,
     )

@@ -27,29 +27,6 @@ def lyapunov_value(err: ErrorState, sigma: int, gains: GainSet) -> float:
     return 0.5 / gains.kq * float(nu @ nu) + 2.0 * gains.c * (1.0 - sigma * err.m_e)
 
 
-@dataclass(frozen=True)
-class LyapunovSample:
-    """All per-state certificate quantities for one switch sign."""
-
-    V: float
-    Vdot_bound: float
-    sigma: int
-    in_roa: bool
-    in_exp_region: bool
-
-
-def lyapunov_sample(err: ErrorState, sigma: int, gains: GainSet) -> LyapunovSample:
-    """Evaluate the Lyapunov function and both region predicates at once."""
-    v = lyapunov_value(err, sigma, gains)
-    return LyapunovSample(
-        V=v,
-        Vdot_bound=lyapunov_decay_bound(err, sigma, gains),
-        sigma=sigma,
-        in_roa=v < 4.0 * gains.c,
-        in_exp_region=sigma * err.m_e > 0.0,
-    )
-
-
 def lyapunov_series(
     m_e: np.ndarray, n_e: np.ndarray, w_err: np.ndarray, sigma: np.ndarray, gains: GainSet
 ) -> np.ndarray:
@@ -283,8 +260,6 @@ def format_stability_report(gains: GainSet, ic_rows=None) -> str:
 
 
 __all__ = [
-    "LyapunovSample",
-    "lyapunov_sample",
     "lyapunov_value",
     "lyapunov_series",
     "lyapunov_decay_bound",

@@ -7,6 +7,7 @@ import pytest
 from attswitch.controllers import (
     BenchmarkController,
     ContinuousController,
+    ControlTelemetry,
     ErrorState,
     GainSet,
     SwitchingController,
@@ -325,6 +326,12 @@ class TestClosedLoopEquivalence:
             assert np.max(np.abs(fd_nu[i - 1] - rhs_nu)) <= 1e-6
 
 
+def control(ctrl, t, state):
+    """Call a controller on a BodyState's packed state; name the telemetry row."""
+    tau, row = ctrl(t, (*state.q.tolist(), *state.w.tolist()))
+    return tau, ControlTelemetry(*row)
+
+
 class TestControllers:
     def _tracker(self, wz, psi_deg):
         spec = ManeuverSpec(
@@ -336,40 +343,42 @@ class TestControllers:
         spec, tracker = self._tracker(4.0, 100.0)
         ctrl = SwitchingController(PAPER_GAINS, np.eye(3), tracker)
         state = stage3_initial_state(spec)
-        _, tel = ctrl(0.0, state)
+        _, tel = control(ctrl, 0.0, state)
         assert tel.sigma == -1
         assert ctrl.switch_state.switch_times == (0.0,)
 
     def test_switching_controller_holds_for_slow_spin(self):
         spec, tracker = self._tracker(2.0, 100.0)
         ctrl = SwitchingController(PAPER_GAINS, np.eye(3), tracker)
-        _, tel = ctrl(0.0, stage3_initial_state(spec))
+        _, tel = control(ctrl, 0.0, stage3_initial_state(spec))
         assert tel.sigma == +1
         assert ctrl.switch_state.switch_count == 0
 
     def test_benchmark_controller_reports_shorter_path_sign(self):
         spec, tracker = self._tracker(2.0, 210.0)
         ctrl = BenchmarkController(PAPER_GAINS, np.eye(3), tracker)
-        _, tel = ctrl(0.0, stage3_initial_state(spec))
+        _, tel = control(ctrl, 0.0, stage3_initial_state(spec))
         assert tel.sigma == -1
 
     def test_continuous_controller_sigma_constant(self):
         spec, tracker = self._tracker(2.0, 210.0)
         ctrl = ContinuousController(PAPER_GAINS, np.eye(3), tracker)
-        _, tel = ctrl(0.0, stage3_initial_state(spec))
+        _, tel = control(ctrl, 0.0, stage3_initial_state(spec))
         assert tel.sigma == +1
 
     @pytest.mark.parametrize("cls", [ContinuousController, BenchmarkController, SwitchingController])
     @pytest.mark.parametrize("mode,t", [(MODE_STAGE3, 0.0), ("full", 1.3)])
     def test_ndarray_and_float_tuple_states_agree(self, cls, mode, t):
-        # simulate hands controllers float tuples; callers may pass ndarrays
+        # simulate hands controllers the packed state as a float tuple;
+        # callers may pass a packed ndarray
         spec = ManeuverSpec(w0=np.array([0.3, -0.2, 2.0]), psi0=math.radians(210.0), mode=mode)
         J = np.array([[2.0, 0.1, -0.05], [0.1, 1.5, 0.02], [-0.05, 0.02, 3.0]]) * 1e-5
         q = from_axis_angle(np.array([0.6, 0.0, 0.8]), 2.5)
         w = np.array([0.4, -1.1, 2.2])
+        y = np.concatenate([q, w])
         got = [
             cls(PAPER_GAINS, J, ManeuverTracker(spec))(t, state)
-            for state in (BodyState(q.copy(), w.copy()), BodyState(tuple(q.tolist()), tuple(w.tolist())))
+            for state in (y.copy(), tuple(y.tolist()))
         ]
         (tau_nd, tel_nd), (tau_fl, tel_fl) = got
         assert tuple(map(float, tau_nd)) == tau_fl

@@ -282,3 +282,9 @@ class TestReports:
         assert "wz = 3" in text
         assert "psi0_deg = 120" in text
         assert "dt = 0.0005" in text
+
+    def test_scenario_echo_rejects_nondiagonal_inertia(self):
+        J = np.diag([2e-5, 1.5e-5, 3e-5])
+        J[0, 1] = J[1, 0] = 1e-6
+        with pytest.raises(ValueError, match="off-diagonal"):
+            scenario_to_text(make_ic_scenario(2, 150, inertia=J))

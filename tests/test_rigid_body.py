@@ -17,7 +17,7 @@ TUMBLE_J = np.diag([1.66e-5, 1.86e-5, 2.93e-5])
 TUMBLE_W = np.array([1.0, 0.6, -0.8])
 
 
-def zero_controller(t, state):
+def zero_controller(t, y):
     return np.zeros(3), None
 
 
@@ -113,7 +113,7 @@ class TestSimulate:
             simulate(s, zero_controller, np.eye(3), dt, duration)
 
     def test_controller_error_carries_timestamp(self):
-        def bad_controller(t, state):
+        def bad_controller(t, y):
             if t > 0.01:
                 raise ValueError("boom")
             return np.zeros(3), None
@@ -123,7 +123,7 @@ class TestSimulate:
             simulate(s, bad_controller, np.eye(3), 1e-3, 1.0)
 
     def test_nonfinite_state_is_named(self):
-        def nan_controller(t, state):
+        def nan_controller(t, y):
             return np.array([math.nan, 0.0, 0.0]), None
 
         s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
@@ -141,9 +141,10 @@ class TestSimulate:
         J = np.diag([1.66e-5, 1.66e-5, 2.93e-5])
         q_d = IDENTITY
 
-        def controller(t, state):
-            err = attitude_error(state.q, q_d, state.w, np.zeros(3))
-            tau = continuous_torque(err, state.w, np.zeros(3), g, J)
+        def controller(t, y):
+            q, w = np.array(y[:4]), np.array(y[4:])
+            err = attitude_error(q, q_d, w, np.zeros(3))
+            tau = continuous_torque(err, w, np.zeros(3), g, J)
             return tau, err
 
         axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
@@ -155,6 +156,26 @@ class TestSimulate:
         assert np.all(np.diff(n_norm[settle:]) <= 1e-12)
         assert np.all(np.diff(w_norm[settle:]) <= 1e-12)
         assert n_norm[-1] < 1e-3 * n_norm[0]
+
+
+    def test_ndarray_and_tuple_torques_integrate_identically(self):
+        # simulate converts whatever 3-sequence the controller returns to
+        # floats once; float32 entries would otherwise make the RK4
+        # arithmetic run in float32
+        def torque(y):
+            qw, qx, qy, qz, wx, wy, wz = y
+            return np.array([-2e-5 * qx - 1e-5 * wx, 3e-6 * wy * wz, -2e-5 * qz - 1e-6 * wz], np.float32)
+
+        def tuple_controller(t, y):
+            return tuple(torque(y).tolist()), None
+
+        def ndarray_controller(t, y):
+            return torque(y), None
+
+        s = BodyState(q=from_axis_angle(np.array([0.6, 0.0, 0.8]), 2.5), w=TUMBLE_W.copy())
+        a, b = (simulate(s, c, TUMBLE_J, 1e-3, 0.5) for c in (tuple_controller, ndarray_controller))
+        for name in ("q", "w", "tau"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 class TestConservation:

@@ -107,21 +107,6 @@ class TestLyapunovValue:
             assert vs[i] == pytest.approx(lyapunov_value(e, int(sig[i]), SWITCHING_GAINS), rel=1e-14)
 
 
-class TestLyapunovSample:
-    def test_aggregates_all_certificates(self):
-        from attswitch.stability import lyapunov_sample
-
-        err = initial_error_state(2.0, 210.0)
-        s = lyapunov_sample(err, -1, SWITCHING_GAINS)
-        assert s.V == pytest.approx(5.90, abs=0.005)
-        assert s.Vdot_bound < 0.0
-        assert s.sigma == -1
-        assert s.in_roa
-        assert s.in_exp_region  # sigma * m_e > 0 for the unwound state
-        s_plus = lyapunov_sample(err, +1, SWITCHING_GAINS)
-        assert not s_plus.in_exp_region
-
-
 class TestDecayBound:
     def test_fixed_point_zero(self):
         err = ErrorState(q_err=IDENTITY.copy(), w_err=np.zeros(3))
