@@ -20,6 +20,7 @@ from .controllers import (
     GainSet,
     SwitchingController,
     SwitchState,
+    _shorter_path_sign,
     attitude_error,
     switch_function,
     update_sigma,
@@ -327,7 +328,7 @@ def effort_comparison(
         err0 = initial_error_state(wz, psi0_deg)
         lam0 = switch_function(err0, gsw)
         sigma0 = update_sigma(SwitchState(sigma=+1), lam0, gsw.delta).sigma
-        sign_m = 1 if err0.m_e >= 0.0 else -1
+        sign_m = _shorter_path_sign(err0.m_e)
         g_b = np.empty(repeats)
         g_s = np.empty(repeats)
         switches = 0

@@ -47,8 +47,10 @@ class ManeuverSpec:
             raise ValueError("w0 must be a finite 3-vector")
         if not 0.0 < self.psi0 < 2.0 * math.pi:
             raise ValueError(f"psi0 must lie in (0, 2*pi), got {self.psi0}")
-        if self.stage1_duration < 0.0:
-            raise ValueError("stage1_duration must be non-negative")
+        if not (math.isfinite(self.stage1_duration) and self.stage1_duration >= 0.0):
+            raise ValueError(
+                f"stage1_duration must be finite and non-negative, got {self.stage1_duration}"
+            )
         if self.mode not in (MODE_FULL, MODE_STAGE3):
             raise ValueError(f"unknown maneuver mode {self.mode!r}")
 

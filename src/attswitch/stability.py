@@ -11,6 +11,10 @@ and whose closed-loop rate admits the quadratic-form bound -x' P x in
 x = (|n_e|, |nu|).  The antipodal equilibrium is a saddle whose spectrum has
 a closed form; both facts are exposed here together with the region and
 rate certificates built from them.
+
+The per-state certificates are written on Python floats; they form nu with
+``controllers._nu``, as ``nu_sigma`` does, so nu has one form.
+``lyapunov_series`` is the vectorised V_sigma over a run's telemetry.
 """
 
 import math
@@ -18,13 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ErrorState, GainSet, nu_sigma, switch_function
+from .controllers import ErrorState, GainSet, _nu, switch_function
+
+
+def _read(err: ErrorState, sigma: int, gains: GainSet):
+    """(m_e, n_e, nu) of the error state as floats, nu for switch sign sigma."""
+    q = err.q_err.tolist()
+    return q[0], q[1:], _nu(q, err.w_err.tolist(), sigma, gains.kn)
 
 
 def lyapunov_value(err: ErrorState, sigma: int, gains: GainSet) -> float:
     """V_sigma at the given error state (nu recomputed for sigma)."""
-    nu = nu_sigma(err, sigma, gains)
-    return 0.5 / gains.kq * float(nu @ nu) + 2.0 * gains.c * (1.0 - sigma * err.m_e)
+    m, _, (ux, uy, uz) = _read(err, sigma, gains)
+    return 0.5 / gains.kq * (ux * ux + uy * uy + uz * uz) + 2.0 * gains.c * (1.0 - sigma * m)
 
 
 def lyapunov_series(
@@ -45,21 +55,19 @@ def lyapunov_decay_bound(err: ErrorState, sigma: int, gains: GainSet) -> float:
     |c-1| <= c); see p_matrix_certificate for the positive-definiteness
     condition that makes it strictly negative away from the equilibria.
     """
-    nu = nu_sigma(err, sigma, gains)
-    ne = err.n_e
-    xn = math.sqrt(float(ne @ ne))
-    xv = math.sqrt(float(nu @ nu))
+    _, (nx, ny, nz), (ux, uy, uz) = _read(err, sigma, gains)
+    xn = math.sqrt(nx * nx + ny * ny + nz * nz)
+    xv = math.sqrt(ux * ux + uy * uy + uz * uz)
     return gains.c * xn * xv - gains.kw / gains.kq * xv * xv - gains.c * gains.kn * xn * xn
 
 
 def lyapunov_rate(err: ErrorState, sigma: int, gains: GainSet) -> float:
     """Exact closed-loop rate of V_sigma along the switching dynamics."""
-    nu = nu_sigma(err, sigma, gains)
-    ne = err.n_e
+    _, (nx, ny, nz), (ux, uy, uz) = _read(err, sigma, gains)
     return (
-        (gains.c - 1.0) * sigma * float(nu @ ne)
-        - gains.kw / gains.kq * float(nu @ nu)
-        - gains.c * gains.kn * float(ne @ ne)
+        (gains.c - 1.0) * sigma * (ux * nx + uy * ny + uz * nz)
+        - gains.kw / gains.kq * (ux * ux + uy * uy + uz * uz)
+        - gains.c * gains.kn * (nx * nx + ny * ny + nz * nz)
     )
 
 
@@ -105,32 +113,24 @@ def closed_loop_field(m: float, n: np.ndarray, nu: np.ndarray, sigma: int, gains
     return mdot, ndot, nudot
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
 def error_jacobian(err: ErrorState, sigma: int, gains: GainSet) -> np.ndarray:
     """7x7 Jacobian of the closed-loop error field at the given state."""
-    m = err.m_e
-    n = err.n_e
-    nu = nu_sigma(err, sigma, gains)
+    m, (nx, ny, nz), (ux, uy, uz) = _read(err, sigma, gains)
     kn = sigma * gains.kn
-    I3 = np.eye(3)
-    A = np.zeros((7, 7))
-    A[0, 1:4] = -0.5 * nu + kn * n
-    A[0, 4:7] = -0.5 * n
-    A[1:4, 0] = 0.5 * (nu - kn * n)
-    A[1:4, 1:4] = 0.5 * (_skew(nu) - kn * m * I3)
-    A[1:4, 4:7] = 0.5 * (m * I3 - _skew(n))
-    A[4:7, 1:4] = -(sigma * gains.kq) * I3
-    A[4:7, 4:7] = -gains.kw * I3
-    return A
+    d, h = -0.5 * (kn * m), 0.5 * m  # diagonals of the two n_e-row blocks
+    p, k = -(sigma * gains.kq), -gains.kw
+    return np.array(
+        [
+            [0.0, -0.5 * ux + kn * nx, -0.5 * uy + kn * ny, -0.5 * uz + kn * nz,
+             -0.5 * nx, -0.5 * ny, -0.5 * nz],
+            [0.5 * (ux - kn * nx), d, -0.5 * uz, 0.5 * uy, h, 0.5 * nz, -0.5 * ny],
+            [0.5 * (uy - kn * ny), 0.5 * uz, d, -0.5 * ux, -0.5 * nz, h, 0.5 * nx],
+            [0.5 * (uz - kn * nz), -0.5 * uy, 0.5 * ux, d, 0.5 * ny, -0.5 * nx, h],
+            [0.0, p, 0.0, 0.0, k, 0.0, 0.0],
+            [0.0, 0.0, p, 0.0, 0.0, k, 0.0],
+            [0.0, 0.0, 0.0, p, 0.0, 0.0, k],
+        ]
+    )
 
 
 def saddle_jacobian(gains: GainSet) -> np.ndarray:

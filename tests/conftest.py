@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from attswitch.controllers import nu_sigma
 from attswitch.quat import quat_kinematics
 
 
@@ -191,3 +192,60 @@ def reference_closed_loop(law, q0, w0, J, gains, dt, n_steps):
     out = {name: np.array(v) for name, v in rows.items()}
     out["switch_times"] = tuple(switch_times)
     return out
+
+
+# --- Reference certificates ------------------------------------------------
+# The per-state certificates as first written, on ndarrays (nu through
+# nu_sigma, dot products through @, the Jacobian by slice assignment), kept
+# as the reference the float forms in attswitch.stability are compared
+# against.
+
+
+def reference_lyapunov_value(err, sigma, gains):
+    nu = nu_sigma(err, sigma, gains)
+    return 0.5 / gains.kq * float(nu @ nu) + 2.0 * gains.c * (1.0 - sigma * err.m_e)
+
+
+def reference_lyapunov_decay_bound(err, sigma, gains):
+    nu = nu_sigma(err, sigma, gains)
+    ne = err.n_e
+    xn = math.sqrt(float(ne @ ne))
+    xv = math.sqrt(float(nu @ nu))
+    return gains.c * xn * xv - gains.kw / gains.kq * xv * xv - gains.c * gains.kn * xn * xn
+
+
+def reference_lyapunov_rate(err, sigma, gains):
+    nu = nu_sigma(err, sigma, gains)
+    ne = err.n_e
+    return (
+        (gains.c - 1.0) * sigma * float(nu @ ne)
+        - gains.kw / gains.kq * float(nu @ nu)
+        - gains.c * gains.kn * float(ne @ ne)
+    )
+
+
+def _ref_skew(v):
+    return np.array(
+        [
+            [0.0, -v[2], v[1]],
+            [v[2], 0.0, -v[0]],
+            [-v[1], v[0], 0.0],
+        ]
+    )
+
+
+def reference_error_jacobian(err, sigma, gains):
+    m = err.m_e
+    n = err.n_e
+    nu = nu_sigma(err, sigma, gains)
+    kn = sigma * gains.kn
+    I3 = np.eye(3)
+    A = np.zeros((7, 7))
+    A[0, 1:4] = -0.5 * nu + kn * n
+    A[0, 4:7] = -0.5 * n
+    A[1:4, 0] = 0.5 * (nu - kn * n)
+    A[1:4, 1:4] = 0.5 * (_ref_skew(nu) - kn * m * I3)
+    A[1:4, 4:7] = 0.5 * (m * I3 - _ref_skew(n))
+    A[4:7, 1:4] = -(sigma * gains.kq) * I3
+    A[4:7, 4:7] = -gains.kw * I3
+    return A

@@ -4,12 +4,15 @@
 ``__call__``, ``ManeuverTracker.sample``, ``harness.simulate`` and the other
 layer entry points, and it counts the ``quat`` functions.  A refactor that
 moves or renames one of them breaks ``bench/run.py --trace 1`` without
-failing any other test; these tests fail instead.
+failing any other test; these tests fail instead.  The certify workload's
+per-layer metrics also rely on how often each certificate is called: its
+state count is the number of ``switch_function`` calls.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -21,14 +24,15 @@ def bench_modules():
     try:
         import layers
         import spans
+        import workloads
     finally:
         sys.path.remove(str(BENCH))
-    return layers, spans
+    return layers, spans, workloads
 
 
 @pytest.mark.parametrize("workload", ["compare", "simulate_full", "certify"])
 def test_replacements_build(bench_modules, workload):
-    layers, spans = bench_modules
+    layers, spans, _ = bench_modules
     out = layers.replacements(spans.Tracer(), workload)
     wrapped = {(owner, attr) for owner, attr, _ in out}
     for owner, attr, _, _ in layers.SPANS[workload]:
@@ -37,7 +41,7 @@ def test_replacements_build(bench_modules, workload):
 
 
 def test_traced_closed_loop_reaches_every_simulation_span(bench_modules):
-    layers, spans = bench_modules
+    layers, spans, _ = bench_modules
     from attswitch import harness
 
     tracer = spans.Tracer()
@@ -51,3 +55,24 @@ def test_traced_closed_loop_reaches_every_simulation_span(bench_modules):
     assert calls["controllers.switching"] == steps
     assert calls["reference.sample"] == 2 * steps
     assert calls["quat.calls"] > 0
+
+
+def test_traced_certify_counts_each_certificate(bench_modules):
+    layers, spans, workloads = bench_modules
+    from attswitch.controllers import ErrorState
+
+    rng = np.random.default_rng(0)
+    gains = workloads.random_gains(rng)
+    n = 20
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    w = rng.normal(size=(n, 3)) * 3.0
+    states = [ErrorState(q_err=q[i], w_err=w[i]) for i in range(n)]
+    tracer = spans.Tracer()
+    with spans.patched(layers.replacements(tracer, "certify")):
+        workloads.certify_batch(gains, states)
+    calls = tracer.snapshot()
+    assert calls["controllers.switch_function"] == n  # the stability.states count
+    for name in ("lyapunov_rate", "lyapunov_decay_bound", "roa_contains"):
+        assert calls[f"stability.{name}"] == 2 * n
+    assert calls["stability.error_jacobian"] == 2  # every tenth state

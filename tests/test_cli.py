@@ -110,6 +110,15 @@ class TestSimulateCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["stage3", "full"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_stage1_usage_error(self, tmp_path, capsys, mode, value):
+        out = tmp_path / "run"
+        args = ["simulate", "--mode", mode, "--ic", "2,150", "--stage1", value, "--out", str(out)]
+        assert main(args) == 1
+        assert "stage1_duration must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_horizon_shorter_than_a_step_usage_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         args = ["simulate", "--mode", "stage3", "--ic", "2,150", "--horizon", "1e-9"]

@@ -366,6 +366,29 @@ class TestControllers:
         _, tel = control(ctrl, 0.0, stage3_initial_state(spec))
         assert tel.sigma == +1
 
+    @pytest.mark.parametrize(
+        "axis,w", [((0.0, 0.0, 1.0), (0.3, -0.2, 0.01)), ((0.6, 0.0, 0.8), (0.246, 0.5, -0.172))]
+    )
+    def test_tie_at_zero_scalar_part(self, axis, w):
+        # a half turn against the stage-3 identity reference gives m_e = 0
+        # exactly; w . axis = 0.01 keeps |Lambda| = 2 kn/kq |w . axis| inside
+        # the dead band
+        _, tracker = self._tracker(2.0, 180.0)
+        y = (0.0, *axis, *w)
+        tau_c, row_c = ContinuousController(PAPER_GAINS, np.eye(3), tracker)(0.0, y)
+        tau_b, row_b = BenchmarkController(PAPER_GAINS, np.eye(3), tracker)(0.0, y)
+        tel = ControlTelemetry(*row_b)
+        assert tel.m_e == 0.0
+        assert abs(tel.lam) < PAPER_GAINS.delta
+        assert tel.sigma == +1
+        assert tau_b == tau_c
+        for sigma in (+1, -1):
+            ctrl = SwitchingController(PAPER_GAINS, np.eye(3), tracker)
+            ctrl.switch_state = SwitchState(sigma=sigma)
+            _, row = ctrl(0.0, y)
+            assert ControlTelemetry(*row).sigma == sigma
+            assert ctrl.switch_state.switch_count == 0
+
     @pytest.mark.parametrize("cls", [ContinuousController, BenchmarkController, SwitchingController])
     @pytest.mark.parametrize("mode,t", [(MODE_STAGE3, 0.0), ("full", 1.3)])
     def test_ndarray_and_float_tuple_states_agree(self, cls, mode, t):

@@ -32,7 +32,14 @@ from attswitch.stability import (
     saddle_jacobian,
 )
 
-from conftest import integrate_feedback, rand_unit_quat
+from conftest import (
+    integrate_feedback,
+    rand_unit_quat,
+    reference_error_jacobian,
+    reference_lyapunov_decay_bound,
+    reference_lyapunov_rate,
+    reference_lyapunov_value,
+)
 
 B3 = np.array([0.0, 0.0, 1.0])
 GENTLE_GAINS = GainSet(kq=2.0, kw=1.5, kn=0.8, c=1.0, delta=0.1)
@@ -105,6 +112,44 @@ class TestLyapunovValue:
         vs = lyapunov_series(m, n, w, sig, SWITCHING_GAINS)
         for i, e in enumerate(errs):
             assert vs[i] == pytest.approx(lyapunov_value(e, int(sig[i]), SWITCHING_GAINS), rel=1e-14)
+
+
+class TestFloatCertificates:
+    """The float certificates against the ndarray forms kept in conftest."""
+
+    PAIRS = (
+        (lyapunov_value, reference_lyapunov_value),
+        (lyapunov_rate, reference_lyapunov_rate),
+        (lyapunov_decay_bound, reference_lyapunov_decay_bound),
+    )
+
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_match_ndarray_reference(self, rng, unit):
+        for _ in range(40):
+            kq, kw, kn = np.exp(rng.uniform(-2.0, 5.0, size=3))
+            gains = GainSet(kq=kq, kw=kw, kn=kn, c=rng.uniform(0.05, 0.95) * 4.0 * kn * kw / kq)
+            c = gains.c
+            for _ in range(25):
+                q = rand_unit_quat(rng) * (1.0 if unit else rng.uniform(0.2, 3.0))
+                err = ErrorState(q_err=q, w_err=rng.normal(size=3) * 3.0)
+                nn = float(err.n_e @ err.n_e)
+                for sigma in (+1, -1):
+                    nu = nu_sigma(err, sigma, gains)
+                    vv, nv = float(nu @ nu), abs(float(nu @ err.n_e))
+                    # 1e-12 times the sum of the absolute values of each result's terms
+                    scales = (
+                        0.5 / kq * vv + 2.0 * c * abs(1.0 - sigma * err.m_e),
+                        abs(c - 1.0) * nv + kw / kq * vv + c * kn * nn,
+                        c * math.sqrt(nn * vv) + kw / kq * vv + c * kn * nn,
+                    )
+                    for (fn, ref), scale in zip(self.PAIRS, scales):
+                        assert abs(fn(err, sigma, gains) - ref(err, sigma, gains)) <= 1e-12 * scale
+                    in_roa = reference_lyapunov_value(err, sigma, gains) < 4.0 * c
+                    assert roa_contains(err, sigma, gains) == in_roa
+                    assert np.array_equal(
+                        error_jacobian(err, sigma, gains),
+                        reference_error_jacobian(err, sigma, gains),
+                    )
 
 
 class TestDecayBound:
