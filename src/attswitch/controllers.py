@@ -23,7 +23,8 @@ are factories (``_bind_pd_torque``, ``_bind_switching_torque``,
 each torque law writes J a + w x Jw in its own body.  Each controller binds
 them once, in ``__init__``; it is then called per control step as
 ``controller(t, y)`` with the packed state y = (qw, qx, qy, qz, wx, wy, wz)
-and returns the torque and a telemetry row, both tuples of floats.
+and returns the torque and a telemetry row, both tuples of floats; the row
+has the fixed width ``simulate`` needs to fill its (N, 9) telemetry array.
 The public ndarray functions (``attitude_error``, ``continuous_torque``,
 ``benchmark_torque``, ``switching_torque``, ``switch_function``,
 ``nu_sigma``, ``error_vector_rate``) delegate to the same forms and wrap
@@ -277,7 +278,7 @@ class ControlTelemetry(NamedTuple):
     """Column names of a controller's telemetry row.
 
     A controller returns each row as a plain tuple of floats in this order,
-    so that a run's telemetry becomes an (N, 9) array in one call;
+    which ``simulate`` writes into the run's (N, 9) telemetry array;
     ``ControlTelemetry(*row)`` names its fields.
     """
 
@@ -296,10 +297,11 @@ class _ControllerBase:
     """Shared set-up: gains, inertia, reference tracker and yaw unwrapping.
 
     A controller is called as ``controller(t, y)`` with the packed state
-    y = (qw, qx, qy, qz, wx, wy, wz) and returns the torque as a tuple of
-    floats with its telemetry row (see ControlTelemetry).  Its torque law
-    (``_bind_torque``) and switching function are bound to its gains and
-    inertia once, here.  Each law's ``__call__`` samples the reference and
+    y = (qw, qx, qy, qz, wx, wy, wz) and returns ``(tau, row)``: the torque
+    as a tuple of floats and its fixed-width telemetry row of 9 floats (see
+    ControlTelemetry), the row protocol of ``rigid_body.simulate``.  Its
+    torque law (``_bind_torque``) and switching function are bound to its
+    gains and inertia once, here.  Each law's ``__call__`` samples the reference and
     forms the error itself; the measured yaw only matters until the tracker
     pins the stage-3 start, so it is unwrapped only while that is pending.
     """

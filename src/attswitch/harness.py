@@ -16,7 +16,6 @@ from . import stability
 from .controllers import (
     BenchmarkController,
     ContinuousController,
-    ControlTelemetry,
     GainSet,
     SwitchingController,
     SwitchState,
@@ -28,11 +27,11 @@ from .controllers import (
 from .quat import IDENTITY, yaw_of
 from .reference import MODE_STAGE3, ManeuverSpec, ManeuverTracker, stage3_initial_state
 from .rigid_body import (
+    CHUNK,
     DEFAULT_DT,
     DEFAULT_INERTIA,
     BodyState,
     SimulationError,
-    float_rows,
     simulate,
     validate_inertia,
 )
@@ -86,6 +85,13 @@ class Scenario:
         if self.horizon_after_t0 < self.dt:
             raise ValueError(
                 f"horizon_after_t0 = {self.horizon_after_t0} is shorter than one step dt = {self.dt}"
+            )
+        # the torque is held over each step, so the sampled rate loop
+        # w_{k+1} ~ (1 - dt kw) w_k diverges once dt kw reaches 2
+        if self.dt * self.gains.kw >= 2.0:
+            raise ValueError(
+                f"dt * kw = {self.dt * self.gains.kw:g} must be below 2 for the sampled "
+                f"rate loop to be stable (dt = {self.dt}, kw = {self.gains.kw})"
             )
         self.inertia = validate_inertia(self.inertia)
 
@@ -148,7 +154,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     tf = t0 + scenario.horizon_after_t0
 
     t = traj.t
-    tel = float_rows(traj.telemetry, len(ControlTelemetry._fields))
+    tel = traj.telemetry
     m_e, n_e, w_e, lam = tel[:, 0], tel[:, 1:4], tel[:, 4:7], tel[:, 8]
     sigma = tel[:, 7].astype(int)
     V = stability.lyapunov_series(m_e, n_e, w_e, sigma, scenario.gains)
@@ -359,26 +365,20 @@ def effort_comparison(
 
 
 def export_run(run: RunResult, path) -> None:
-    """Write the run telemetry as CSV (17 significant digits, byte-stable)."""
-    cols = np.column_stack(
-        [
-            run.t,
-            run.q,
-            run.w,
-            run.m_e,
-            run.n_e,
-            run.w_e,
-            run.tau,
-            run.sigma.astype(float),
-            run.lam,
-            run.V,
-        ]
-    )
-    line = ",".join(["%.17g"] * cols.shape[1]) + "\n"
+    """Write the run telemetry as CSV (17 significant digits, byte-stable).
+
+    The rows are formatted CHUNK at a time: each block is stacked from
+    slices of the run's arrays and written with one string format.
+    """
+    cols = (run.t, run.q, run.w, run.m_e, run.n_e, run.w_e, run.tau, run.sigma, run.lam, run.V)
+    line = ",".join(["%.17g"] * (CSV_HEADER.count(",") + 1)) + "\n"
     try:
         with open(path, "w") as f:
             f.write(CSV_HEADER + "\n")
-            f.writelines(line % tuple(row.tolist()) for row in cols)
+            for a in range(0, len(run.t), CHUNK):
+                # column_stack promotes the int sigma column to float
+                block = np.column_stack([c[a : a + CHUNK] for c in cols])
+                f.write((line * len(block)) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise OSError(f"cannot write telemetry to {path}: {exc}") from exc
 

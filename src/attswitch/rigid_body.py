@@ -31,6 +31,8 @@ from .quat import renorm_if_drifted
 
 DEFAULT_INERTIA = np.diag([1.66e-5, 1.66e-5, 2.93e-5])  # kg m^2, 31-g quadrotor scale
 DEFAULT_DT = 1e-3
+# rows per chunk of a run, in simulate and in the CSV export
+CHUNK = 256
 
 
 class SimulationError(RuntimeError):
@@ -175,15 +177,15 @@ def rk4_step(state: BodyState, tau: np.ndarray, J: np.ndarray, dt: float) -> Bod
 class Trajectory:
     """Sampled closed-loop run: one row per physics step plus the final state.
 
-    Row k holds the state at t[k] and the torque and telemetry that the
+    Row k holds the state at t[k] and the torque and telemetry row that the
     controller returned for it (held over the step that starts there).
     """
 
-    t: np.ndarray    # (N,)
-    q: np.ndarray    # (N, 4)
-    w: np.ndarray    # (N, 3)
-    tau: np.ndarray  # (N, 3)
-    telemetry: list  # (N,) controller telemetry objects, as returned
+    t: np.ndarray          # (N,)
+    q: np.ndarray          # (N, 4)
+    w: np.ndarray          # (N, 3)
+    tau: np.ndarray        # (N, 3)
+    telemetry: np.ndarray  # (N, W) controller telemetry rows, W floats each
 
     def __len__(self) -> int:
         return len(self.t)
@@ -191,7 +193,8 @@ class Trajectory:
 
 def float_rows(rows, width: int) -> np.ndarray:
     """(len(rows), width) float array from a list of rows of ``width`` floats."""
-    return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
+    n = len(rows)
+    return np.fromiter(chain.from_iterable(rows), float, n * width).reshape(n, width)
 
 
 def simulate(
@@ -203,10 +206,14 @@ def simulate(
 ) -> Trajectory:
     """Integrate the closed loop and record the sampled trajectory.
 
-    ``controller`` is a callable ``(t, y) -> (tau, telemetry)`` invoked once
-    per physics step with the packed state y = (qw, qx, qy, qz, wx, wy, wz),
-    a tuple of floats; the returned torque (any 3-sequence) is converted to
-    floats once and held over the step.  The telemetry object is recorded as returned.
+    ``controller`` is a callable ``(t, y) -> (tau, row)`` invoked once per
+    physics step with the packed state y = (qw, qx, qy, qz, wx, wy, wz), a
+    tuple of floats; the returned torque (any 3-sequence) is converted to
+    floats once and held over the step.  ``row`` is the step's telemetry, a
+    sequence of floats whose width W is fixed by the first row (W may be 0).
+    The rows of a run are gathered CHUNK steps at a time and each chunk is
+    converted into its slice of the preallocated arrays, so at most one
+    chunk of per-step tuples is alive at any time.
     Returns a Trajectory with one row per physics step plus the final state.
     Controller and integration failures are re-raised as SimulationError
     tagged with the failure time.
@@ -216,34 +223,42 @@ def simulate(
     step = bind_rk4(validate_inertia(J), dt)
     n_steps = int(round(duration / dt))
     y = _packed(state)
-    # filled by index: a store costs less than an append call per step
     n = n_steps + 1
-    ys, taus, telemetries = [y] * n, [None] * n, [None] * n
-    for k in range(n):
-        t = k * dt
-        try:
-            tau, telemetry = controller(t, y)
-            tx, ty, tz = tau
-            tau = (float(tx), float(ty), float(tz))
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(f"controller failed at t={t:.6f}: {exc}") from exc
-        taus[k] = tau
-        telemetries[k] = telemetry
-        if k == n_steps:
-            break
-        try:
-            y = step(y, tau)
-        except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
-            raise SimulationError(f"integration failed at t={t:.6f}: {exc}") from exc
-        if not _all_finite(y):
-            raise SimulationError(
-                f"non-finite state at t={(k + 1) * dt:.6f}: q={y[:4]}, w={y[4:]}"
-            )
-        ys[k + 1] = y
-    y = float_rows(ys, 7)
+    ys_out, taus_out, tel = np.empty((n, 7)), np.empty((n, 3)), None
+    # filled by index: a store costs less than an append call per step
+    ys, taus, rows = [None] * CHUNK, [None] * CHUNK, [None] * CHUNK
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        for k in range(start, stop):
+            t = k * dt
+            try:
+                tau, row = controller(t, y)
+                tx, ty, tz = tau
+                tau = (float(tx), float(ty), float(tz))
+            except SimulationError:
+                raise
+            except Exception as exc:
+                raise SimulationError(f"controller failed at t={t:.6f}: {exc}") from exc
+            i = k - start
+            ys[i] = y
+            taus[i] = tau
+            rows[i] = row
+            if k == n_steps:
+                break
+            try:
+                y = step(y, tau)
+            except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+                raise SimulationError(f"integration failed at t={t:.6f}: {exc}") from exc
+            if not _all_finite(y):
+                raise SimulationError(
+                    f"non-finite state at t={(k + 1) * dt:.6f}: q={y[:4]}, w={y[4:]}"
+                )
+        m = stop - start
+        if tel is None:
+            tel = np.empty((n, len(rows[0])))
+        ys_out[start:stop] = float_rows(ys[:m], 7)
+        taus_out[start:stop] = float_rows(taus[:m], 3)
+        tel[start:stop] = float_rows(rows[:m], tel.shape[1])
     return Trajectory(
-        t=np.arange(n) * dt, q=y[:, :4], w=y[:, 4:], tau=float_rows(taus, 3),
-        telemetry=telemetries,
+        t=np.arange(n) * dt, q=ys_out[:, :4], w=ys_out[:, 4:], tau=taus_out, telemetry=tel
     )

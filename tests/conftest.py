@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attswitch.controllers import nu_sigma
+from attswitch.harness import CSV_HEADER
 from attswitch.quat import quat_kinematics
 
 
@@ -249,3 +250,30 @@ def reference_error_jacobian(err, sigma, gains):
     A[4:7, 1:4] = -(sigma * gains.kq) * I3
     A[4:7, 4:7] = -gains.kw * I3
     return A
+
+
+# --- Reference export ------------------------------------------------------
+# The CSV export as first written: the whole run stacked into one array and
+# formatted one row at a time, kept as the reference the block-wise
+# harness.export_run is compared against byte for byte.
+
+
+def reference_export(run, path):
+    cols = np.column_stack(
+        [
+            run.t,
+            run.q,
+            run.w,
+            run.m_e,
+            run.n_e,
+            run.w_e,
+            run.tau,
+            run.sigma.astype(float),
+            run.lam,
+            run.V,
+        ]
+    )
+    line = ",".join(["%.17g"] * cols.shape[1]) + "\n"
+    with open(path, "w") as f:
+        f.write(CSV_HEADER + "\n")
+        f.writelines(line % tuple(row.tolist()) for row in cols)

@@ -185,7 +185,7 @@ def test_criterion_8_numerical_hygiene():
     with criterion(8, "norm drift, momentum conservation, and 4th-order convergence"):
         J = np.diag([1.66e-5, 1.86e-5, 2.93e-5])
         state = BodyState(q=IDENTITY.copy(), w=np.array([1.0, 0.6, -0.8]))
-        traj = simulate(state, lambda t, s: (np.zeros(3), None), J, 1e-3, 10.0)
+        traj = simulate(state, lambda t, s: (np.zeros(3), ()), J, 1e-3, 10.0)
         h0 = rotate_vector(traj.q[0], J @ traj.w[0])
         for q, w in zip(traj.q[::25], traj.w[::25]):
             assert abs(q @ q - 1.0) <= 1e-9

@@ -126,6 +126,15 @@ class TestSimulateCommand:
         assert "shorter than one step" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_step_past_rate_loop_limit_usage_error(self, tmp_path, capsys):
+        # dt * kw = 2.1: the held-torque rate loop diverges, and the run
+        # used to finish with exit 0 and torques of order 1e4 N m
+        out = tmp_path / "run"
+        args = ["simulate", "--ic", "2,150", "--dt", "0.021", "--out", str(out)]
+        assert main(args) == 1
+        assert "must be below 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_ic_usage_error(self, capsys):
         assert main(["simulate"]) == 1
         assert "initial condition" in capsys.readouterr().err
@@ -205,6 +214,12 @@ class TestCompareCommand:
         out = tmp_path / "cmp"
         assert main(["compare", "--repeats", "1", flag, value, "--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
+
+    def test_step_past_rate_loop_limit_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--repeats", "1", "--dt", "0.021", "--out", str(out)]) == 1
+        assert "must be below 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:

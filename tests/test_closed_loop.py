@@ -20,6 +20,7 @@ from conftest import reference_closed_loop
 from attswitch.cli import main
 from attswitch.harness import REFERENCE_ICS, make_ic_scenario, run_scenario
 from attswitch.reference import stage3_initial_state
+from attswitch.rigid_body import CHUNK
 
 LAWS = ("benchmark", "switching", "continuous")
 
@@ -137,17 +138,29 @@ def _production(law, wz, psi0_deg, inertia, steps):
     return run_scenario(sc), stage3_initial_state(sc.maneuver), sc
 
 
-@pytest.mark.parametrize("law", LAWS)
-@pytest.mark.parametrize("wz,psi0_deg", REFERENCE_ICS)
-def test_default_inertia_bit_identical_to_reference(law, wz, psi0_deg):
-    run, s0, sc = _production(law, wz, psi0_deg, None, 500)
-    ref = reference_closed_loop(law, s0.q, s0.w, sc.inertia, sc.gains, sc.dt, 500)
+def _assert_bit_identical_to_reference(law, wz, psi0_deg, steps):
+    run, s0, sc = _production(law, wz, psi0_deg, None, steps)
+    ref = reference_closed_loop(law, s0.q, s0.w, sc.inertia, sc.gains, sc.dt, steps)
     for name in FIELDS:
         got = np.ascontiguousarray(getattr(run, name))
         assert got.shape == ref[name].shape, name
         # tobytes also tells -0.0 from 0.0, which telemetry.csv prints
         assert got.tobytes() == np.ascontiguousarray(ref[name]).tobytes(), name
     assert run.switch_times == ref["switch_times"]
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("wz,psi0_deg", REFERENCE_ICS)
+def test_default_inertia_bit_identical_to_reference(law, wz, psi0_deg):
+    _assert_bit_identical_to_reference(law, wz, psi0_deg, 500)
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_chunk_boundaries_bit_identical_to_reference(law, steps):
+    # steps + 1 rows: one full chunk, a full chunk plus one row, plus two
+    # rows, and two full chunks plus two rows
+    _assert_bit_identical_to_reference(law, 2.0, 150.0, steps)
 
 
 def _random_spd(rng):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_export
 
 from attswitch.harness import (
     REFERENCE_ICS,
@@ -20,7 +21,7 @@ from attswitch.harness import (
     scenario_to_text,
 )
 from attswitch.reference import ManeuverSpec
-from attswitch.rigid_body import SimulationError
+from attswitch.rigid_body import CHUNK, SimulationError
 
 TABLE_TARGETS = {
     (2.0, 150.0): (-1, 7.97),
@@ -150,6 +151,16 @@ class TestRunScenario:
         with pytest.raises(SimulationError):
             run_scenario(sc)
 
+    def test_step_just_inside_rate_loop_limit_accepted(self):
+        sc = make_ic_scenario(2.0, 150.0, "switching", dt=0.0199)
+        assert sc.dt * sc.gains.kw == pytest.approx(1.99)
+
+    @pytest.mark.parametrize("controller", ["continuous", "benchmark", "switching"])
+    def test_step_at_rate_loop_limit_rejected(self, controller):
+        # kw = 100 for both default gain sets, so dt * kw = 2
+        with pytest.raises(ValueError, match="must be below 2"):
+            make_ic_scenario(2.0, 150.0, controller, dt=0.02)
+
     def test_determinism_bit_identical(self):
         r1 = run_scenario(make_ic_scenario(3.0, 120.0, "switching"))
         r2 = run_scenario(make_ic_scenario(3.0, 120.0, "switching"))
@@ -252,6 +263,30 @@ class TestExport:
         export_run(run1, p1)
         export_run(run2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_block_boundaries_match_row_export(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0])
+
+        def data(*shape):
+            a = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+            hit = rng.random(size=shape) < 0.2
+            a[hit] = rng.choice(special, size=int(hit.sum()))
+            return a
+
+        run = fake_run(data(n), data(n, 3))
+        for name in ("q", "w", "n_e", "w_e"):
+            setattr(run, name, data(*getattr(run, name).shape))
+        for name in ("m_e", "lam", "V"):
+            setattr(run, name, data(n))
+        run.sigma = rng.choice([-1, 1], size=n)
+        got, want = tmp_path / "block.csv", tmp_path / "row.csv"
+        export_run(run, got)
+        reference_export(run, want)
+        text = got.read_bytes()
+        assert text == want.read_bytes()
+        assert b",-0," in text and b"e-324" in text and b"e-310" in text and b"e+300" in text
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         run = fake_run(np.array([0.0]), np.zeros((1, 3)))

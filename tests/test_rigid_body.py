@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from attswitch.quat import IDENTITY, from_axis_angle, rotate_vector, yaw_of
 from attswitch.rigid_body import (
+    CHUNK,
     BodyState,
     SimulationError,
     open_loop_derivative,
@@ -18,7 +20,7 @@ TUMBLE_W = np.array([1.0, 0.6, -0.8])
 
 
 def zero_controller(t, y):
-    return np.zeros(3), None
+    return np.zeros(3), ()
 
 
 class TestValidateInertia:
@@ -99,6 +101,43 @@ class TestSimulate:
         assert np.allclose(traj.w[0], s.w)
         assert np.allclose(traj.tau[0], 0.0)
 
+    def test_empty_rows_give_zero_width_telemetry(self):
+        s = BodyState(q=IDENTITY.copy(), w=TUMBLE_W.copy())
+        traj = simulate(s, zero_controller, TUMBLE_J, 1e-3, (CHUNK + 1) * 1e-3)
+        assert traj.telemetry.shape == (CHUNK + 2, 0)
+
+    def test_telemetry_rows_fill_a_float_array(self):
+        def controller(t, y):
+            return np.zeros(3), (t, y[6])
+
+        s = BodyState(q=IDENTITY.copy(), w=TUMBLE_W.copy())
+        traj = simulate(s, controller, TUMBLE_J, 1e-3, 2 * CHUNK * 1e-3)
+        assert traj.telemetry.shape == (2 * CHUNK + 1, 2)
+        assert traj.telemetry.dtype == float
+        assert np.array_equal(traj.telemetry[:, 0], traj.t)
+        assert np.array_equal(traj.telemetry[:, 1], traj.w[:, 2])
+
+    def test_memory_peak_bounded_by_the_arrays(self):
+        # per-step tuples live for one chunk only: holding them for the
+        # whole run costs several times the bytes of the returned arrays
+        # (about 4.5x here).  16 chunks rather than a longer run because
+        # tracemalloc slows the loop about 40-fold.
+        def controller(t, y):
+            qw, qx, qy, qz, wx, wy, wz = y
+            tau = (-1e-4 * qx - 1e-5 * wx, -1e-4 * qy - 1e-5 * wy, -1e-4 * qz - 1e-5 * wz)
+            return tau, (*tau, qw * qw, t, 0.5 * t, -t, 1.0, 2.0)
+
+        s = BodyState(q=from_axis_angle(np.array([0.6, 0.0, 0.8]), 2.5), w=TUMBLE_W.copy())
+        tracemalloc.start()
+        try:
+            traj = simulate(s, controller, TUMBLE_J, 1e-3, 16 * CHUNK * 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for a in (traj.t, traj.q, traj.w, traj.tau, traj.telemetry))
+        assert arrays == (16 * CHUNK + 1) * (1 + 7 + 3 + 9) * 8
+        assert peak < 2 * arrays
+
     def test_torque_free_principal_spin_constant_rate(self):
         s = BodyState(q=IDENTITY.copy(), w=np.array([0.0, 0.0, 1.5]))
         rates = simulate(s, zero_controller, np.diag([1.0, 2.0, 3.0]), 1e-3, 0.5).w
@@ -116,7 +155,7 @@ class TestSimulate:
         def bad_controller(t, y):
             if t > 0.01:
                 raise ValueError("boom")
-            return np.zeros(3), None
+            return np.zeros(3), ()
 
         s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
         with pytest.raises(SimulationError, match=r"controller failed at t=0\.011"):
@@ -124,7 +163,7 @@ class TestSimulate:
 
     def test_nonfinite_state_is_named(self):
         def nan_controller(t, y):
-            return np.array([math.nan, 0.0, 0.0]), None
+            return np.array([math.nan, 0.0, 0.0]), ()
 
         s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
         with pytest.raises(SimulationError, match="non-finite state"):
@@ -145,13 +184,13 @@ class TestSimulate:
             q, w = np.array(y[:4]), np.array(y[4:])
             err = attitude_error(q, q_d, w, np.zeros(3))
             tau = continuous_torque(err, w, np.zeros(3), g, J)
-            return tau, err
+            return tau, (*err.n_e, *err.w_err)
 
         axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         s = BodyState(q=from_axis_angle(axis, 0.1), w=np.zeros(3))
         errs = simulate(s, controller, J, 1e-3, 1.2).telemetry
-        n_norm = np.array([np.linalg.norm(err.n_e) for err in errs])
-        w_norm = np.array([np.linalg.norm(err.w_err) for err in errs])
+        n_norm = np.linalg.norm(errs[:, :3], axis=1)
+        w_norm = np.linalg.norm(errs[:, 3:], axis=1)
         settle = 150  # past the angular-rate build-up
         assert np.all(np.diff(n_norm[settle:]) <= 1e-12)
         assert np.all(np.diff(w_norm[settle:]) <= 1e-12)
@@ -167,10 +206,10 @@ class TestSimulate:
             return np.array([-2e-5 * qx - 1e-5 * wx, 3e-6 * wy * wz, -2e-5 * qz - 1e-6 * wz], np.float32)
 
         def tuple_controller(t, y):
-            return tuple(torque(y).tolist()), None
+            return tuple(torque(y).tolist()), ()
 
         def ndarray_controller(t, y):
-            return torque(y), None
+            return torque(y), ()
 
         s = BodyState(q=from_axis_angle(np.array([0.6, 0.0, 0.8]), 2.5), w=TUMBLE_W.copy())
         a, b = (simulate(s, c, TUMBLE_J, 1e-3, 0.5) for c in (tuple_controller, ndarray_controller))
