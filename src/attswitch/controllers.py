@@ -17,18 +17,19 @@ switching function value Lambda with a dead band of width 2*delta.
 
 Each law, the error, Lambda and the sigma update have exactly one form,
 written on plain floats: the error state is a pair (q_err, w_err) of 4- and
-3-sequences and every result a tuple of floats.  The torque laws and Lambda
-are factories (``_bind_pd_torque``, ``_bind_switching_torque``,
-``_bind_switch_function``) that close over the gains and the inertia rows;
-each torque law writes J a + w x Jw in its own body.  Each controller binds
-them once, in ``__init__``; it is then called per control step as
+3-sequences and every result a tuple of floats.  The torque laws are
+factories (``_bind_pd_torque``, ``_bind_switching_torque``) that close over
+the gains and the inertia rows, each writing J a + w x Jw in its own body;
+Lambda is ``_lam(q_err, w_err, a, b)`` with a = -2 kn/kq and b = 4c.  Each
+controller binds its law and a, b once, in ``__init__``; it is then called as
 ``controller(t, y)`` with the packed state y = (qw, qx, qy, qz, wx, wy, wz)
 and returns the torque and a telemetry row, both tuples of floats; the row
 has the fixed width ``simulate`` needs to fill its (N, 9) telemetry array.
 The public ndarray functions (``attitude_error``, ``continuous_torque``,
 ``benchmark_torque``, ``switching_torque``, ``switch_function``,
 ``nu_sigma``, ``error_vector_rate``) delegate to the same forms and wrap
-the result.
+the result; ``_read`` reads an ``ErrorState`` once into flat floats, nu
+included, for ``nu_sigma`` and the certificates in ``stability``.
 """
 
 import math
@@ -118,14 +119,18 @@ def attitude_error(q: np.ndarray, q_d: np.ndarray, w: np.ndarray, w_d: np.ndarra
     return ErrorState(q_err=np.array(q_err), w_err=np.array(w_err))
 
 
-def _nu(q_err, w_err, sigma, kn):
+def _read(err: ErrorState, sigma: int, kn: float):
+    """``(m, nx, ny, nz, ux, uy, uz)``: the error state as flat floats, with
+    nu = w_err + sigma kn n_e for switch sign sigma."""
+    m, nx, ny, nz = err.q_err.tolist()
+    ex, ey, ez = err.w_err.tolist()
     g = sigma * kn
-    return w_err[0] + g * q_err[1], w_err[1] + g * q_err[2], w_err[2] + g * q_err[3]
+    return m, nx, ny, nz, ex + g * nx, ey + g * ny, ez + g * nz
 
 
 def nu_sigma(err: ErrorState, sigma: int, gains: GainSet) -> np.ndarray:
     """Composite error w_err + sigma * kn * n_e for the given switch sign."""
-    return np.array(_nu(err.q_err.tolist(), err.w_err.tolist(), sigma, gains.kn))
+    return np.array(_read(err, sigma, gains.kn)[4:])
 
 
 def _error_vector_rate(q_err, w_err):
@@ -188,7 +193,7 @@ def _bind_switching_torque(gains: GainSet, J):
         wx, wy, wz = w
         kp = sigma * kq
         kd = sigma * kn
-        # nu and n_e_dot as in _nu and _error_vector_rate, written out here
+        # nu and n_e_dot as in _read and _error_vector_rate, written out here
         # because the two calls cost more than the arithmetic
         ux, uy, uz = ex + kd * nx, ey + kd * ny, ez + kd * nz
         dx = 0.5 * (m * ex + ey * nz - ez * ny)
@@ -233,21 +238,15 @@ def switching_torque(
     return np.array(_bind_switching_torque(gains, J)(sigma, err.q_err, err.w_err, w, wdot_d))
 
 
-def _bind_switch_function(gains: GainSet):
-    """``lam(q_err, w_err)`` = -2 kn/kq (w_err . n_e) + 4c m_e, bound to the gains."""
-    a = -2.0 * gains.kn / gains.kq
-    b = 4.0 * gains.c
-
-    def switch_function(q_err, w_err):
-        dot = w_err[0] * q_err[1] + w_err[1] * q_err[2] + w_err[2] * q_err[3]
-        return a * dot + b * q_err[0]
-
-    return switch_function
+def _lam(q_err, w_err, a, b):
+    """Lambda = a (w_err . n_e) + b m_e, with a = -2 kn/kq and b = 4c."""
+    dot = w_err[0] * q_err[1] + w_err[1] * q_err[2] + w_err[2] * q_err[3]
+    return a * dot + b * q_err[0]
 
 
 def switch_function(err: ErrorState, gains: GainSet) -> float:
     """Lyapunov difference Lambda = V(-1) - V(+1) in closed form."""
-    return _bind_switch_function(gains)(err.q_err.tolist(), err.w_err.tolist())
+    return _lam(err.q_err.tolist(), err.w_err.tolist(), -2.0 * gains.kn / gains.kq, 4.0 * gains.c)
 
 
 def update_sigma(
@@ -300,10 +299,10 @@ class _ControllerBase:
     y = (qw, qx, qy, qz, wx, wy, wz) and returns ``(tau, row)``: the torque
     as a tuple of floats and its fixed-width telemetry row of 9 floats (see
     ControlTelemetry), the row protocol of ``rigid_body.simulate``.  Its
-    torque law (``_bind_torque``) and switching function are bound to its
-    gains and inertia once, here.  Each law's ``__call__`` samples the reference and
-    forms the error itself; the measured yaw only matters until the tracker
-    pins the stage-3 start, so it is unwrapped only while that is pending.
+    torque law (``_bind_torque``) and Lambda's constants are bound once,
+    here.  Each law's ``__call__`` samples the reference and forms the error
+    itself; the measured yaw only matters until the tracker pins the stage-3
+    start, so it is unwrapped only while that is pending.
     """
 
     _bind_torque = staticmethod(_bind_pd_torque)
@@ -313,7 +312,7 @@ class _ControllerBase:
         self.J = np.asarray(J, dtype=float)
         self.tracker = tracker
         self._torque = self._bind_torque(gains, self.J.tolist())
-        self._switch_function = _bind_switch_function(gains)
+        self._a, self._b = -2.0 * gains.kn / gains.kq, 4.0 * gains.c
         self._prev_yaw = None
         self._yaw_accum = 0.0
 
@@ -338,7 +337,7 @@ class ContinuousController(_ControllerBase):
         ref = tracker.sample(t, self._unwrapped_yaw(y) if tracker.t0 is None else None)
         q_err, w_err = _error(y, ref.q_d, ref.w_d)
         tau = self._torque(+1, q_err, w_err, y[4:], ref.wdot_d)
-        return tau, (*q_err, *w_err, +1, self._switch_function(q_err, w_err))
+        return tau, (*q_err, *w_err, +1, _lam(q_err, w_err, self._a, self._b))
 
 
 class BenchmarkController(_ControllerBase):
@@ -350,7 +349,7 @@ class BenchmarkController(_ControllerBase):
         q_err, w_err = _error(y, ref.q_d, ref.w_d)
         sigma = _shorter_path_sign(q_err[0])
         tau = self._torque(sigma, q_err, w_err, y[4:], ref.wdot_d)
-        return tau, (*q_err, *w_err, sigma, self._switch_function(q_err, w_err))
+        return tau, (*q_err, *w_err, sigma, _lam(q_err, w_err, self._a, self._b))
 
 
 class SwitchingController(_ControllerBase):
@@ -366,7 +365,7 @@ class SwitchingController(_ControllerBase):
         tracker = self.tracker
         ref = tracker.sample(t, self._unwrapped_yaw(y) if tracker.t0 is None else None)
         q_err, w_err = _error(y, ref.q_d, ref.w_d)
-        lam = self._switch_function(q_err, w_err)
+        lam = _lam(q_err, w_err, self._a, self._b)
         self.switch_state = update_sigma(self.switch_state, lam, self.gains.delta, t)
         sigma = self.switch_state.sigma
         tau = self._torque(sigma, q_err, w_err, y[4:], ref.wdot_d)

@@ -140,11 +140,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
         state = stage3_initial_state(spec)
         duration = scenario.horizon_after_t0
     else:
-        rate = math.sqrt(float(spec.w0 @ spec.w0))
-        if rate < 1e-12:
-            raise SimulationError("full-mode maneuver needs a nonzero stage-2 rate")
         state = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
-        stage2_allowance = 1.5 * spec.psi0 / rate + 0.5
+        stage2_allowance = 1.5 * spec.psi0 / math.sqrt(float(spec.w0 @ spec.w0)) + 0.5
         duration = spec.stage1_duration + stage2_allowance + scenario.horizon_after_t0
     traj = simulate(state, controller, scenario.inertia, scenario.dt, duration)
 
@@ -322,11 +319,15 @@ def effort_comparison(
     """Paired effort comparison of the shorter-path and switching laws.
 
     Each repeat perturbs the IC (same draw for both controllers, so the
-    comparison is paired) and runs both laws from the stage-3 state.
+    comparison is paired) and runs both laws from the stage-3 state, once
+    every IC's perturbed yaw is known to stay inside (0, 360) deg.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     pert = perturbation or PerturbationSpec()
+    for wz, psi in ics:
+        if not (0.0 < psi - pert.psi0_deg and psi + pert.psi0_deg < 360.0):
+            raise ValueError(f"IC ({wz:g}, {psi:g} deg) +-{pert.psi0_deg:g} deg leaves (0, 360)")
     gsw = gains_switching or SWITCHING_GAINS
     gbm = gains_benchmark or BENCHMARK_GAINS
     rows = []

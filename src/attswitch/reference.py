@@ -33,7 +33,7 @@ class ManeuverSpec:
     w0 is the stage-2 angular-velocity reference (rad/s, nominally along the
     yaw axis), psi0 the stage-2 terminal yaw in rad, and mode selects either
     the full three-stage profile or a direct start at the stage-3 initial
-    condition.
+    condition.  Full mode needs w0[2] > 0, or the yaw never grows to psi0.
     """
 
     w0: np.ndarray
@@ -53,6 +53,8 @@ class ManeuverSpec:
             )
         if self.mode not in (MODE_FULL, MODE_STAGE3):
             raise ValueError(f"unknown maneuver mode {self.mode!r}")
+        if self.mode == MODE_FULL and not self.w0[2] > 0.0:
+            raise ValueError(f"full mode needs a positive yaw rate w0[2], got {self.w0[2]}")
 
 
 class ReferenceSample(NamedTuple):

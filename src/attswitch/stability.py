@@ -12,8 +12,8 @@ x = (|n_e|, |nu|).  The antipodal equilibrium is a saddle whose spectrum has
 a closed form; both facts are exposed here together with the region and
 rate certificates built from them.
 
-The per-state certificates are written on Python floats; they form nu with
-``controllers._nu``, as ``nu_sigma`` does, so nu has one form.
+The per-state certificates are written on Python floats and read their
+error state once, nu included, with ``controllers._read``, as ``nu_sigma`` does.
 ``lyapunov_series`` is the vectorised V_sigma over a run's telemetry.
 """
 
@@ -22,18 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ErrorState, GainSet, _nu, switch_function
-
-
-def _read(err: ErrorState, sigma: int, gains: GainSet):
-    """(m_e, n_e, nu) of the error state as floats, nu for switch sign sigma."""
-    q = err.q_err.tolist()
-    return q[0], q[1:], _nu(q, err.w_err.tolist(), sigma, gains.kn)
+from .controllers import ErrorState, GainSet, _read, switch_function
 
 
 def lyapunov_value(err: ErrorState, sigma: int, gains: GainSet) -> float:
     """V_sigma at the given error state (nu recomputed for sigma)."""
-    m, _, (ux, uy, uz) = _read(err, sigma, gains)
+    m, _, _, _, ux, uy, uz = _read(err, sigma, gains.kn)
     return 0.5 / gains.kq * (ux * ux + uy * uy + uz * uz) + 2.0 * gains.c * (1.0 - sigma * m)
 
 
@@ -55,7 +49,7 @@ def lyapunov_decay_bound(err: ErrorState, sigma: int, gains: GainSet) -> float:
     |c-1| <= c); see p_matrix_certificate for the positive-definiteness
     condition that makes it strictly negative away from the equilibria.
     """
-    _, (nx, ny, nz), (ux, uy, uz) = _read(err, sigma, gains)
+    _, nx, ny, nz, ux, uy, uz = _read(err, sigma, gains.kn)
     xn = math.sqrt(nx * nx + ny * ny + nz * nz)
     xv = math.sqrt(ux * ux + uy * uy + uz * uz)
     return gains.c * xn * xv - gains.kw / gains.kq * xv * xv - gains.c * gains.kn * xn * xn
@@ -63,7 +57,7 @@ def lyapunov_decay_bound(err: ErrorState, sigma: int, gains: GainSet) -> float:
 
 def lyapunov_rate(err: ErrorState, sigma: int, gains: GainSet) -> float:
     """Exact closed-loop rate of V_sigma along the switching dynamics."""
-    _, (nx, ny, nz), (ux, uy, uz) = _read(err, sigma, gains)
+    _, nx, ny, nz, ux, uy, uz = _read(err, sigma, gains.kn)
     return (
         (gains.c - 1.0) * sigma * (ux * nx + uy * ny + uz * nz)
         - gains.kw / gains.kq * (ux * ux + uy * uy + uz * uz)
@@ -115,22 +109,25 @@ def closed_loop_field(m: float, n: np.ndarray, nu: np.ndarray, sigma: int, gains
 
 def error_jacobian(err: ErrorState, sigma: int, gains: GainSet) -> np.ndarray:
     """7x7 Jacobian of the closed-loop error field at the given state."""
-    m, (nx, ny, nz), (ux, uy, uz) = _read(err, sigma, gains)
+    m, nx, ny, nz, ux, uy, uz = _read(err, sigma, gains.kn)
     kn = sigma * gains.kn
     d, h = -0.5 * (kn * m), 0.5 * m  # diagonals of the two n_e-row blocks
     p, k = -(sigma * gains.kq), -gains.kw
-    return np.array(
+    # row-major; fromiter fills from a flat list faster than np.array from nested rows
+    return np.fromiter(
         [
-            [0.0, -0.5 * ux + kn * nx, -0.5 * uy + kn * ny, -0.5 * uz + kn * nz,
-             -0.5 * nx, -0.5 * ny, -0.5 * nz],
-            [0.5 * (ux - kn * nx), d, -0.5 * uz, 0.5 * uy, h, 0.5 * nz, -0.5 * ny],
-            [0.5 * (uy - kn * ny), 0.5 * uz, d, -0.5 * ux, -0.5 * nz, h, 0.5 * nx],
-            [0.5 * (uz - kn * nz), -0.5 * uy, 0.5 * ux, d, 0.5 * ny, -0.5 * nx, h],
-            [0.0, p, 0.0, 0.0, k, 0.0, 0.0],
-            [0.0, 0.0, p, 0.0, 0.0, k, 0.0],
-            [0.0, 0.0, 0.0, p, 0.0, 0.0, k],
-        ]
-    )
+            0.0, -0.5 * ux + kn * nx, -0.5 * uy + kn * ny, -0.5 * uz + kn * nz,
+            -0.5 * nx, -0.5 * ny, -0.5 * nz,
+            0.5 * (ux - kn * nx), d, -0.5 * uz, 0.5 * uy, h, 0.5 * nz, -0.5 * ny,
+            0.5 * (uy - kn * ny), 0.5 * uz, d, -0.5 * ux, -0.5 * nz, h, 0.5 * nx,
+            0.5 * (uz - kn * nz), -0.5 * uy, 0.5 * ux, d, 0.5 * ny, -0.5 * nx, h,
+            0.0, p, 0.0, 0.0, k, 0.0, 0.0,
+            0.0, 0.0, p, 0.0, 0.0, k, 0.0,
+            0.0, 0.0, 0.0, p, 0.0, 0.0, k,
+        ],
+        float,
+        49,
+    ).reshape(7, 7)
 
 
 def saddle_jacobian(gains: GainSet) -> np.ndarray:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from attswitch.controllers import nu_sigma
 from attswitch.harness import CSV_HEADER
 from attswitch.quat import quat_kinematics
 
@@ -196,19 +195,20 @@ def reference_closed_loop(law, q0, w0, J, gains, dt, n_steps):
 
 
 # --- Reference certificates ------------------------------------------------
-# The per-state certificates as first written, on ndarrays (nu through
-# nu_sigma, dot products through @, the Jacobian by slice assignment), kept
+# The per-state certificates as first written, on ndarrays (nu formed here
+# in numpy, dot products through @, the Jacobian by slice assignment), kept
 # as the reference the float forms in attswitch.stability are compared
-# against.
+# against.  nu does not come from production code, so a wrong nu in the
+# certificates' read fails here.
 
 
 def reference_lyapunov_value(err, sigma, gains):
-    nu = nu_sigma(err, sigma, gains)
+    nu = err.w_err + sigma * gains.kn * err.n_e
     return 0.5 / gains.kq * float(nu @ nu) + 2.0 * gains.c * (1.0 - sigma * err.m_e)
 
 
 def reference_lyapunov_decay_bound(err, sigma, gains):
-    nu = nu_sigma(err, sigma, gains)
+    nu = err.w_err + sigma * gains.kn * err.n_e
     ne = err.n_e
     xn = math.sqrt(float(ne @ ne))
     xv = math.sqrt(float(nu @ nu))
@@ -216,7 +216,7 @@ def reference_lyapunov_decay_bound(err, sigma, gains):
 
 
 def reference_lyapunov_rate(err, sigma, gains):
-    nu = nu_sigma(err, sigma, gains)
+    nu = err.w_err + sigma * gains.kn * err.n_e
     ne = err.n_e
     return (
         (gains.c - 1.0) * sigma * float(nu @ ne)
@@ -238,7 +238,7 @@ def _ref_skew(v):
 def reference_error_jacobian(err, sigma, gains):
     m = err.m_e
     n = err.n_e
-    nu = nu_sigma(err, sigma, gains)
+    nu = err.w_err + sigma * gains.kn * err.n_e
     kn = sigma * gains.kn
     I3 = np.eye(3)
     A = np.zeros((7, 7))

@@ -135,6 +135,21 @@ class TestSimulateCommand:
         assert "must be below 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ic", ["0,150", "-2,150"])
+    def test_full_mode_yaw_rate_not_positive_usage_error(self, tmp_path, capsys, ic):
+        # the stage-2 yaw never reaches psi0; -2,150 used to integrate the
+        # whole run before failing with exit 2
+        out = tmp_path / "run"
+        assert main(["simulate", "--mode", "full", f"--ic={ic}", "--out", str(out)]) == 1
+        assert "positive yaw rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stage3_mode_negative_yaw_rate_runs(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ["simulate", "--mode", "stage3", "--ic=-2,150", "--horizon", "0.5"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert (out / "telemetry.csv").exists()
+
     def test_missing_ic_usage_error(self, capsys):
         assert main(["simulate"]) == 1
         assert "initial condition" in capsys.readouterr().err
@@ -219,6 +234,14 @@ class TestCompareCommand:
         out = tmp_path / "cmp"
         assert main(["compare", "--repeats", "1", "--dt", "0.021", "--out", str(out)]) == 1
         assert "must be below 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_yaw_spread_leaving_range_usage_error(self, tmp_path, capsys):
+        # which perturbed ICs left (0, 360) deg used to depend on the seed,
+        # and some ran before the comparison failed
+        out = tmp_path / "cmp"
+        assert main(["compare", "--repeats", "3", "--perturb-psi", "200", "--out", str(out)]) == 1
+        assert "IC (2, 150 deg) +-200 deg leaves (0, 360)" in capsys.readouterr().err
         assert not out.exists()
 
 

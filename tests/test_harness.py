@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import reference_export
 
+from attswitch import harness
 from attswitch.harness import (
     REFERENCE_ICS,
     SWITCHING_GAINS,
@@ -21,7 +22,7 @@ from attswitch.harness import (
     scenario_to_text,
 )
 from attswitch.reference import ManeuverSpec
-from attswitch.rigid_body import CHUNK, SimulationError
+from attswitch.rigid_body import CHUNK
 
 TABLE_TARGETS = {
     (2.0, 150.0): (-1, 7.97),
@@ -142,14 +143,8 @@ class TestRunScenario:
         assert abs(math.degrees(run.final_yaw_error)) < 0.5
 
     def test_full_mode_needs_nonzero_rate(self):
-        sc = Scenario(
-            name="stuck",
-            maneuver=ManeuverSpec(w0=np.zeros(3), psi0=1.0),
-            controller="switching",
-            gains=SWITCHING_GAINS,
-        )
-        with pytest.raises(SimulationError):
-            run_scenario(sc)
+        with pytest.raises(ValueError, match="positive yaw rate"):
+            ManeuverSpec(w0=np.zeros(3), psi0=1.0)
 
     def test_step_just_inside_rate_loop_limit_accepted(self):
         sc = make_ic_scenario(2.0, 150.0, "switching", dt=0.0199)
@@ -216,6 +211,24 @@ class TestEffortComparison:
         assert row.esd_benchmark == 0.0
         assert row.esd_switching == 0.0
         assert np.all(row.gamma_switching == row.gamma_switching[0])
+
+    @pytest.mark.parametrize("ic", [(2.0, 30.0), (2.0, 340.0)])
+    def test_yaw_spread_leaving_range_rejected_before_any_run(self, monkeypatch, ic):
+        def run_scenario(scenario):
+            raise AssertionError("ran before the spread was checked")
+
+        monkeypatch.setattr(harness, "run_scenario", run_scenario)
+        # the first IC is fine; the second leaves (0, 360) deg at one end
+        with pytest.raises(ValueError, match=rf"IC \(2, {ic[1]:g} deg\) \+-30 deg leaves"):
+            effort_comparison(
+                repeats=1, perturbation=PerturbationSpec(psi0_deg=30.0), ics=((2.0, 150.0), ic)
+            )
+
+    def test_yaw_spread_inside_range_accepted(self):
+        report = effort_comparison(
+            repeats=1, perturbation=PerturbationSpec(psi0_deg=29.0), ics=((2.0, 30.0),), horizon=0.1
+        )
+        assert len(report.rows) == 1
 
     def test_seeded_determinism(self):
         r1 = effort_comparison(repeats=2, seed=11, ics=REFERENCE_ICS[:2])

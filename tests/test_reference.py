@@ -36,6 +36,11 @@ class TestManeuverSpec:
         with pytest.raises(ValueError):
             ManeuverSpec(w0=B3, psi0=1.0, mode="warp")
 
+    @pytest.mark.parametrize("wz", [0.0, -0.0, -2.0])
+    def test_full_mode_rejects_yaw_rate_not_positive(self, wz):
+        with pytest.raises(ValueError):
+            yaw_spec(wz, 150.0)
+
 
 class TestReferenceAt:
     def test_stage1_identity(self):
