@@ -10,12 +10,8 @@ from .controllers import (
     SwitchingController,
     SwitchState,
     attitude_error,
-    benchmark_torque,
-    continuous_torque,
-    error_vector_rate,
     nu_sigma,
     switch_function,
-    switching_torque,
     update_sigma,
 )
 from .harness import (
@@ -47,7 +43,6 @@ from .reference import (
     ManeuverSpec,
     ManeuverTracker,
     ReferenceSample,
-    reference_at,
     stage3_initial_state,
 )
 from .rigid_body import (
@@ -56,8 +51,6 @@ from .rigid_body import (
     BodyState,
     SimulationError,
     Trajectory,
-    open_loop_derivative,
-    rk4_step,
     simulate,
     validate_inertia,
 )
@@ -65,7 +58,6 @@ from .stability import (
     SaddleSpectrum,
     closed_loop_field,
     error_jacobian,
-    exp_region_contains,
     exponential_rate_check,
     format_stability_report,
     inter_switch_decrease_check,

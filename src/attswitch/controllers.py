@@ -1,35 +1,35 @@
 """Attitude error, torque laws, and the hysteretic switching logic.
 
-Three torque laws are provided, all with the same feedback-linearization
-structure J(...) + w x Jw so the closed-loop error dynamics are independent
-of the inertia matrix:
+All three torque laws are one feedback-linearized form, so the closed-loop
+error dynamics are independent of the inertia matrix:
 
-  * continuous:  J(kq n_e + kw w_e + wdot_d) + w x Jw
-  * benchmark:   same with the proportional term multiplied by sgn(m_e),
-                 i.e. always torquing along the shorter rotational path
-  * switching:   J(s kq n_e + kw nu + wdot_d + s kn n_e_dot) + w x Jw with
-                 nu = w_e + s kn n_e and s in {+1, -1} picked by a
+    J(s kq n_e + kw nu + wdot_d + s kn n_e_dot) + w x Jw,  nu = w_e + s kn n_e
+
+  * continuous:  kn = 0 in the torque and s = +1
+  * benchmark:   kn = 0 in the torque and s = sgn(m_e), i.e. always
+                 torquing along the shorter rotational path
+  * switching:   the real kn and s = sigma in {+1, -1}, picked by a
                  Lyapunov-difference switching function with hysteresis
 
-The switching signal s selects which of the two antipodal closed-loop
+The switching signal sigma selects which of the two antipodal closed-loop
 equilibria is stabilized; it is updated once per control step from the
 switching function value Lambda with a dead band of width 2*delta.
 
-Each law, the error, Lambda and the sigma update have exactly one form,
-written on plain floats: the error state is a pair (q_err, w_err) of 4- and
-3-sequences and every result a tuple of floats.  The torque laws are
-factories (``_bind_pd_torque``, ``_bind_switching_torque``) that close over
-the gains and the inertia rows, each writing J a + w x Jw in its own body;
-Lambda is ``_lam(q_err, w_err, a, b)`` with a = -2 kn/kq and b = 4c.  Each
-controller binds its law and a, b once, in ``__init__``; it is then called as
-``controller(t, y)`` with the packed state y = (qw, qx, qy, qz, wx, wy, wz)
-and returns the torque and a telemetry row, both tuples of floats; the row
-has the fixed width ``simulate`` needs to fill its (N, 9) telemetry array.
-The public ndarray functions (``attitude_error``, ``continuous_torque``,
-``benchmark_torque``, ``switching_torque``, ``switch_function``,
-``nu_sigma``, ``error_vector_rate``) delegate to the same forms and wrap
-the result; ``_read`` reads an ``ErrorState`` once into flat floats, nu
-included, for ``nu_sigma`` and the certificates in ``stability``.
+The torque, the error, Lambda and the sigma update each have exactly one
+form, written on plain floats: the error state is a pair (q_err, w_err) of
+4- and 3-sequences and every result a tuple of floats.  The torque is the
+factory ``_bind_torque(kq, kw, kn, J)``, a closure over the gains and the
+inertia rows with J a + w x Jw in its body; Lambda is
+``_lam(q_err, w_err, a, b)`` with a = -2 kn/kq and b = 4c, from the real kn
+for every law.  Each controller binds its torque and a, b once, in
+``__init__``; the three differ only in their sigma rule.  A controller is
+called as ``controller(t, y)`` with the packed state
+y = (qw, qx, qy, qz, wx, wy, wz) and returns the torque and a telemetry row,
+both tuples of floats; the row has the fixed width ``simulate`` needs to
+fill its (N, 9) telemetry array.  The public ndarray functions
+(``attitude_error``, ``switch_function``, ``nu_sigma``) delegate to the same
+forms and wrap the result; ``_read`` reads an ``ErrorState`` once into flat
+floats, nu included, for ``nu_sigma`` and the certificates in ``stability``.
 """
 
 import math
@@ -133,68 +133,29 @@ def nu_sigma(err: ErrorState, sigma: int, gains: GainSet) -> np.ndarray:
     return np.array(_read(err, sigma, gains.kn)[4:])
 
 
-def _error_vector_rate(q_err, w_err):
-    m, nx, ny, nz = q_err
-    wx, wy, wz = w_err
-    return (
-        0.5 * (m * wx + wy * nz - wz * ny),
-        0.5 * (m * wy + wz * nx - wx * nz),
-        0.5 * (m * wz + wx * ny - wy * nx),
-    )
-
-
-def error_vector_rate(err: ErrorState) -> np.ndarray:
-    """Analytic rate of the error-quaternion vector part.
-
-    This is the vector part of 0.5 * [0, w_err] * q_err, exact for a
-    piecewise-constant reference; using it instead of a numerical
-    difference keeps the switching law noise-free.
-    """
-    return np.array(_error_vector_rate(err.q_err, err.w_err))
-
-
-def _bind_pd_torque(gains: GainSet, J):
-    """``torque(s, q_err, w_err, w, wdot_d)`` = J((s kq) n_e + kw w_err + wdot_d) + w x Jw:
-    the continuous law for s = +1 and the shorter-path benchmark law for s = sgn(m_e)."""
-    kq, kw = gains.kq, gains.kw
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
-
-    def torque(s, q_err, w_err, w, wdot_d):
-        wx, wy, wz = w
-        kp = s * kq
-        ax = kp * q_err[1] + kw * w_err[0] + wdot_d[0]
-        ay = kp * q_err[2] + kw * w_err[1] + wdot_d[1]
-        az = kp * q_err[3] + kw * w_err[2] + wdot_d[2]
-        jx = j00 * wx + j01 * wy + j02 * wz
-        jy = j10 * wx + j11 * wy + j12 * wz
-        jz = j20 * wx + j21 * wy + j22 * wz
-        return (
-            j00 * ax + j01 * ay + j02 * az + (wy * jz - wz * jy),
-            j10 * ax + j11 * ay + j12 * az + (wz * jx - wx * jz),
-            j20 * ax + j21 * ay + j22 * az + (wx * jy - wy * jx),
-        )
-
-    return torque
-
-
 def _shorter_path_sign(m_e) -> int:
     # sgn(0) is defined as +1; m_e = 0 is a measure-zero tie
     return +1 if m_e >= 0.0 else -1
 
 
-def _bind_switching_torque(gains: GainSet, J):
-    """``torque(sigma, q_err, w_err, w, wdot_d)`` of the switching law."""
-    kq, kw, kn = gains.kq, gains.kw, gains.kn
+def _bind_torque(kq: float, kw: float, kn: float, J):
+    """``torque(s, q_err, w_err, w, wdot_d)`` = J(s kq n_e + kw nu + wdot_d + s kn n_e_dot) + w x Jw
+    with nu = w_err + s kn n_e, bound to the gains and the inertia rows J.
+
+    The one torque form of all three laws: the switching law binds its kn;
+    the continuous (s = +1) and shorter-path (s = sgn(m_e)) laws bind kn = 0,
+    which makes nu = w_err and drops the n_e_dot term.
+    """
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
 
-    def torque(sigma, q_err, w_err, w, wdot_d):
+    def torque(s, q_err, w_err, w, wdot_d):
         m, nx, ny, nz = q_err
         ex, ey, ez = w_err
         wx, wy, wz = w
-        kp = sigma * kq
-        kd = sigma * kn
-        # nu and n_e_dot as in _read and _error_vector_rate, written out here
-        # because the two calls cost more than the arithmetic
+        kp = s * kq
+        kd = s * kn
+        # nu as in _read, written out here because the call costs more than
+        # the arithmetic; n_e_dot = vector part of 0.5 [0, w_err] q_err
         ux, uy, uz = ex + kd * nx, ey + kd * ny, ez + kd * nz
         dx = 0.5 * (m * ex + ey * nz - ez * ny)
         dy = 0.5 * (m * ey + ez * nx - ex * nz)
@@ -212,30 +173,6 @@ def _bind_switching_torque(gains: GainSet, J):
         )
 
     return torque
-
-
-def continuous_torque(
-    err: ErrorState, w: np.ndarray, wdot_d: np.ndarray, gains: GainSet, J: np.ndarray
-) -> np.ndarray:
-    return np.array(_bind_pd_torque(gains, J)(+1, err.q_err, err.w_err, w, wdot_d))
-
-
-def benchmark_torque(
-    err: ErrorState, w: np.ndarray, wdot_d: np.ndarray, gains: GainSet, J: np.ndarray
-) -> np.ndarray:
-    s = _shorter_path_sign(err.m_e)
-    return np.array(_bind_pd_torque(gains, J)(s, err.q_err, err.w_err, w, wdot_d))
-
-
-def switching_torque(
-    err: ErrorState,
-    sigma: int,
-    w: np.ndarray,
-    wdot_d: np.ndarray,
-    gains: GainSet,
-    J: np.ndarray,
-) -> np.ndarray:
-    return np.array(_bind_switching_torque(gains, J)(sigma, err.q_err, err.w_err, w, wdot_d))
 
 
 def _lam(q_err, w_err, a, b):
@@ -299,19 +236,22 @@ class _ControllerBase:
     y = (qw, qx, qy, qz, wx, wy, wz) and returns ``(tau, row)``: the torque
     as a tuple of floats and its fixed-width telemetry row of 9 floats (see
     ControlTelemetry), the row protocol of ``rigid_body.simulate``.  Its
-    torque law (``_bind_torque``) and Lambda's constants are bound once,
-    here.  Each law's ``__call__`` samples the reference and forms the error
-    itself; the measured yaw only matters until the tracker pins the stage-3
-    start, so it is unwrapped only while that is pending.
+    torque (``_bind_torque``, with kn = 0 unless the law switches) and
+    Lambda's constants are bound once, here.  Each law's ``__call__``
+    samples the reference and forms the error itself; the measured yaw only
+    matters until the tracker pins the stage-3 start, so it is unwrapped
+    only while that is pending.
     """
 
-    _bind_torque = staticmethod(_bind_pd_torque)
+    # kn inside the torque; only the switching law's nu carries it
+    _torque_kn = False
 
     def __init__(self, gains: GainSet, J: np.ndarray, tracker: ManeuverTracker):
         self.gains = gains
         self.J = np.asarray(J, dtype=float)
         self.tracker = tracker
-        self._torque = self._bind_torque(gains, self.J.tolist())
+        kn = gains.kn if self._torque_kn else 0.0
+        self._torque = _bind_torque(gains.kq, gains.kw, kn, self.J.tolist())
         self._a, self._b = -2.0 * gains.kn / gains.kq, 4.0 * gains.c
         self._prev_yaw = None
         self._yaw_accum = 0.0
@@ -355,7 +295,7 @@ class BenchmarkController(_ControllerBase):
 class SwitchingController(_ControllerBase):
     """Hysteretic Lyapunov-based switching law; owns the switch state."""
 
-    _bind_torque = staticmethod(_bind_switching_torque)
+    _torque_kn = True
 
     def __init__(self, gains: GainSet, J: np.ndarray, tracker: ManeuverTracker):
         super().__init__(gains, J, tracker)

@@ -10,8 +10,7 @@ part go negative for targets beyond pi (no shortest-path flip).
 The reference has one form, ``_bind_reference(spec)``: a closure over the
 maneuver's constants (stage-1 length, rate, axis) that returns a
 ReferenceSample of float tuples.  ``ManeuverTracker`` binds it once per run
-and its ``sample`` returns those tuples; ``reference_at`` wraps the same
-form in ndarrays.
+and its ``sample`` returns those tuples.
 """
 
 import math
@@ -58,7 +57,7 @@ class ManeuverSpec:
 
 
 class ReferenceSample(NamedTuple):
-    """Float tuples from ``ManeuverTracker.sample``, ndarrays from ``reference_at``."""
+    """One reference sample, float tuples from ``ManeuverTracker.sample``."""
 
     q_d: tuple     # (4,) desired attitude
     w_d: tuple     # (3,) rad/s, desired body rate
@@ -92,14 +91,6 @@ def _bind_reference(spec: ManeuverSpec):
         return ReferenceSample((math.cos(h), ax * s, ay * s, az * s), w0, _HOLD.wdot_d)
 
     return sample
-
-
-def reference_at(spec: ManeuverSpec, t: float, t0: float | None = None) -> ReferenceSample:
-    """Reference sample at time t, given the stage-3 start time t0, as ndarrays.
-
-    See ``_bind_reference`` for the meaning of t0.
-    """
-    return ReferenceSample(*map(np.array, _bind_reference(spec)(t, t0)))
 
 
 def stage3_initial_state(spec: ManeuverSpec) -> BodyState:

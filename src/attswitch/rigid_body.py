@@ -16,9 +16,9 @@ closure over the inertia rows, their inverse and the step size, and every
 step after that passes only float tuples: the packed state
 y = (qw, qx, qy, qz, wx, wy, wz) and the held torque tau.
 ``_bind_derivative`` is the only form of the state derivative, with the
-gyroscopic term w x Jw written in its body; ``open_loop_derivative`` and
-``rk4_step`` are ndarray wrappers over it.  ``simulate`` hands its
-controller the packed state y itself, so nothing is built per step.
+gyroscopic term w x Jw written in its body.  ``simulate`` hands its
+controller the packed state y itself, so nothing is built per step, and
+refuses runs longer than ``MAX_STEPS`` steps before it allocates them.
 """
 
 import math
@@ -33,6 +33,9 @@ DEFAULT_INERTIA = np.diag([1.66e-5, 1.66e-5, 2.93e-5])  # kg m^2, 31-g quadrotor
 DEFAULT_DT = 1e-3
 # rows per chunk of a run, in simulate and in the CSV export
 CHUNK = 256
+# longest run simulate allocates: about 1.5 GB of trajectory arrays, some
+# 800 times the longest run the paper needs
+MAX_STEPS = 10**7
 
 
 class SimulationError(RuntimeError):
@@ -69,8 +72,7 @@ def _check_step(dt: float) -> None:
 class BodyState:
     """Attitude quaternion (body w.r.t. inertial) and body-frame angular velocity.
 
-    Any 4- and 3-sequences of floats: the initial state of ``simulate`` and
-    the state of ``rk4_step``.
+    Any 4- and 3-sequences of floats: the initial state of ``simulate``.
     """
 
     q: np.ndarray  # (4,) scalar-first unit quaternion
@@ -159,20 +161,6 @@ def _packed(state: BodyState) -> tuple:
     return (*map(float, state.q), *map(float, state.w))
 
 
-def open_loop_derivative(state: BodyState, tau: np.ndarray, J: np.ndarray):
-    """State derivative (q_dot, w_dot) for torque tau."""
-    d = _bind_derivative(*_inertia_rows(J))(*_packed(state), *map(float, tau))
-    return np.array(d[:4]), np.array(d[4:])
-
-
-def rk4_step(state: BodyState, tau: np.ndarray, J: np.ndarray, dt: float) -> BodyState:
-    """One RK4 step of the open-loop dynamics with tau held constant."""
-    y = bind_rk4(J, dt)(_packed(state), tuple(map(float, tau)))
-    if not _all_finite(y):
-        raise SimulationError(f"non-finite state after step: q={y[:4]}, w={y[4:]}")
-    return BodyState(q=np.array(y[:4]), w=np.array(y[4:]))
-
-
 @dataclass
 class Trajectory:
     """Sampled closed-loop run: one row per physics step plus the final state.
@@ -215,13 +203,20 @@ def simulate(
     converted into its slice of the preallocated arrays, so at most one
     chunk of per-step tuples is alive at any time.
     Returns a Trajectory with one row per physics step plus the final state.
-    Controller and integration failures are re-raised as SimulationError
+    A run of more than MAX_STEPS steps raises ValueError before anything is
+    allocated.  Controller and integration failures are re-raised as SimulationError
     tagged with the failure time.
     """
     if not (math.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be non-negative and finite, got {duration}")
     step = bind_rk4(validate_inertia(J), dt)
-    n_steps = int(round(duration / dt))
+    steps = duration / dt
+    if steps >= MAX_STEPS + 0.5:
+        raise ValueError(
+            f"a run of {duration:g} s at dt = {dt:g} s takes {steps:.3g} steps,"
+            f" more than the {MAX_STEPS} a run may take"
+        )
+    n_steps = int(round(steps))
     y = _packed(state)
     n = n_steps + 1
     ys_out, taus_out, tel = np.empty((n, 7)), np.empty((n, 3)), None

@@ -70,11 +70,6 @@ def roa_contains(err: ErrorState, sigma: int, gains: GainSet) -> bool:
     return lyapunov_value(err, sigma, gains) < 4.0 * gains.c
 
 
-def exp_region_contains(err: ErrorState, sigma: int = +1) -> bool:
-    """Membership in the exponential-rate region {sigma * m_e > 0}."""
-    return sigma * err.m_e > 0.0
-
-
 def p_matrix_certificate(gains: GainSet):
     """Build the 2x2 decrease-certificate matrix and test its definiteness.
 
@@ -262,7 +257,6 @@ __all__ = [
     "lyapunov_decay_bound",
     "lyapunov_rate",
     "roa_contains",
-    "exp_region_contains",
     "p_matrix_certificate",
     "closed_loop_field",
     "error_jacobian",

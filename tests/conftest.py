@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from attswitch.controllers import _bind_torque, _shorter_path_sign
 from attswitch.harness import CSV_HEADER
 from attswitch.quat import quat_kinematics
 
@@ -27,6 +28,19 @@ def half_rate_left(w, q):
             m * w[2] + w[0] * n[1] - w[1] * n[0],
         ]
     )
+
+
+def law_torque(law, err, w, gains, J, sigma=+1):
+    """Torque of ``law`` at an ErrorState through the one bound torque form,
+    with zero feedforward: kn = 0 in the torque and s = +1 (continuous) or
+    sgn(m_e) (benchmark), or the gains' kn and s = sigma (switching)."""
+    if law == "switching":
+        kn, s = gains.kn, sigma
+    else:
+        kn, s = 0.0, _shorter_path_sign(err.m_e) if law == "benchmark" else +1
+    torque = _bind_torque(gains.kq, gains.kw, kn, np.asarray(J, dtype=float).tolist())
+    w = np.asarray(w, dtype=float).tolist()
+    return np.array(torque(s, err.q_err.tolist(), err.w_err.tolist(), w, (0.0, 0.0, 0.0)))
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from attswitch.harness import (
     run_scenario,
 )
 from attswitch.quat import IDENTITY, rotate_vector
-from attswitch.rigid_body import BodyState, rk4_step, simulate
+from attswitch.rigid_body import BodyState, bind_rk4, simulate
 from attswitch.stability import (
     closed_loop_field,
     error_jacobian,
@@ -193,11 +193,10 @@ def test_criterion_8_numerical_hygiene():
             assert np.linalg.norm(h - h0) / np.linalg.norm(h0) <= 1e-6
 
         def terminal(dt):
-            st = BodyState(q=IDENTITY.copy(), w=np.array([4.0, 2.4, -3.2]))
-            tau = np.zeros(3)
+            step, y = bind_rk4(J, dt), (1.0, 0.0, 0.0, 0.0, 4.0, 2.4, -3.2)
             for _ in range(int(round(1.0 / dt))):
-                st = rk4_step(st, tau, J, dt)
-            return np.concatenate([st.q, st.w])
+                y = step(y, (0.0, 0.0, 0.0))
+            return np.array(y)
 
         ref = terminal(1e-5)
         errs = [np.linalg.norm(terminal(dt) - ref) for dt in (8e-3, 4e-3, 2e-3)]

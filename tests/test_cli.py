@@ -144,6 +144,23 @@ class TestSimulateCommand:
         assert "positive yaw rate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # stage 2 sized from a 1e-13 rad/s yaw rate: a 1.91 EiB state array
+            ["--mode", "full", "--ic=1e-13,150"],
+            # 1e12 steps: 50.9 TiB of trajectory arrays
+            ["--ic=2,150", "--horizon", "1e9"],
+        ],
+    )
+    def test_run_past_step_limit_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert main(["simulate", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "more than the 10000000 a run may take" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_stage3_mode_negative_yaw_rate_runs(self, tmp_path, capsys):
         out = tmp_path / "run"
         args = ["simulate", "--mode", "stage3", "--ic=-2,150", "--horizon", "0.5"]

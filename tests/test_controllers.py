@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,19 +12,15 @@ from attswitch.controllers import (
     SwitchingController,
     SwitchState,
     attitude_error,
-    benchmark_torque,
-    continuous_torque,
-    error_vector_rate,
     nu_sigma,
     switch_function,
-    switching_torque,
     update_sigma,
 )
 from attswitch.quat import IDENTITY, from_axis_angle, quat_inverse, quat_mul
 from attswitch.reference import MODE_STAGE3, ManeuverSpec, ManeuverTracker, stage3_initial_state
-from attswitch.rigid_body import BodyState, open_loop_derivative
+from attswitch.rigid_body import _bind_derivative
 
-from conftest import half_rate_left, integrate_feedback, rand_unit_quat
+from conftest import half_rate_left, integrate_feedback, law_torque, rand_unit_quat
 
 B3 = np.array([0.0, 0.0, 1.0])
 PAPER_GAINS = GainSet(kq=10.0, kw=100.0, kn=10.0, c=2.0, delta=0.1)
@@ -87,13 +82,13 @@ class TestAttitudeError:
 class TestContinuousTorque:
     def test_fixed_point_zero_torque(self):
         err = ErrorState(q_err=IDENTITY.copy(), w_err=np.zeros(3))
-        tau = continuous_torque(err, np.zeros(3), np.zeros(3), PAPER_GAINS, np.eye(3))
+        tau = law_torque("continuous", err, np.zeros(3), PAPER_GAINS, np.eye(3))
         assert np.allclose(tau, 0.0)
 
     def test_arithmetic_example(self):
         # arithmetic oracle: 10*(-sin 50 deg) + 100*(-2), spherical J kills the gyro term
         err = err_for(100.0, 2.0)
-        tau = continuous_torque(err, np.array([0.0, 0.0, 2.0]), np.zeros(3), PAPER_GAINS, np.eye(3))
+        tau = law_torque("continuous", err, np.array([0.0, 0.0, 2.0]), PAPER_GAINS, np.eye(3))
         expected = 10.0 * (-math.sin(math.radians(50.0))) + 100.0 * (-2.0)
         assert tau[2] == pytest.approx(expected, abs=1e-12)
         assert tau[2] == pytest.approx(-207.66044, abs=1e-4)
@@ -102,8 +97,8 @@ class TestContinuousTorque:
     def test_linear_in_inertia_at_rest(self):
         err = err_for(60.0, 0.5)
         J = np.diag([1.0, 2.0, 3.0])
-        t1 = continuous_torque(err, np.zeros(3), np.zeros(3), PAPER_GAINS, J)
-        t2 = continuous_torque(err, np.zeros(3), np.zeros(3), PAPER_GAINS, 2.0 * J)
+        t1 = law_torque("continuous", err, np.zeros(3), PAPER_GAINS, J)
+        t2 = law_torque("continuous", err, np.zeros(3), PAPER_GAINS, 2.0 * J)
         assert np.allclose(t2, 2.0 * t1)
 
 
@@ -111,30 +106,30 @@ class TestBenchmarkTorque:
     def test_matches_continuous_for_positive_scalar(self):
         err = err_for(100.0, 2.0)
         w = np.array([0.0, 0.0, 2.0])
-        tb = benchmark_torque(err, w, np.zeros(3), PAPER_GAINS, np.eye(3))
-        tc = continuous_torque(err, w, np.zeros(3), PAPER_GAINS, np.eye(3))
+        tb = law_torque("benchmark", err, w, PAPER_GAINS, np.eye(3))
+        tc = law_torque("continuous", err, w, PAPER_GAINS, np.eye(3))
         assert np.allclose(tb, tc)
 
     def test_flips_proportional_term_for_negative_scalar(self):
         err = err_for(210.0, 2.0)
         w = np.array([0.0, 0.0, 2.0])
         J = np.eye(3)
-        tb = benchmark_torque(err, w, np.zeros(3), PAPER_GAINS, J)
-        tc = continuous_torque(err, w, np.zeros(3), PAPER_GAINS, J)
+        tb = law_torque("benchmark", err, w, PAPER_GAINS, J)
+        tc = law_torque("continuous", err, w, PAPER_GAINS, J)
         assert np.allclose(tb - tc, -2.0 * PAPER_GAINS.kq * err.n_e)
 
     def test_sign_of_zero_is_plus(self):
         err = ErrorState(
             q_err=np.array([0.0, 0.0, 0.0, 1.0]), w_err=np.array([0.0, 0.0, -1.0])
         )
-        tb = benchmark_torque(err, np.zeros(3), np.zeros(3), PAPER_GAINS, np.eye(3))
-        tc = continuous_torque(err, np.zeros(3), np.zeros(3), PAPER_GAINS, np.eye(3))
+        tb = law_torque("benchmark", err, np.zeros(3), PAPER_GAINS, np.eye(3))
+        tc = law_torque("continuous", err, np.zeros(3), PAPER_GAINS, np.eye(3))
         assert np.allclose(tb, tc)
 
     def test_zero_error_zero_torque(self):
         err = ErrorState(q_err=IDENTITY.copy(), w_err=np.zeros(3))
         assert np.allclose(
-            benchmark_torque(err, np.zeros(3), np.zeros(3), PAPER_GAINS, np.eye(3)), 0.0
+            law_torque("benchmark", err, np.zeros(3), PAPER_GAINS, np.eye(3)), 0.0
         )
 
 
@@ -155,54 +150,46 @@ class TestNuSigma:
             assert np.allclose(nu_sigma(err, s, PAPER_GAINS), err.w_err)
 
 
+def _error_vector_rate(err):
+    # vector part of 0.5 [0, w_err] q_err, the rate of n_e for a constant reference
+    m, n, w = err.m_e, err.n_e, err.w_err
+    return 0.5 * (m * w + np.cross(w, n))
+
+
 class TestSwitchingTorque:
     def test_fixed_point_zero_torque(self):
         err = ErrorState(q_err=IDENTITY.copy(), w_err=np.zeros(3))
         for s in (+1, -1):
-            tau = switching_torque(err, s, np.zeros(3), np.zeros(3), PAPER_GAINS, np.eye(3))
+            tau = law_torque("switching", err, np.zeros(3), PAPER_GAINS, np.eye(3), s)
             assert np.allclose(tau, 0.0)
 
     def test_closed_loop_substitution_identity(self, rng):
-        # algebraic substitution oracle: plugging the commanded torque into the
-        # open-loop dynamics must produce nu_dot = -(s*kq*n_e + kw*nu) exactly,
-        # for any SPD inertia (certifies the J and gyro cancellation)
-        for _ in range(50):
-            q = rand_unit_quat(rng)
-            q_d = rand_unit_quat(rng)
-            w = rng.normal(size=3) * 3.0
-            M = rng.normal(size=(3, 3))
-            J = M @ M.T + 0.5 * np.eye(3)
-            for s in (+1, -1):
+        # algebraic substitution oracle: plugging each law's commanded torque
+        # into the open-loop dynamics must produce nu_dot = -(s*kq*n_e + kw*nu)
+        # exactly, nu = w_e + s*kn*n_e with the torque's kn, for any SPD
+        # inertia (certifies the J and gyro cancellation).  The continuous
+        # (s = +1) and benchmark (s = sgn m_e) laws are the kn = 0 case:
+        # w_e_dot = -(s*kq*n_e + kw*w_e).
+        g = PAPER_GAINS
+        laws = [("continuous", None), ("benchmark", None), ("switching", +1), ("switching", -1)]
+        for law, sigma in laws:
+            kn = g.kn if law == "switching" else 0.0
+            for _ in range(50):
+                q = rand_unit_quat(rng)
+                q_d = rand_unit_quat(rng)
+                w = rng.normal(size=3) * 3.0
+                M = rng.normal(size=(3, 3))
+                J = M @ M.T + 0.5 * np.eye(3)
+                assert np.count_nonzero(J - np.diag(np.diag(J))) == 6
                 err = attitude_error(q, q_d, w, np.zeros(3))
-                tau = switching_torque(err, s, w, np.zeros(3), PAPER_GAINS, J)
-                _, wdot = open_loop_derivative(BodyState(q, w), tau, J)
-                nudot = -wdot + s * PAPER_GAINS.kn * error_vector_rate(err)
-                nu = nu_sigma(err, s, PAPER_GAINS)
-                rhs = -(s * PAPER_GAINS.kq * err.n_e + PAPER_GAINS.kw * nu)
-                assert np.max(np.abs(nudot - rhs)) <= 1e-9
-
-    def test_reduces_to_continuous_as_kn_vanishes(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # tiny kn trips the c_max advisory
-            g = GainSet(kq=10.0, kw=100.0, kn=1e-9, c=2.0, delta=0.1)
-        err = err_for(100.0, 2.0)
-        w = np.array([0.0, 0.0, 2.0])
-        ts = switching_torque(err, +1, w, np.zeros(3), g, np.eye(3))
-        tc = continuous_torque(err, w, np.zeros(3), g, np.eye(3))
-        assert np.max(np.abs(ts - tc)) <= 1e-6
-
-    @pytest.mark.parametrize("psi_deg,sigma", [(100.0, +1), (210.0, -1)])
-    def test_agrees_with_benchmark_when_signs_match(self, psi_deg, sigma):
-        # with sgn(m_e) = sigma and kn -> 0 the two laws coincide term-for-term
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g = GainSet(kq=10.0, kw=100.0, kn=1e-9, c=2.0, delta=0.1)
-        err = err_for(psi_deg, 2.0)
-        assert (1 if err.m_e >= 0 else -1) == sigma
-        w = np.array([0.0, 0.0, 2.0])
-        ts = switching_torque(err, sigma, w, np.zeros(3), g, np.eye(3))
-        tb = benchmark_torque(err, w, np.zeros(3), g, np.eye(3))
-        assert np.max(np.abs(ts - tb)) <= 1e-6
+                s = {"continuous": +1, "benchmark": 1 if err.m_e >= 0.0 else -1}.get(law, sigma)
+                tau = law_torque(law, err, w, g, J, sigma)
+                f = _bind_derivative(J.tolist(), np.linalg.inv(J).tolist())
+                wdot = np.array(f(*q, *w, *tau)[4:])
+                nu = err.w_err + s * kn * err.n_e
+                nudot = -wdot + s * kn * _error_vector_rate(err)
+                rhs = -(s * g.kq * err.n_e + g.kw * nu)
+                assert np.max(np.abs(nudot - rhs)) <= 1e-9, (law, sigma)
 
 
 class TestSwitchFunction:
@@ -287,7 +274,7 @@ class TestClosedLoopEquivalence:
         q_d = from_axis_angle(np.array([1.0, 2.0, -1.0]) / math.sqrt(6.0), 0.8)
 
         def torque_of(q, w):
-            return continuous_torque(attitude_error(q, q_d, w, np.zeros(3)), w, np.zeros(3), g, self.J)
+            return law_torque("continuous", attitude_error(q, q_d, w, np.zeros(3)), w, g, self.J)
 
         q0 = from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.5)
         _, q, w = integrate_feedback(q0, np.array([0.2, -0.1, 0.3]), torque_of, self.J, self.DT, self.STEPS)
@@ -309,7 +296,7 @@ class TestClosedLoopEquivalence:
 
         def torque_of(q, w):
             err = attitude_error(q, q_d, w, np.zeros(3))
-            return switching_torque(err, sigma, w, np.zeros(3), g, self.J)
+            return law_torque("switching", err, w, g, self.J, sigma)
 
         q0 = from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.4)
         _, q, w = integrate_feedback(q0, np.array([0.1, 0.2, -0.3]), torque_of, self.J, self.DT, self.STEPS)

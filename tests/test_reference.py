@@ -9,11 +9,17 @@ from attswitch.reference import (
     MODE_STAGE3,
     ManeuverSpec,
     ManeuverTracker,
-    reference_at,
+    ReferenceSample,
+    _bind_reference,
     stage3_initial_state,
 )
 
 B3 = np.array([0.0, 0.0, 1.0])
+
+
+def sample(spec, t, t0):
+    """The bound reference of ``spec`` at time t, its fields as ndarrays."""
+    return ReferenceSample(*map(np.array, _bind_reference(spec)(t, t0)))
 
 
 def yaw_spec(wz, psi0_deg, mode=MODE_FULL, stage1=1.0):
@@ -45,7 +51,7 @@ class TestManeuverSpec:
 class TestReferenceAt:
     def test_stage1_identity(self):
         spec = yaw_spec(2.0, 100.0)
-        ref = reference_at(spec, 0.5, None)
+        ref = sample(spec, 0.5, None)
         assert np.allclose(ref.q_d, IDENTITY)
         assert np.allclose(ref.w_d, 0.0)
         assert np.allclose(ref.wdot_d, 0.0)
@@ -54,14 +60,14 @@ class TestReferenceAt:
         # angle oracle: |w0| * elapsed = 2 * (radians(100)/2) = 100 deg
         spec = yaw_spec(2.0, 150.0)
         elapsed = math.radians(100.0) / 2.0
-        ref = reference_at(spec, spec.stage1_duration + elapsed, None)
+        ref = sample(spec, spec.stage1_duration + elapsed, None)
         expected = from_axis_angle(B3, math.radians(100.0))
         assert np.allclose(ref.q_d, expected, atol=1e-12)
         assert np.allclose(ref.w_d, [0.0, 0.0, 2.0])
 
     def test_stage3_steps_back_to_identity(self):
         spec = yaw_spec(2.0, 100.0)
-        ref = reference_at(spec, 5.0, 2.0)
+        ref = sample(spec, 5.0, 2.0)
         assert np.allclose(ref.q_d, IDENTITY)
         assert np.allclose(ref.w_d, 0.0)
         assert np.allclose(ref.wdot_d, 0.0)
@@ -71,10 +77,10 @@ class TestReferenceAt:
         spec = yaw_spec(3.0, 200.0)
         h = 1e-5
         for t in (1.2, 1.7, 2.0):
-            qp = reference_at(spec, t + h, None).q_d
-            qm = reference_at(spec, t - h, None).q_d
+            qp = sample(spec, t + h, None).q_d
+            qm = sample(spec, t - h, None).q_d
             fd = (qp - qm) / (2.0 * h)
-            ref = reference_at(spec, t, None)
+            ref = sample(spec, t, None)
             analytic = quat_kinematics(ref.q_d, ref.w_d)
             assert np.max(np.abs(fd - analytic)) <= 1e-6
 
@@ -83,12 +89,12 @@ class TestReferenceAt:
         t0 = spec.stage1_duration + math.radians(100.0) / 2.0
         h = 1e-9
         # continuous across the stage-1/2 boundary
-        q_before = reference_at(spec, spec.stage1_duration - h, t0).q_d
-        q_after = reference_at(spec, spec.stage1_duration + h, t0).q_d
+        q_before = sample(spec, spec.stage1_duration - h, t0).q_d
+        q_after = sample(spec, spec.stage1_duration + h, t0).q_d
         assert np.max(np.abs(q_after - q_before)) <= 1e-8
         # discontinuous at t0
-        q_before = reference_at(spec, t0 - h, t0).q_d
-        q_after = reference_at(spec, t0 + h, t0).q_d
+        q_before = sample(spec, t0 - h, t0).q_d
+        q_after = sample(spec, t0 + h, t0).q_d
         assert np.max(np.abs(q_after - q_before)) > 0.1
 
 

@@ -9,11 +9,13 @@ from attswitch.rigid_body import (
     CHUNK,
     BodyState,
     SimulationError,
-    open_loop_derivative,
-    rk4_step,
+    _bind_derivative,
+    bind_rk4,
     simulate,
     validate_inertia,
 )
+
+from conftest import law_torque
 
 TUMBLE_J = np.diag([1.66e-5, 1.86e-5, 2.93e-5])
 TUMBLE_W = np.array([1.0, 0.6, -0.8])
@@ -21,6 +23,21 @@ TUMBLE_W = np.array([1.0, 0.6, -0.8])
 
 def zero_controller(t, y):
     return np.zeros(3), ()
+
+
+def derivative(s, tau, J):
+    """(q_dot, w_dot) of a BodyState under torque tau, from the bound derivative."""
+    J = np.asarray(J, dtype=float)
+    d = _bind_derivative(J.tolist(), np.linalg.inv(J).tolist())(*s.q, *s.w, *tau)
+    return np.array(d[:4]), np.array(d[4:])
+
+
+def rk4_steps(y, J, dt, n):
+    """Packed state after n torque-free steps of the bound RK4 step."""
+    step = bind_rk4(J, dt)
+    for _ in range(n):
+        y = step(y, (0.0, 0.0, 0.0))
+    return np.array(y)
 
 
 class TestValidateInertia:
@@ -46,49 +63,40 @@ class TestValidateInertia:
 class TestOpenLoopDerivative:
     def test_equilibrium(self):
         s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
-        qdot, wdot = open_loop_derivative(s, np.zeros(3), np.diag([1.0, 2.0, 3.0]))
+        qdot, wdot = derivative(s, np.zeros(3), np.diag([1.0, 2.0, 3.0]))
         assert np.allclose(qdot, 0.0)
         assert np.allclose(wdot, 0.0)
 
     def test_diagonal_scaling(self):
         s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
-        _, wdot = open_loop_derivative(s, np.array([0.0, 0.0, 1.0]), np.diag([2.0, 2.0, 2.0]))
+        _, wdot = derivative(s, np.array([0.0, 0.0, 1.0]), np.diag([2.0, 2.0, 2.0]))
         assert np.allclose(wdot, [0.0, 0.0, 0.5])
 
     def test_gyroscopic_term(self):
         # hand cross-product oracle: w x Jw = (1,1,0) x (1,2,0) = (0,0,1)
         J = np.diag([1.0, 2.0, 3.0])
         s = BodyState(q=IDENTITY.copy(), w=np.array([1.0, 1.0, 0.0]))
-        _, wdot = open_loop_derivative(s, np.zeros(3), J)
+        _, wdot = derivative(s, np.zeros(3), J)
         assert np.allclose(wdot, [0.0, 0.0, -1.0 / 3.0])
 
 
 class TestRk4Step:
     def test_zero_derivative_keeps_state(self):
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
-        s2 = rk4_step(s, np.zeros(3), np.diag([1.0, 2.0, 3.0]), 1e-3)
-        assert np.allclose(s2.q, s.q)
-        assert np.allclose(s2.w, s.w)
+        y = rk4_steps((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), np.diag([1.0, 2.0, 3.0]), 1e-3, 1)
+        assert np.allclose(y, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_principal_axis_spin_keeps_rate(self):
-        s = BodyState(q=IDENTITY.copy(), w=np.array([0.0, 0.0, 3.0]))
-        J = np.diag([1.0, 2.0, 3.0])
-        for _ in range(100):
-            s = rk4_step(s, np.zeros(3), J, 1e-3)
-        assert np.allclose(s.w, [0.0, 0.0, 3.0], atol=1e-12)
+        y = rk4_steps((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0), np.diag([1.0, 2.0, 3.0]), 1e-3, 100)
+        assert np.allclose(y[4:], [0.0, 0.0, 3.0], atol=1e-12)
 
     def test_rejects_nonpositive_dt(self):
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
         with pytest.raises(ValueError):
-            rk4_step(s, np.zeros(3), np.eye(3), 0.0)
+            bind_rk4(np.eye(3), 0.0)
 
     def test_yaw_after_785_steps(self):
         # exact rotation angle: 785 steps x 1e-3 s x 2 rad/s = 1.57 rad
-        s = BodyState(q=IDENTITY.copy(), w=np.array([0.0, 0.0, 2.0]))
-        J = np.diag([1.0, 1.0, 2.0])
-        for _ in range(785):
-            s = rk4_step(s, np.zeros(3), J, 1e-3)
-        assert yaw_of(s.q) == pytest.approx(1.5700, abs=1e-6)
+        y = rk4_steps((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0), np.diag([1.0, 1.0, 2.0]), 1e-3, 785)
+        assert yaw_of(y[:4]) == pytest.approx(1.5700, abs=1e-6)
 
 
 class TestSimulate:
@@ -151,6 +159,23 @@ class TestSimulate:
         with pytest.raises(ValueError, match="finite"):
             simulate(s, zero_controller, np.eye(3), dt, duration)
 
+    def test_rejects_runs_past_step_limit(self, monkeypatch):
+        from attswitch import rigid_body
+
+        calls = []
+
+        def counting_controller(t, y):
+            calls.append(t)
+            return np.zeros(3), ()
+
+        monkeypatch.setattr(rigid_body, "MAX_STEPS", 5)
+        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
+        assert len(simulate(s, counting_controller, np.eye(3), 0.25, 1.25)) == 6
+        calls.clear()
+        with pytest.raises(ValueError, match="more than the 5 a run may take"):
+            simulate(s, counting_controller, np.eye(3), 0.25, 1.5)
+        assert calls == []
+
     def test_controller_error_carries_timestamp(self):
         def bad_controller(t, y):
             if t > 0.01:
@@ -172,7 +197,7 @@ class TestSimulate:
     def test_small_error_regulation_decays_monotonically(self):
         # proportional-derivative law from a small tilt: after the rate
         # transient both error norms shrink monotonically
-        from attswitch.controllers import GainSet, attitude_error, continuous_torque
+        from attswitch.controllers import GainSet, attitude_error
 
         # critically damped for the error kinematics n_dot ~ w_e/2:
         # lam^2 + kw*lam + kq/2 = 0 with kw^2 = 2*kq gives a -10 double root
@@ -183,7 +208,7 @@ class TestSimulate:
         def controller(t, y):
             q, w = np.array(y[:4]), np.array(y[4:])
             err = attitude_error(q, q_d, w, np.zeros(3))
-            tau = continuous_torque(err, w, np.zeros(3), g, J)
+            tau = law_torque("continuous", err, w, g, J)
             return tau, (*err.n_e, *err.w_err)
 
         axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
@@ -236,11 +261,8 @@ class TestConservation:
 
     def test_fourth_order_convergence(self):
         def terminal(dt):
-            st = BodyState(q=IDENTITY.copy(), w=np.array([4.0, 2.4, -3.2]))
-            tau = np.zeros(3)
-            for _ in range(int(round(1.0 / dt))):
-                st = rk4_step(st, tau, TUMBLE_J, dt)
-            return np.concatenate([st.q, st.w])
+            y0 = (1.0, 0.0, 0.0, 0.0, 4.0, 2.4, -3.2)
+            return rk4_steps(y0, TUMBLE_J, dt, int(round(1.0 / dt)))
 
         ref = terminal(1e-5)
         errs = [np.linalg.norm(terminal(dt) - ref) for dt in (8e-3, 4e-3, 2e-3)]

@@ -18,7 +18,6 @@ from attswitch.reference import ManeuverSpec
 from attswitch.stability import (
     closed_loop_field,
     error_jacobian,
-    exp_region_contains,
     exponential_rate_check,
     format_stability_report,
     inter_switch_decrease_check,
@@ -34,6 +33,7 @@ from attswitch.stability import (
 
 from conftest import (
     integrate_feedback,
+    law_torque,
     rand_unit_quat,
     reference_error_jacobian,
     reference_lyapunov_decay_bound,
@@ -202,13 +202,11 @@ class TestExactRate:
         # FD of V along a gently-gained closed-loop trajectory, dt = 1e-4
         g = GENTLE_GAINS
         J = np.diag([1.0, 2.0, 3.0])
-        from attswitch.controllers import switching_torque
-
         sigma = +1
 
         def torque_of(q, w):
             err = attitude_error(q, IDENTITY, w, np.zeros(3))
-            return switching_torque(err, sigma, w, np.zeros(3), g, J)
+            return law_torque("switching", err, w, g, J, sigma)
 
         q0 = from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.8)
         dt, n_steps = 1e-4, 400
@@ -260,14 +258,6 @@ class TestRegions:
     def test_identity_inside(self):
         err = ErrorState(q_err=IDENTITY.copy(), w_err=np.zeros(3))
         assert roa_contains(err, +1, SWITCHING_GAINS)
-
-    def test_exp_region(self):
-        assert exp_region_contains(ErrorState(q_err=IDENTITY.copy(), w_err=np.zeros(3)))
-        on_boundary = ErrorState(q_err=np.array([0.0, 0.0, 0.0, 1.0]), w_err=np.zeros(3))
-        assert not exp_region_contains(on_boundary)
-        neg = initial_error_state(2.0, 210.0)
-        assert not exp_region_contains(neg, +1)
-        assert exp_region_contains(neg, -1)
 
 
 class TestPMatrix:
