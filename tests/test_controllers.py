@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,29 @@ class TestSwitchingTorque:
                 nudot = -wdot + s * kn * _error_vector_rate(err)
                 rhs = -(s * g.kq * err.n_e + g.kw * nu)
                 assert np.max(np.abs(nudot - rhs)) <= 1e-9, (law, sigma)
+
+    def test_reduces_to_continuous_as_kn_vanishes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # tiny kn trips the c_max advisory
+            g = GainSet(kq=10.0, kw=100.0, kn=1e-9, c=2.0, delta=0.1)
+        err = err_for(100.0, 2.0)
+        w = np.array([0.0, 0.0, 2.0])
+        ts = law_torque("switching", err, w, g, np.eye(3), +1)
+        tc = law_torque("continuous", err, w, g, np.eye(3))
+        assert np.max(np.abs(ts - tc)) <= 1e-6
+
+    @pytest.mark.parametrize("psi_deg,sigma", [(100.0, +1), (210.0, -1)])
+    def test_agrees_with_benchmark_when_signs_match(self, psi_deg, sigma):
+        # with sgn(m_e) = sigma and kn -> 0 the two laws coincide term-for-term
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = GainSet(kq=10.0, kw=100.0, kn=1e-9, c=2.0, delta=0.1)
+        err = err_for(psi_deg, 2.0)
+        assert (1 if err.m_e >= 0 else -1) == sigma
+        w = np.array([0.0, 0.0, 2.0])
+        ts = law_torque("switching", err, w, g, np.eye(3), sigma)
+        tb = law_torque("benchmark", err, w, g, np.eye(3))
+        assert np.max(np.abs(ts - tb)) <= 1e-6
 
 
 class TestSwitchFunction:
