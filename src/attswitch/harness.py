@@ -139,6 +139,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
     if spec.mode == MODE_STAGE3:
         state = stage3_initial_state(spec)
         duration = scenario.horizon_after_t0
+        # round(h/dt) steps can end short of h (h = 1.0004 at dt = 1e-3,
+        # or a half rounded to even): take one more step so the window fits
+        n_steps = round(duration / scenario.dt)
+        if duration > n_steps * scenario.dt + 1e-9:
+            duration = (n_steps + 1) * scenario.dt
     else:
         state = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
         stage2_allowance = 1.5 * spec.psi0 / math.sqrt(float(spec.w0 @ spec.w0)) + 0.5
@@ -369,17 +374,27 @@ def export_run(run: RunResult, path) -> None:
     """Write the run telemetry as CSV (17 significant digits, byte-stable).
 
     The rows are formatted CHUNK at a time: each block is stacked from
-    slices of the run's arrays and written with one string format.
+    slices of the run's arrays and written with one string format.  A
+    column whose bits do not change within the block (the x/y parts of a
+    yaw maneuver, sigma between switches) is formatted once with the same
+    "%.17g" into that block's row template, and only the other columns go
+    through the format.  Comparing bits, not values, keeps -0.0 and 0.0
+    apart, so the bytes are those of formatting every cell.
     """
     cols = (run.t, run.q, run.w, run.m_e, run.n_e, run.w_e, run.tau, run.sigma, run.lam, run.V)
-    line = ",".join(["%.17g"] * (CSV_HEADER.count(",") + 1)) + "\n"
     try:
         with open(path, "w") as f:
             f.write(CSV_HEADER + "\n")
             for a in range(0, len(run.t), CHUNK):
                 # column_stack promotes the int sigma column to float
                 block = np.column_stack([c[a : a + CHUNK] for c in cols])
-                f.write((line * len(block)) % tuple(block.ravel().tolist()))
+                bits = block.view(np.uint64)
+                fixed = (bits == bits[0]).all(axis=0)
+                # "%.17g" text holds no "%", so a literal needs no escaping
+                line = ",".join(
+                    "%.17g" % v if k else "%.17g" for v, k in zip(block[0].tolist(), fixed)
+                ) + "\n"
+                f.write((line * len(block)) % tuple(block[:, ~fixed].ravel().tolist()))
     except OSError as exc:
         raise OSError(f"cannot write telemetry to {path}: {exc}") from exc
 

@@ -60,6 +60,18 @@ class TestTableCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("horizon", ["1.0004", "0.0025"])
+    def test_horizon_between_steps_runs(self, tmp_path, horizon):
+        # round(h/dt) steps end short of h, so one more step is taken
+        out = tmp_path / "run"
+        assert main(["simulate", "--ic", "2,150", "--horizon", horizon, "--out", str(out)]) == 0
+        report = dict(
+            line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines()[1:]
+        )
+        assert float(report["tf"]) == float(horizon)
+        last = (out / "telemetry.csv").read_text().splitlines()[-1]
+        assert float(last.split(",", 1)[0]) >= float(horizon)
+
     def test_run_directory_contents_exact(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(
@@ -241,6 +253,12 @@ class TestCompareCommand:
         assert "ic_4_100,switching," in text
         assert (out / "params.txt").exists()
 
+    def test_step_not_dividing_the_horizon_runs(self, tmp_path):
+        # 3 s at dt = 1.1 ms: 2727 steps end at 2.9997 s, so 2728 are taken
+        out = tmp_path / "cmp"
+        assert main(["compare", "--repeats", "1", "--dt", "0.0011", "--out", str(out)]) == 0
+        assert "ic_2_150,switching," in (out / "report.txt").read_text()
+
     @pytest.mark.parametrize("flag,value", [("--perturb-wz", "inf"), ("--perturb-psi", "nan")])
     def test_nonfinite_perturbation_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "cmp"
@@ -282,6 +300,12 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("wz,psi0_deg,sigma_t0,V_t0,in_roa")
         assert len(lines) == 1 + 4
+
+    def test_horizon_between_steps_runs(self, tmp_path):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--wz", "2,2,1", "--psi", "150,150,1", "--horizon", "1.0004"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().strip().splitlines()) == 2
 
     def test_horizon_shorter_than_a_step_usage_error(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -183,3 +183,26 @@ def test_nondiagonal_inertia_matches_reference(i):
             dev = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert dev <= 1e-12, (law, name, dev)
         assert run.switch_times == ref["switch_times"]
+
+
+def _deviation_from_default_inertia(law, wz, psi0_deg, J, dt):
+    a, b = (
+        run_scenario(make_ic_scenario(wz, psi0_deg, law, inertia=j, dt=dt, horizon=1.0))
+        for j in (None, J)
+    )
+    assert a.switch_times == b.switch_times
+    assert np.array_equal(a.sigma, b.sigma)
+    return max(np.max(np.abs(a.q - b.q)), np.max(np.abs(a.w_e - b.w_e)))
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("wz,psi0_deg", [(2.0, 150.0), (4.0, 100.0)])
+def test_nondiagonal_inertia_run_converges_to_diagonal_run(law, wz, psi0_deg):
+    # In continuous time the torque cancels J exactly, so the error
+    # dynamics do not depend on it; the torque held over each step leaves a
+    # first-order difference, which halves with dt.
+    J = _random_spd(np.random.default_rng(20241018))
+    devs = [_deviation_from_default_inertia(law, wz, psi0_deg, J, dt)
+            for dt in (2e-3, 1e-3, 5e-4, 2.5e-4)]
+    ratios = [coarse / fine for coarse, fine in zip(devs, devs[1:])]
+    assert all(1.8 <= r <= 2.4 for r in ratios), (devs, ratios)

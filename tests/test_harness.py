@@ -163,6 +163,20 @@ class TestRunScenario:
             assert np.array_equal(getattr(r1, field), getattr(r2, field))
         assert r1.gamma_tau == r2.gamma_tau
 
+    def test_whole_step_horizon_keeps_its_step_count(self):
+        run = run_scenario(make_ic_scenario(2.0, 150.0, "switching", horizon=3.0))
+        assert len(run.t) == 3001
+        assert run.t[-1] == run.tf == 3.0
+
+    @pytest.mark.parametrize(
+        "horizon,dt,steps", [(1.0004, 1e-3, 1001), (0.0025, 1e-3, 3), (3.0, 1.1e-3, 2728)]
+    )
+    def test_horizon_between_steps_takes_one_more_step(self, horizon, dt, steps):
+        # round(h/dt) steps would end short of h: 1000, 2 (half to even), 2727
+        run = run_scenario(make_ic_scenario(2.0, 150.0, "switching", dt=dt, horizon=horizon))
+        assert len(run.t) == steps + 1
+        assert run.tf == horizon <= run.t[-1]
+
     def test_gamma_nonnegative_and_sampling_monotone(self):
         run = run_scenario(make_ic_scenario(2.0, 150.0, "benchmark"))
         assert run.gamma_tau >= 0.0
@@ -242,6 +256,61 @@ class TestEffortComparison:
             effort_comparison(repeats=0)
 
 
+def _plus_zero(run, i):
+    run.n_e[:, 0] = 0.0
+    run.tau[:, 1] = 0.0
+    return b",0,"
+
+
+def _minus_zero(run, i):
+    run.w_e[:, 0] = -0.0
+    run.q[:, 2] = -0.0
+    return b",-0,"
+
+
+def _mixed_zero(run, i):
+    # equal as floats, different in bits and in the CSV
+    run.n_e[:, 1] = np.where(i % 2 == 0, 0.0, -0.0)
+    run.w[:, 0] = np.where(i == 0, -0.0, 0.0)
+    return b",-0,"
+
+
+def _constant(value, text):
+    def case(run, i):
+        run.tau[:, 0] = value
+        run.lam = np.full(len(i), value)
+        return text
+
+    return case
+
+
+def _block_change(run, i):
+    # constant in the first block and varying after it, and the reverse
+    run.q[:, 3] = np.where(i < CHUNK, 7.25, i * 0.1)
+    run.w[:, 2] = np.where(i < CHUNK, i * 0.1, -7.25)
+    return b",7.25,"
+
+
+def _sigma_minus(run, i):
+    run.sigma = np.full(len(i), -1)
+    return b",-1,"
+
+
+# case -> function that makes some columns of a random run constant within
+# a block and returns a CSV fragment the constant values produce
+CONSTANT_COLUMNS = {
+    "plus_zero": _plus_zero,
+    "minus_zero": _minus_zero,
+    "mixed_zero": _mixed_zero,
+    "denormal": _constant(5e-324, b",4.9406564584124654e-324,"),
+    "huge": _constant(1e300, b",1.0000000000000001e+300,"),
+    "third": _constant(1.0 / 3.0, b",0.33333333333333331,"),
+    "nan": _constant(math.nan, b",nan,"),
+    "block_change": _block_change,
+    "sigma_minus": _sigma_minus,
+}
+
+
 class TestExport:
     def test_empty_run_header_only(self, tmp_path):
         run = fake_run(np.array([]), np.zeros((0, 3)))
@@ -300,6 +369,43 @@ class TestExport:
         text = got.read_bytes()
         assert text == want.read_bytes()
         assert b",-0," in text and b"e-324" in text and b"e-310" in text and b"e+300" in text
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("case", sorted(CONSTANT_COLUMNS))
+    def test_constant_columns_match_row_export(self, tmp_path, case, n):
+        # every other column varies in every block of two rows or more
+        rng = np.random.default_rng(n)
+        run = fake_run(rng.normal(size=n), rng.normal(size=(n, 3)))
+        for name in ("q", "w", "n_e", "w_e"):
+            setattr(run, name, rng.normal(size=(n, getattr(run, name).shape[1])))
+        for name in ("m_e", "lam", "V"):
+            setattr(run, name, rng.normal(size=n))
+        run.sigma = rng.choice([-1, 1], size=n)
+        text = CONSTANT_COLUMNS[case](run, np.arange(n))
+        got, want = tmp_path / "block.csv", tmp_path / "row.csv"
+        export_run(run, got)
+        reference_export(run, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert text in got.read_bytes()
+
+    def test_full_mode_run_matches_row_export(self, tmp_path):
+        sc = Scenario(
+            name="full",
+            maneuver=ManeuverSpec(w0=np.array([0.0, 0.0, 2.0]), psi0=math.radians(150.0)),
+            controller="switching",
+            gains=SWITCHING_GAINS,
+            horizon_after_t0=0.5,
+        )
+        run = run_scenario(sc)
+        # stage 1 holds the body at rest: only t varies in its first block
+        cols = (run.t, run.q, run.w, run.m_e, run.n_e, run.w_e, run.tau, run.sigma, run.lam, run.V)
+        block = np.column_stack([c[:CHUNK] for c in cols])
+        varies = [np.unique(block[:, j]).size > 1 for j in range(block.shape[1])]
+        assert varies == [True] + [False] * (block.shape[1] - 1)
+        got, want = tmp_path / "block.csv", tmp_path / "row.csv"
+        export_run(run, got)
+        reference_export(run, want)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         run = fake_run(np.array([0.0]), np.zeros((1, 3)))
