@@ -26,10 +26,12 @@ for every law.  Each controller binds its torque and a, b once, in
 called as ``controller(t, y)`` with the packed state
 y = (qw, qx, qy, qz, wx, wy, wz) and returns the torque and a telemetry row,
 both tuples of floats; the row has the fixed width ``simulate`` needs to
-fill its (N, 9) telemetry array.  The public ndarray functions
-(``attitude_error``, ``switch_function``, ``nu_sigma``) delegate to the same
-forms and wrap the result; ``_read`` reads an ``ErrorState`` once into flat
-floats, nu included, for ``nu_sigma`` and the certificates in ``stability``.
+fill its (N, 9) telemetry array.  An ``ErrorState`` holds the seven floats
+(m, nx, ny, nz, ex, ey, ez), read once from its inputs when it is built.  The
+public functions delegate to the same forms: ``attitude_error`` builds its
+state from ``_error``'s float tuples, ``switch_function`` hands the floats
+to ``_lam``, and ``_read`` unpacks them, nu included, for ``nu_sigma`` (which
+wraps nu in an array) and the certificates in ``stability``.
 """
 
 import math
@@ -78,20 +80,51 @@ class GainSet:
         return 4.0 * self.kn * self.kw / self.kq
 
 
-@dataclass
 class ErrorState:
-    """Attitude-error quaternion and angular-velocity error."""
+    """Attitude-error quaternion q_err (never sign-normalized) and
+    angular-velocity error w_err in rad/s.
 
-    q_err: np.ndarray  # (4,) error quaternion, never sign-normalized
-    w_err: np.ndarray  # (3,) rad/s
+    The inputs are read once, as any 4- and 3-sequence of numbers, into the
+    seven floats (m, nx, ny, nz, ex, ey, ez), which is all a state holds: it
+    is a snapshot that later changes to the inputs do not reach.  ``q_err``,
+    ``w_err`` and ``n_e`` build a new float64 array on each access.
+    """
+
+    __slots__ = ("_f",)
+
+    def __init__(self, q_err, w_err):
+        q = np.asarray(q_err, dtype=float)
+        w = np.asarray(w_err, dtype=float)
+        if q.shape != (4,) or w.shape != (3,):
+            raise ValueError(
+                f"ErrorState needs q_err of shape (4,) and w_err of shape (3,), "
+                f"got {q.shape} and {w.shape}"
+            )
+        self._f = (*q.tolist(), *w.tolist())
+
+    @property
+    def q_err(self) -> np.ndarray:
+        return np.array(self._f[:4])
+
+    @property
+    def w_err(self) -> np.ndarray:
+        return np.array(self._f[4:])
 
     @property
     def m_e(self) -> float:
-        return float(self.q_err[0])
+        return self._f[0]
 
     @property
     def n_e(self) -> np.ndarray:
-        return self.q_err[1:]
+        return np.array(self._f[1:4])
+
+    def __eq__(self, other):
+        if not isinstance(other, ErrorState):
+            return NotImplemented
+        return self._f == other._f
+
+    def __repr__(self) -> str:
+        return f"ErrorState(q_err={self._f[:4]!r}, w_err={self._f[4:]!r})"
 
 
 @dataclass(frozen=True)
@@ -116,14 +149,13 @@ def _error(y, q_d, w_d):
 def attitude_error(q: np.ndarray, q_d: np.ndarray, w: np.ndarray, w_d: np.ndarray) -> ErrorState:
     """Error state: q_err = q^-1 * q_d, w_err = w_d - w (no sign flip)."""
     q_err, w_err = _error((*q, *w), q_d, w_d)
-    return ErrorState(q_err=np.array(q_err), w_err=np.array(w_err))
+    return ErrorState(q_err=q_err, w_err=w_err)
 
 
 def _read(err: ErrorState, sigma: int, kn: float):
-    """``(m, nx, ny, nz, ux, uy, uz)``: the error state as flat floats, with
+    """``(m, nx, ny, nz, ux, uy, uz)``: the error state's floats, with
     nu = w_err + sigma kn n_e for switch sign sigma."""
-    m, nx, ny, nz = err.q_err.tolist()
-    ex, ey, ez = err.w_err.tolist()
+    m, nx, ny, nz, ex, ey, ez = err._f
     g = sigma * kn
     return m, nx, ny, nz, ex + g * nx, ey + g * ny, ez + g * nz
 
@@ -183,7 +215,8 @@ def _lam(q_err, w_err, a, b):
 
 def switch_function(err: ErrorState, gains: GainSet) -> float:
     """Lyapunov difference Lambda = V(-1) - V(+1) in closed form."""
-    return _lam(err.q_err.tolist(), err.w_err.tolist(), -2.0 * gains.kn / gains.kq, 4.0 * gains.c)
+    f = err._f  # _lam reads q_err from its first four entries
+    return _lam(f, f[4:], -2.0 * gains.kn / gains.kq, 4.0 * gains.c)
 
 
 def update_sigma(

@@ -12,8 +12,9 @@ x = (|n_e|, |nu|).  The antipodal equilibrium is a saddle whose spectrum has
 a closed form; both facts are exposed here together with the region and
 rate certificates built from them.
 
-The per-state certificates are written on Python floats and read their
-error state once, nu included, with ``controllers._read``, as ``nu_sigma`` does.
+The per-state certificates are written on Python floats.  Each unpacks the
+seven floats its ``ErrorState`` holds, nu added, with ``controllers._read``,
+as ``nu_sigma`` does; no certificate converts an array.
 ``lyapunov_series`` is the vectorised V_sigma over a run's telemetry.
 """
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from attswitch import stability
 from attswitch.controllers import (
     BenchmarkController,
     ContinuousController,
@@ -78,6 +79,71 @@ class TestAttitudeError:
         assert np.array_equal(err.q_err, raw) is not rescaled
         assert abs(err.q_err @ err.q_err - 1.0) <= (1e-15 if rescaled else 2e-13)
         assert err.m_e < 0.0
+
+
+def certificates(err, gains):
+    """Every per-state certificate of ``err`` for both signs, as one repr, so
+    that equal strings mean bit-identical results (the sign of zero included)."""
+    per_sign = [
+        (
+            stability.lyapunov_value(err, sigma, gains),
+            stability.lyapunov_rate(err, sigma, gains),
+            stability.lyapunov_decay_bound(err, sigma, gains),
+            stability.roa_contains(err, sigma, gains),
+            nu_sigma(err, sigma, gains).tolist(),
+            stability.error_jacobian(err, sigma, gains).tolist(),
+        )
+        for sigma in (+1, -1)
+    ]
+    return repr((per_sign, switch_function(err, gains)))
+
+
+class TestErrorState:
+    @pytest.mark.parametrize(
+        "q_shape,w_shape",
+        [((3,), (3,)), ((5,), (3,)), ((4,), (2,)), ((4,), (4,)), ((4, 1), (3,)), ((4,), (1, 3))],
+    )
+    def test_wrong_shapes_raise(self, q_shape, w_shape):
+        with pytest.raises(ValueError) as info:
+            ErrorState(q_err=np.zeros(q_shape), w_err=np.zeros(w_shape))
+        assert str(q_shape) in str(info.value) and str(w_shape) in str(info.value)
+
+    def test_lists_tuples_and_arrays_give_identical_certificates(self, rng):
+        for _ in range(50):
+            q, w = rand_unit_quat(rng), rng.normal(size=3) * 3.0
+            states = [
+                ErrorState(q_err=q, w_err=w),
+                ErrorState(q_err=q.tolist(), w_err=w.tolist()),
+                ErrorState(q_err=tuple(q.tolist()), w_err=tuple(w.tolist())),
+            ]
+            expected = certificates(states[0], PAPER_GAINS)
+            for err in states:
+                assert certificates(err, PAPER_GAINS) == expected
+                assert type(err.m_e) is float and err.m_e == q[0]
+                assert err.q_err.dtype == err.w_err.dtype == err.n_e.dtype == np.float64
+
+    def test_state_is_a_snapshot(self, rng):
+        q, w = rand_unit_quat(rng), rng.normal(size=3)
+        err = ErrorState(q_err=q, w_err=w)
+        m_e, expected = err.m_e, certificates(err, PAPER_GAINS)
+        q[0], w[:] = -1.0, 9.0
+        for view in (err.q_err, err.w_err, err.n_e):
+            view[0] = 7.0
+        assert err.m_e == m_e
+        assert certificates(err, PAPER_GAINS) == expected
+
+    def test_equality_compares_the_seven_floats(self):
+        err = ErrorState(q_err=np.array([0.5, 0.5, -0.5, 0.5]), w_err=np.array([1.0, -2.0, 3.0]))
+        assert err == ErrorState(q_err=(0.5, 0.5, -0.5, 0.5), w_err=[1, -2, 3])
+        assert err != ErrorState(q_err=(0.5, 0.5, -0.5, 0.5), w_err=[1.0, -2.0, 3.5])
+        assert err != ErrorState(q_err=(-0.5, 0.5, -0.5, 0.5), w_err=[1.0, -2.0, 3.0])
+        assert err != (0.5, 0.5, -0.5, 0.5, 1.0, -2.0, 3.0)
+
+    def test_repr_shows_the_seven_floats(self, rng):
+        err = ErrorState(q_err=[1, 0, 0, 0], w_err=np.array([0.25, -0.5, 3.0]))
+        assert repr(err) == "ErrorState(q_err=(1.0, 0.0, 0.0, 0.0), w_err=(0.25, -0.5, 3.0))"
+        err = ErrorState(q_err=rand_unit_quat(rng), w_err=rng.normal(size=3))
+        assert eval(repr(err), {"ErrorState": ErrorState}) == err
 
 
 class TestContinuousTorque:
