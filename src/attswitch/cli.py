@@ -127,6 +127,8 @@ def _parse_grid(text: str, what: str):
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError(f"{what} count must be >= 1")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"{what} start and stop must be finite and span a finite range, got {text!r}")
     return np.linspace(start, stop, count)
 
 
@@ -297,7 +299,7 @@ def _cmd_sweep(args) -> int:
             i0 = 0
             lines.append(
                 f"{wz:g},{psi:g},{int(run.sigma[i0]):+d},{run.V[i0]:.6f},"
-                f"{str(bool(run.V[i0] < 4.0 * gains.c)).lower()},"
+                f"{str(bool(run.V[i0] < gains.roa_radius)).lower()},"
                 f"{len(run.switch_times)},{run.gamma_tau:.9g},"
                 f"{math.degrees(run.final_yaw_error):.6f}"
             )

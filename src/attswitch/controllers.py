@@ -26,12 +26,13 @@ for every law.  Each controller binds its torque and a, b once, in
 called as ``controller(t, y)`` with the packed state
 y = (qw, qx, qy, qz, wx, wy, wz) and returns the torque and a telemetry row,
 both tuples of floats; the row has the fixed width ``simulate`` needs to
-fill its (N, 9) telemetry array.  An ``ErrorState`` holds the seven floats
-(m, nx, ny, nz, ex, ey, ez), read once from its inputs when it is built.  The
-public functions delegate to the same forms: ``attitude_error`` builds its
-state from ``_error``'s float tuples, ``switch_function`` hands the floats
-to ``_lam``, and ``_read`` unpacks them, nu included, for ``nu_sigma`` (which
-wraps nu in an array) and the certificates in ``stability``.
+fill its (N, 9) telemetry array.  An ``ErrorState`` holds seven entries
+(m, nx, ny, nz, ex, ey, ez): floats read once from its inputs, or a run's
+columns when built by ``ErrorState.of_columns``.  The public functions
+delegate to the same forms: ``attitude_error`` builds its state from
+``_error``'s float tuples, ``switch_function`` hands the entries to ``_lam``
+with the ``GainSet``'s a and b, and ``_read`` unpacks them, nu included, for
+``nu_sigma`` and the certificates in ``stability``.
 """
 
 import math
@@ -45,7 +46,7 @@ from .quat import hamilton_product, yaw_of
 from .reference import ManeuverTracker
 
 
-@dataclass
+@dataclass(frozen=True)
 class GainSet:
     """Controller and Lyapunov parameters.
 
@@ -55,6 +56,13 @@ class GainSet:
     All must be positive.  Stability certification additionally needs
     c < 4 kn kw / kq, which is only warned about because the torque laws
     themselves remain well defined without it.
+
+    Frozen; the constants derived from the gains are formed once, as
+    attributes: Lambda's coefficients ``lam_slope`` = -2 kn/kq and
+    ``roa_radius`` = 4c (also the certified-region radius), P's diagonal
+    ``c_kn`` = c kn, ``kw_kq`` = kw/kq and its second leading minor
+    ``p_minor_2``.  Gains that make one of these, or ``c_max()``, non-finite
+    raise ValueError.
     """
 
     kq: float
@@ -68,12 +76,26 @@ class GainSet:
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"gain {name} must be positive and finite, got {v}")
-            setattr(self, name, v)
+            object.__setattr__(self, name, v)
+        c_kn, kw_kq = self.c * self.kn, self.kw / self.kq
+        derived = dict(
+            lam_slope=-2.0 * self.kn / self.kq, roa_radius=4.0 * self.c, c_kn=c_kn, kw_kq=kw_kq,
+            p_minor_2=c_kn * kw_kq - (-0.5 * self.c) * (-0.5 * self.c),
+        )
+        for name, v in derived.items():
+            # not through self.__dict__, which would slow every attribute read
+            object.__setattr__(self, name, v)
+        for name, v in (*derived.items(), ("c_max", self.c_max())):
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"gains kq = {self.kq:g}, kw = {self.kw:g}, kn = {self.kn:g}, "
+                    f"c = {self.c:g} give a non-finite {name} = {v}"
+                )
         if self.c >= self.c_max():
             warnings.warn(
                 f"c = {self.c} is not below 4*kn*kw/kq = {self.c_max()}; "
                 "the decrease certificate will not hold",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the caller
             )
 
     def c_max(self) -> float:
@@ -101,6 +123,14 @@ class ErrorState:
                 f"got {q.shape} and {w.shape}"
             )
         self._f = (*q.tolist(), *w.tolist())
+
+    @classmethod
+    def of_columns(cls, m_e, n_e, w_e) -> "ErrorState":
+        """State whose seven entries are a run's (N,) m_e and the columns of
+        its (N, 3) n_e and w_e, as views, or the entries of one row of them."""
+        err = cls.__new__(cls)
+        err._f = (m_e, *n_e.T, *w_e.T)
+        return err
 
     @property
     def q_err(self) -> np.ndarray:
@@ -216,7 +246,7 @@ def _lam(q_err, w_err, a, b):
 def switch_function(err: ErrorState, gains: GainSet) -> float:
     """Lyapunov difference Lambda = V(-1) - V(+1) in closed form."""
     f = err._f  # _lam reads q_err from its first four entries
-    return _lam(f, f[4:], -2.0 * gains.kn / gains.kq, 4.0 * gains.c)
+    return _lam(f, f[4:], gains.lam_slope, gains.roa_radius)
 
 
 def update_sigma(
@@ -285,7 +315,7 @@ class _ControllerBase:
         self.tracker = tracker
         kn = gains.kn if self._torque_kn else 0.0
         self._torque = _bind_torque(gains.kq, gains.kw, kn, self.J.tolist())
-        self._a, self._b = -2.0 * gains.kn / gains.kq, 4.0 * gains.c
+        self._a, self._b = gains.lam_slope, gains.roa_radius
         self._prev_yaw = None
         self._yaw_accum = 0.0
 

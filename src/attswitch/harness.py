@@ -82,6 +82,10 @@ class Scenario:
             )
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.horizon_after_t0 / self.dt):
+            raise ValueError(
+                f"horizon_after_t0 / dt = {self.horizon_after_t0} / {self.dt} is not a finite step count"
+            )
         if self.horizon_after_t0 < self.dt:
             raise ValueError(
                 f"horizon_after_t0 = {self.horizon_after_t0} is shorter than one step dt = {self.dt}"
@@ -159,7 +163,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     tel = traj.telemetry
     m_e, n_e, w_e, lam = tel[:, 0], tel[:, 1:4], tel[:, 4:7], tel[:, 8]
     sigma = tel[:, 7].astype(int)
-    V = stability.lyapunov_series(m_e, n_e, w_e, sigma, scenario.gains)
 
     if tf > t[-1] + 1e-9:
         raise SimulationError(
@@ -171,16 +174,23 @@ def run_scenario(scenario: Scenario) -> RunResult:
         if isinstance(controller, SwitchingController)
         else ()
     )
-    run = RunResult(
-        scenario=scenario,
-        t=t, q=traj.q, w=traj.w, m_e=m_e, n_e=n_e, w_e=w_e, tau=traj.tau,
-        sigma=sigma, lam=lam, V=V,
-        t0=t0, tf=tf,
-        gamma_tau=0.0,
-        switch_times=switch_times,
-        final_yaw_error=yaw_of(traj.q[i_f]),
-    )
-    run.gamma_tau = control_effort(run, t0, tf)
+    # finite states can still give an overflowing V or effort: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = stability.lyapunov_series(m_e, n_e, w_e, sigma, scenario.gains)
+        run = RunResult(
+            scenario=scenario,
+            t=t, q=traj.q, w=traj.w, m_e=m_e, n_e=n_e, w_e=w_e, tau=traj.tau,
+            sigma=sigma, lam=lam, V=V,
+            t0=t0, tf=tf,
+            gamma_tau=0.0,
+            switch_times=switch_times,
+            final_yaw_error=yaw_of(traj.q[i_f]),
+        )
+        run.gamma_tau = control_effort(run, t0, tf)
+    if not (math.isfinite(run.gamma_tau) and all(np.isfinite(a).all() for a in (tel, traj.tau, V))):
+        raise SimulationError(
+            f"{scenario.name}: the run's torque, telemetry, V or effort is not finite"
+        )
     return run
 
 
@@ -225,7 +235,7 @@ def lyapunov_ic_table(gains: GainSet | None = None, ics=REFERENCE_ICS):
 
     The sign is selected by one hysteretic update from sigma = +1, exactly
     as the running controller would at its first stage-3 step; everything
-    is closed form, no simulation.
+    is closed form, no simulation.  m_e at t0 is kept for the shorter-path sign.
     """
     gains = gains or SWITCHING_GAINS
     rows = []
@@ -234,10 +244,16 @@ def lyapunov_ic_table(gains: GainSet | None = None, ics=REFERENCE_ICS):
         lam = switch_function(err, gains)
         sigma = update_sigma(SwitchState(sigma=+1), lam, gains.delta).sigma
         V = stability.lyapunov_value(err, sigma, gains)
+        if not (math.isfinite(lam) and math.isfinite(V)):
+            raise ValueError(
+                f"{gains} give a non-finite Lambda = {lam} or V = {V} "
+                f"at the IC ({wz:g} rad/s, {psi0_deg:g} deg)"
+            )
         rows.append(
             {
                 "wz": wz,
                 "psi0_deg": psi0_deg,
+                "m_e": err.m_e,
                 "sigma": sigma,
                 "lam": lam,
                 "V": V,
@@ -336,11 +352,8 @@ def effort_comparison(
     gsw = gains_switching or SWITCHING_GAINS
     gbm = gains_benchmark or BENCHMARK_GAINS
     rows = []
-    for i, (wz, psi0_deg) in enumerate(ics):
-        err0 = initial_error_state(wz, psi0_deg)
-        lam0 = switch_function(err0, gsw)
-        sigma0 = update_sigma(SwitchState(sigma=+1), lam0, gsw.delta).sigma
-        sign_m = _shorter_path_sign(err0.m_e)
+    for i, ic in enumerate(lyapunov_ic_table(gsw, ics)):
+        wz, psi0_deg = ic["wz"], ic["psi0_deg"]
         g_b = np.empty(repeats)
         g_s = np.empty(repeats)
         switches = 0
@@ -361,7 +374,7 @@ def effort_comparison(
             IcComparison(
                 wz=wz,
                 psi0_deg=psi0_deg,
-                direction_agreement=(sign_m == sigma0),
+                direction_agreement=(_shorter_path_sign(ic["m_e"]) == ic["sigma"]),
                 gamma_benchmark=g_b,
                 gamma_switching=g_s,
                 switches=switches,
@@ -415,7 +428,7 @@ def format_run_report(run: RunResult) -> str:
         f"sigma_t0 = {int(run.sigma[i0]):+d}",
         f"lambda_t0 = {run.lam[i0]:.6f}",
         f"V_t0 = {run.V[i0]:.6f}",
-        f"in_roa_at_t0 = {str(bool(run.V[i0] < 4.0 * sc.gains.c)).lower()}",
+        f"in_roa_at_t0 = {str(bool(run.V[i0] < sc.gains.roa_radius)).lower()}",
         f"final_yaw_error_rad = {run.final_yaw_error:.9g}",
         f"final_yaw_error_deg = {math.degrees(run.final_yaw_error):.9g}",
     ]

@@ -42,8 +42,9 @@ class ManeuverSpec:
 
     def __post_init__(self):
         self.w0 = np.asarray(self.w0, dtype=float)
-        if self.w0.shape != (3,) or not np.all(np.isfinite(self.w0)):
-            raise ValueError("w0 must be a finite 3-vector")
+        # the rate |w0| is formed from w0 . w0, which must not overflow
+        if self.w0.shape != (3,) or not math.isfinite(sum(x * x for x in self.w0.tolist())):
+            raise ValueError(f"w0 must be a 3-vector with a finite squared norm, got {self.w0}")
         if not 0.0 < self.psi0 < 2.0 * math.pi:
             raise ValueError(f"psi0 must lie in (0, 2*pi), got {self.psi0}")
         if not (math.isfinite(self.stage1_duration) and self.stage1_duration >= 0.0):

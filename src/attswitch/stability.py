@@ -12,10 +12,11 @@ x = (|n_e|, |nu|).  The antipodal equilibrium is a saddle whose spectrum has
 a closed form; both facts are exposed here together with the region and
 rate certificates built from them.
 
-The per-state certificates are written on Python floats.  Each unpacks the
-seven floats its ``ErrorState`` holds, nu added, with ``controllers._read``,
-as ``nu_sigma`` does; no certificate converts an array.
-``lyapunov_series`` is the vectorised V_sigma over a run's telemetry.
+Each certificate unpacks the seven entries of its ``ErrorState``, nu added,
+with ``controllers._read``, as ``nu_sigma`` does, and reads the constants
+derived from the gains from the ``GainSet``.  The entries are floats, or on
+``ErrorState.of_columns`` a run's telemetry columns, one result per sample;
+``lyapunov_series`` is ``lyapunov_value`` on those columns.
 """
 
 import math
@@ -35,12 +36,8 @@ def lyapunov_value(err: ErrorState, sigma: int, gains: GainSet) -> float:
 def lyapunov_series(
     m_e: np.ndarray, n_e: np.ndarray, w_err: np.ndarray, sigma: np.ndarray, gains: GainSet
 ) -> np.ndarray:
-    """Vectorized V_sigma over telemetry arrays (one row per sample)."""
-    s = sigma.astype(float)[:, None]
-    nu = w_err + s * gains.kn * n_e
-    return 0.5 / gains.kq * np.einsum("ij,ij->i", nu, nu) + 2.0 * gains.c * (
-        1.0 - sigma * m_e
-    )
+    """V_sigma along a run: ``lyapunov_value`` on its telemetry columns."""
+    return lyapunov_value(ErrorState.of_columns(m_e, n_e, w_err), sigma, gains)
 
 
 def lyapunov_decay_bound(err: ErrorState, sigma: int, gains: GainSet) -> float:
@@ -53,7 +50,7 @@ def lyapunov_decay_bound(err: ErrorState, sigma: int, gains: GainSet) -> float:
     _, nx, ny, nz, ux, uy, uz = _read(err, sigma, gains.kn)
     xn = math.sqrt(nx * nx + ny * ny + nz * nz)
     xv = math.sqrt(ux * ux + uy * uy + uz * uz)
-    return gains.c * xn * xv - gains.kw / gains.kq * xv * xv - gains.c * gains.kn * xn * xn
+    return gains.c * xn * xv - gains.kw_kq * xv * xv - gains.c_kn * xn * xn
 
 
 def lyapunov_rate(err: ErrorState, sigma: int, gains: GainSet) -> float:
@@ -61,14 +58,14 @@ def lyapunov_rate(err: ErrorState, sigma: int, gains: GainSet) -> float:
     _, nx, ny, nz, ux, uy, uz = _read(err, sigma, gains.kn)
     return (
         (gains.c - 1.0) * sigma * (ux * nx + uy * ny + uz * nz)
-        - gains.kw / gains.kq * (ux * ux + uy * uy + uz * uz)
-        - gains.c * gains.kn * (nx * nx + ny * ny + nz * nz)
+        - gains.kw_kq * (ux * ux + uy * uy + uz * uz)
+        - gains.c_kn * (nx * nx + ny * ny + nz * nz)
     )
 
 
 def roa_contains(err: ErrorState, sigma: int, gains: GainSet) -> bool:
     """Membership in the certified region of attraction {V_sigma < 4c}."""
-    return lyapunov_value(err, sigma, gains) < 4.0 * gains.c
+    return lyapunov_value(err, sigma, gains) < gains.roa_radius
 
 
 def p_matrix_certificate(gains: GainSet):
@@ -79,15 +76,8 @@ def p_matrix_certificate(gains: GainSet):
     minors.  Note the separate constraint c >= 1/2 required for -x'Px to
     upper-bound the exact rate; it is reported, not enforced.
     """
-    P = np.array(
-        [
-            [gains.c * gains.kn, -0.5 * gains.c],
-            [-0.5 * gains.c, gains.kw / gains.kq],
-        ]
-    )
-    minor1 = P[0, 0]
-    minor2 = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
-    return P, bool(minor1 > 0.0 and minor2 > 0.0), gains.c_max()
+    P = np.array([[gains.c_kn, -0.5 * gains.c], [-0.5 * gains.c, gains.kw_kq]])
+    return P, bool(gains.c_kn > 0.0 and gains.p_minor_2 > 0.0), gains.c_max()
 
 
 def closed_loop_field(m: float, n: np.ndarray, nu: np.ndarray, sigma: int, gains: GainSet):
@@ -171,8 +161,8 @@ def saddle_eigenvalues(gains: GainSet) -> SaddleSpectrum:
     r = math.sqrt(disc)
     lam1 = 0.5 * (b + r)
     lam2 = 0.5 * (b - r)
-    if not lam1 > 0.0 > lam2:
-        raise ValueError(f"saddle split violated: {lam1}, {lam2} (non-positive gains?)")
+    if not math.inf > lam1 > 0.0 > lam2 > -math.inf:
+        raise ValueError(f"saddle split violated or not finite: {lam1}, {lam2}")
     return SaddleSpectrum(lam_unstable=lam1, lam_stable=lam2)
 
 
@@ -234,8 +224,8 @@ def format_stability_report(gains: GainSet, ic_rows=None) -> str:
         "c_min_for_norm_bound = 0.5",
         f"p_matrix_positive_definite = {str(pd).lower()}",
         f"p_minor_1 = {P[0, 0]:.12g}",
-        f"p_minor_2 = {P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]:.12g}",
-        f"roa_radius = {4.0 * gains.c:.12g}",
+        f"p_minor_2 = {gains.p_minor_2:.12g}",
+        f"roa_radius = {gains.roa_radius:.12g}",
         f"lambda_unstable = {spec.lam_unstable:.12g}",
         f"lambda_stable = {spec.lam_stable:.12g}",
         f"lambda_zero = {spec.lam_zero:g}",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -48,6 +49,47 @@ class TestGainSet:
 
     def test_c_max(self):
         assert PAPER_GAINS.c_max() == pytest.approx(400.0)
+
+    def test_warning_names_the_callers_line(self):
+        with pytest.warns(UserWarning) as record:
+            GainSet(kq=10.0, kw=100.0, kn=10.0, c=400.0, delta=0.1)
+        assert record[0].filename == __file__
+
+    def test_fields_are_frozen(self):
+        gains = GainSet(kq=10.0, kw=100.0, kn=10.0, c=2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gains.c = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gains.roa_radius = 12.0
+        assert gains.c == 2.0 and gains.roa_radius == 8.0
+
+    def test_replace_recomputes_the_constants(self):
+        gains = dataclasses.replace(PAPER_GAINS, kq=4.0, c=3.0)
+        assert (gains.lam_slope, gains.roa_radius) == (-5.0, 12.0)
+        assert (gains.c_kn, gains.kw_kq, gains.p_minor_2) == (30.0, 25.0, 747.75)
+        assert PAPER_GAINS.roa_radius == 8.0
+
+    def test_constants_of_the_paper_gains(self):
+        g = PAPER_GAINS
+        assert (g.lam_slope, g.roa_radius, g.c_kn, g.kw_kq, g.p_minor_2) == (
+            -2.0, 8.0, 20.0, 10.0, 199.0
+        )
+
+    @pytest.mark.parametrize(
+        "gains, name",
+        [
+            (dict(c=1e308), "roa_radius = inf"),
+            (dict(kn=1e308, kq=0.1), "lam_slope = -inf"),
+            (dict(kn=1e200, c=1e200), "c_kn = inf"),
+            (dict(kw=1e300, kq=1e-300), "kw_kq = inf"),
+            (dict(c=1e200), "p_minor_2 = -inf"),
+            (dict(kn=1e200, kw=1e200, kq=1e10, c=1e-100), "c_max = inf"),
+        ],
+    )
+    def test_non_finite_constant_raises_naming_it(self, gains, name):
+        kwargs = dict(kq=10.0, kw=100.0, kn=10.0, c=2.0, delta=0.1) | gains
+        with pytest.raises(ValueError, match=f"non-finite {name}$"):
+            GainSet(**kwargs)
 
 
 class TestAttitudeError:

@@ -217,6 +217,18 @@ class TestEffortComparison:
             if row.direction_agreement:
                 assert abs(row.percent_reduction) < mismatch / 2.0
 
+    def test_direction_agreement_reads_the_ic_table(self):
+        table = lyapunov_ic_table()
+        report = effort_comparison(repeats=1, horizon=0.01)
+        assert len(report.rows) == len(table) == 5
+        for row, ic in zip(report.rows, table):
+            assert (row.wz, row.psi0_deg) == (ic["wz"], ic["psi0_deg"])
+            assert row.direction_agreement == ((ic["m_e"] >= 0.0) == (ic["sigma"] == +1))
+            # the table's sigma is the one the switching law starts with
+            run = run_scenario(make_ic_scenario(ic["wz"], ic["psi0_deg"], horizon=0.01))
+            assert run.sigma[0] == ic["sigma"]
+            assert run.m_e[0] == ic["m_e"]
+
     def test_zero_perturbation_zero_esd(self):
         report = effort_comparison(
             repeats=3, perturbation=PerturbationSpec(psi0_deg=0.0, wz=0.0), ics=REFERENCE_ICS[:1]

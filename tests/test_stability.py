@@ -114,6 +114,61 @@ class TestLyapunovValue:
             assert vs[i] == pytest.approx(lyapunov_value(e, int(sig[i]), SWITCHING_GAINS), rel=1e-14)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.fixture(scope="module", params=["stage3", "full"])
+def certified_run(request):
+    """A switching run of the (2, 150) IC: the stage-3 start, or the full maneuver."""
+    scenario = make_ic_scenario(2.0, 150.0, "switching")
+    if request.param == "full":
+        scenario.maneuver = ManeuverSpec(
+            w0=np.array([0.0, 0.0, 2.0]), psi0=math.radians(150.0), stage1_duration=0.2
+        )
+    return run_scenario(scenario)
+
+
+class TestColumnForm:
+    """The certificates on ``ErrorState.of_columns`` are the per-state ones, row by row."""
+
+    CERTIFICATES = (lyapunov_value, lyapunov_rate, roa_contains)
+
+    def test_matches_per_state_and_the_V_column(self, certified_run):
+        run, gains = certified_run, certified_run.scenario.gains
+        assert len(run.switch_times) > 0
+        cols = ErrorState.of_columns(run.m_e, run.n_e, run.w_e)
+        states = [
+            ErrorState(q_err=(m, *n), w_err=w) for m, n, w in zip(run.m_e, run.n_e, run.w_e)
+        ]
+        sigmas = run.sigma.tolist()
+        for fn in self.CERTIFICATES:
+            per_state = [fn(err, s, gains) for err, s in zip(states, sigmas)]
+            assert _bits(fn(cols, run.sigma, gains)) == _bits(per_state), fn.__name__
+        assert _bits(lyapunov_value(cols, run.sigma, gains)) == _bits(run.V)
+        assert _bits(lyapunov_series(run.m_e, run.n_e, run.w_e, run.sigma, gains)) == _bits(run.V)
+        assert _bits(switch_function(cols, gains)) == _bits(run.lam)
+
+    def test_columns_are_views(self, certified_run):
+        run = certified_run
+        m, *n, ex, ey, ez = ErrorState.of_columns(run.m_e, run.n_e, run.w_e)._f
+        assert np.shares_memory(m, run.m_e)
+        assert all(np.shares_memory(c, run.n_e) for c in n)
+        assert all(np.shares_memory(c, run.w_e) for c in (ex, ey, ez))
+
+    def test_one_row_gives_the_per_state_floats(self, certified_run):
+        run, gains = certified_run, certified_run.scenario.gains
+        for i in (0, len(run.t) // 2, len(run.t) - 1):
+            row = ErrorState.of_columns(run.m_e[i], run.n_e[i], run.w_e[i])
+            err = ErrorState(q_err=(run.m_e[i], *run.n_e[i]), w_err=run.w_e[i])
+            assert row == err
+            s = int(run.sigma[i])
+            for fn in self.CERTIFICATES + (lyapunov_decay_bound,):
+                assert _bits(fn(row, s, gains)) == _bits(fn(err, s, gains)), fn.__name__
+            assert _bits(switch_function(row, gains)) == _bits(switch_function(err, gains))
+            assert np.array_equal(error_jacobian(row, s, gains), error_jacobian(err, s, gains))
+
+
 class TestFloatCertificates:
     """The float certificates against the ndarray forms kept in conftest."""
 
@@ -267,6 +322,11 @@ class TestPMatrix:
         assert pd
         # det = c*kn*kw/kq - c^2/4 = 200 - 1 = 199
         assert P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0] == pytest.approx(199.0)
+
+    def test_minor_2_is_that_of_P(self):
+        for gains in (SWITCHING_GAINS, GENTLE_GAINS, GainSet(kq=3.0, kw=7.0, kn=2.0, c=1.3)):
+            P, _, _ = p_matrix_certificate(gains)
+            assert gains.p_minor_2 == P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
 
     def test_boundary_not_definite(self):
         with warnings.catch_warnings():
