@@ -48,7 +48,6 @@ from .reference import (
 from .rigid_body import (
     DEFAULT_DT,
     DEFAULT_INERTIA,
-    BodyState,
     SimulationError,
     Trajectory,
     simulate,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: simulate, compare, table1, stability-report, sweep.  Scenario
-files are flat ``key = value`` text; command-line flags override file
+files are the flat ``key = value`` text that ``simulate`` writes as
+scenario.txt (``harness.SCENARIO_KEYS``); command-line flags override file
 values.  Angles are taken in degrees on the command line and converted to
 radians internally.  Exit codes: 0 success, 1 usage/configuration error,
 2 runtime failure.
@@ -15,30 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, stability
-from .controllers import GainSet
-from .reference import MODE_FULL, MODE_STAGE3, ManeuverSpec
-from .rigid_body import DEFAULT_DT, DEFAULT_INERTIA, SimulationError
+from .controllers import GAIN_KEYS, GainSet
+from .reference import MODE_FULL, MODE_STAGE3
+from .rigid_body import DEFAULT_DT, SimulationError
+from .stability import report_number
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
 
-_SCENARIO_KEYS = {
-    "name": str,
-    "mode": str,
-    "controller": str,
-    "wz": float,
-    "psi0_deg": float,
-    "stage1_duration": float,
-    "kq": float,
-    "kw": float,
-    "kn": float,
-    "c": float,
-    "delta": float,
-    "dt": float,
-    "horizon": float,
-    "seed": int,
-    "j_diag": str,
-}
+# simulate flags whose scenario key has another name; --ic gives wz and psi0_deg
+_FLAG_KEYS = {"stage1": "stage1_duration", "j": "j_diag"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,11 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_gain_flags(p):
-    p.add_argument("--kq", type=float, default=None, help="proportional gain")
-    p.add_argument("--kw", type=float, default=None, help="rate gain")
-    p.add_argument("--kn", type=float, default=None, help="composite-error gain")
-    p.add_argument("--c", type=float, default=None, help="Lyapunov weight")
-    p.add_argument("--delta", type=float, default=None, help="hysteresis margin")
+    for key in GAIN_KEYS:
+        p.add_argument(f"--{key}", type=float, default=None, help=f"GainSet.{key}")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -132,86 +116,13 @@ def _parse_grid(text: str, what: str):
     return np.linspace(start, stop, count)
 
 
-def _read_scenario_file(path: str) -> dict:
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _SCENARIO_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown scenario key {key!r}")
-        values[key] = _SCENARIO_KEYS[key](val.strip())
-    return values
-
-
-def _gains_from(values: dict, switching: bool = True) -> GainSet:
-    base = harness.SWITCHING_GAINS if switching else harness.BENCHMARK_GAINS
-    return GainSet(
-        kq=values.get("kq") if values.get("kq") is not None else base.kq,
-        kw=values.get("kw") if values.get("kw") is not None else base.kw,
-        kn=values.get("kn") if values.get("kn") is not None else base.kn,
-        c=values.get("c") if values.get("c") is not None else base.c,
-        delta=values.get("delta") if values.get("delta") is not None else base.delta,
-    )
-
-
 def _build_scenario(args) -> harness.Scenario:
-    values = {}
-    if args.scenario:
-        values.update(_read_scenario_file(args.scenario))
-    overrides = {
-        "controller": args.controller,
-        "mode": args.mode,
-        "dt": args.dt,
-        "horizon": args.horizon,
-        "stage1_duration": args.stage1,
-        "name": args.name,
-        "seed": args.seed,
-        "kq": args.kq,
-        "kw": args.kw,
-        "kn": args.kn,
-        "c": args.c,
-        "delta": args.delta,
-    }
+    keys = {_FLAG_KEYS.get(flag, flag): v for flag, v in vars(args).items() if v is not None}
+    overrides = {k: v for k, v in keys.items() if k in harness.SCENARIO_KEYS}
     if args.ic is not None:
-        wz, psi = _parse_pair(args.ic, "--ic")
-        overrides["wz"] = wz
-        overrides["psi0_deg"] = psi
-    if args.j is not None:
-        overrides["j_diag"] = args.j
-    values.update({k: v for k, v in overrides.items() if v is not None})
-
-    controller = values.get("controller", "switching")
-    gains = _gains_from(values, switching=(controller != "benchmark"))
-    if "wz" not in values or "psi0_deg" not in values:
-        raise ValueError("an initial condition is required (--ic or scenario file)")
-    maneuver = ManeuverSpec(
-        w0=np.array([0.0, 0.0, float(values["wz"])]),
-        psi0=math.radians(float(values["psi0_deg"])),
-        stage1_duration=float(values.get("stage1_duration", 1.0)),
-        mode=values.get("mode", MODE_STAGE3),
-    )
-    if "j_diag" in values:
-        jd = [float(x) for x in str(values["j_diag"]).split(",")]
-        if len(jd) != 3:
-            raise ValueError("j_diag must have three entries")
-        inertia = np.diag(jd)
-    else:
-        inertia = DEFAULT_INERTIA.copy()
-    return harness.Scenario(
-        name=values.get("name", f"ic_{values['wz']:g}_{values['psi0_deg']:g}"),
-        maneuver=maneuver,
-        controller=controller,
-        gains=gains,
-        inertia=inertia,
-        dt=float(values.get("dt", DEFAULT_DT)),
-        horizon_after_t0=float(values.get("horizon", 3.0)),
-        seed=int(values.get("seed", 0)),
-    )
+        overrides["wz"], overrides["psi0_deg"] = _parse_pair(args.ic, "--ic")
+    text = Path(args.scenario).read_text() if args.scenario else ""
+    return harness.scenario_from_text(text, overrides, args.scenario)
 
 
 def _write(path: Path, text: str) -> None:
@@ -221,10 +132,12 @@ def _write(path: Path, text: str) -> None:
 
 def _cmd_simulate(args) -> int:
     scenario = _build_scenario(args)
+    # formed first: a scenario its file cannot hold is refused before the run
+    echo = harness.scenario_to_text(scenario)
     run = harness.run_scenario(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "scenario.txt", harness.scenario_to_text(scenario))
+    _write(out / "scenario.txt", echo)
     harness.export_run(run, out / "telemetry.csv")
     report = harness.format_run_report(run)
     _write(out / "report.txt", report)
@@ -259,13 +172,13 @@ def _table_text(gains: GainSet) -> str:
     for r in rows:
         lines.append(
             f"{r['wz']:g},{r['psi0_deg']:g},{r['sigma']:+d},"
-            f"{r['lam']:.6f},{r['V']:.6f},{str(r['in_roa']).lower()}"
+            f"{report_number(r['lam'])},{report_number(r['V'])},{str(r['in_roa']).lower()}"
         )
     return "\n".join(lines) + "\n"
 
 
 def _cmd_table(args) -> int:
-    gains = _gains_from(vars(args))
+    gains = harness.gains_with(harness.SWITCHING_GAINS, vars(args))
     text = _table_text(gains)
     print(text, end="")
     if args.out:
@@ -274,7 +187,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_stability_report(args) -> int:
-    gains = _gains_from(vars(args))
+    gains = harness.gains_with(harness.SWITCHING_GAINS, vars(args))
     text = stability.format_stability_report(gains, harness.lyapunov_ic_table(gains))
     print(text, end="")
     if args.out:
@@ -283,7 +196,7 @@ def _cmd_stability_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    gains = _gains_from(vars(args), switching=(args.controller != "benchmark"))
+    gains = harness.gains_with(harness.DEFAULT_GAINS[args.controller], vars(args))
     wz_grid = _parse_grid(args.wz, "--wz")
     psi_grid = _parse_grid(args.psi, "--psi")
     dt = args.dt if args.dt is not None else DEFAULT_DT
@@ -298,10 +211,10 @@ def _cmd_sweep(args) -> int:
             )
             i0 = 0
             lines.append(
-                f"{wz:g},{psi:g},{int(run.sigma[i0]):+d},{run.V[i0]:.6f},"
+                f"{wz:g},{psi:g},{int(run.sigma[i0]):+d},{report_number(run.V[i0])},"
                 f"{str(bool(run.V[i0] < gains.roa_radius)).lower()},"
                 f"{len(run.switch_times)},{run.gamma_tau:.9g},"
-                f"{math.degrees(run.final_yaw_error):.6f}"
+                f"{report_number(math.degrees(run.final_yaw_error))}"
             )
     text = "\n".join(lines) + "\n"
     out = Path(args.out)

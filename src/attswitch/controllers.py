@@ -45,6 +45,9 @@ import numpy as np
 from .quat import hamilton_product, yaw_of
 from .reference import ManeuverTracker
 
+# the GainSet fields, in order: the scenario.txt keys and command-line flags
+GAIN_KEYS = ("kq", "kw", "kn", "c", "delta")
+
 
 @dataclass(frozen=True)
 class GainSet:
@@ -72,7 +75,7 @@ class GainSet:
     delta: float = 0.1
 
     def __post_init__(self):
-        for name in ("kq", "kw", "kn", "c", "delta"):
+        for name in GAIN_KEYS:
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"gain {name} must be positive and finite, got {v}")

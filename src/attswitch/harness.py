@@ -5,6 +5,13 @@ inertia, step size, seed); run_scenario wires the reference generator, the
 chosen control law, and the integrator together and returns the full
 telemetry as flat arrays.  The performance figure of merit is the RMS of
 the torque 2-norm over the evaluation window [t0, t0 + horizon].
+
+A run's inputs each have one form.  A run starts from the packed state
+tuple (identity at rest in full mode, ``stage3_initial_state`` in stage3
+mode).  scenario.txt has one table, ``SCENARIO_KEYS``: each key's reader
+and its echo, from which ``scenario_to_text`` writes a file that
+``scenario_from_text`` reads back to the same scenario bit for bit.  A law's
+gains where none are given are ``DEFAULT_GAINS[law]``.
 """
 
 import math
@@ -14,6 +21,7 @@ import numpy as np
 
 from . import stability
 from .controllers import (
+    GAIN_KEYS,
     BenchmarkController,
     ContinuousController,
     GainSet,
@@ -30,11 +38,11 @@ from .rigid_body import (
     CHUNK,
     DEFAULT_DT,
     DEFAULT_INERTIA,
-    BodyState,
     SimulationError,
     simulate,
     validate_inertia,
 )
+from .stability import report_number
 
 # The five benchmark initial conditions {wz rad/s, psi0 deg} exercised by the
 # comparison harness, ordered so the first three make the shorter-path law
@@ -55,6 +63,16 @@ CONTROLLERS = {
     "benchmark": BenchmarkController,
     "switching": SwitchingController,
 }
+# each law's gains where none are given: the shorter-path law runs at its own kq
+DEFAULT_GAINS = dict(continuous=SWITCHING_GAINS, benchmark=BENCHMARK_GAINS, switching=SWITCHING_GAINS)
+
+
+def gains_with(base: GainSet, values) -> GainSet:
+    """``base`` with each gain that ``values`` (a mapping by gain name) sets."""
+    return GainSet(
+        **{k: values[k] if values.get(k) is not None else getattr(base, k) for k in GAIN_KEYS}
+    )
+
 
 CSV_HEADER = (
     "t,qw,qx,qy,qz,wx,wy,wz,me,nex,ney,nez,wex,wey,wez,"
@@ -149,7 +167,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         if duration > n_steps * scenario.dt + 1e-9:
             duration = (n_steps + 1) * scenario.dt
     else:
-        state = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
+        state = (*IDENTITY.tolist(), 0.0, 0.0, 0.0)
         stage2_allowance = 1.5 * spec.psi0 / math.sqrt(float(spec.w0 @ spec.w0)) + 0.5
         duration = spec.stage1_duration + stage2_allowance + scenario.horizon_after_t0
     traj = simulate(state, controller, scenario.inertia, scenario.dt, duration)
@@ -206,7 +224,8 @@ def make_ic_scenario(
 ) -> Scenario:
     """Stage3-mode scenario for an initial condition {wz rad/s, psi0 deg}."""
     if gains is None:
-        gains = BENCHMARK_GAINS if controller == "benchmark" else SWITCHING_GAINS
+        # None for an unknown law, which Scenario refuses
+        gains = DEFAULT_GAINS.get(controller)
     maneuver = ManeuverSpec(
         w0=np.array([0.0, 0.0, wz]), psi0=math.radians(psi0_deg), mode=MODE_STAGE3
     )
@@ -226,8 +245,8 @@ def initial_error_state(wz: float, psi0_deg: float):
     spec = ManeuverSpec(
         w0=np.array([0.0, 0.0, wz]), psi0=math.radians(psi0_deg), mode=MODE_STAGE3
     )
-    s0 = stage3_initial_state(spec)
-    return attitude_error(s0.q, IDENTITY, s0.w, np.zeros(3))
+    y0 = stage3_initial_state(spec)
+    return attitude_error(y0[:4], IDENTITY, y0[4:], np.zeros(3))
 
 
 def lyapunov_ic_table(gains: GainSet | None = None, ics=REFERENCE_ICS):
@@ -420,14 +439,14 @@ def format_run_report(run: RunResult) -> str:
         f"scenario = {sc.name}",
         f"controller = {sc.controller}",
         f"mode = {sc.maneuver.mode}",
-        f"t0 = {run.t0:.6f}",
-        f"tf = {run.tf:.6f}",
+        f"t0 = {report_number(run.t0)}",
+        f"tf = {report_number(run.tf)}",
         f"gamma_tau = {run.gamma_tau:.9g}",
         f"switch_count = {len(run.switch_times)}",
-        f"switch_times = {','.join(f'{s:.6f}' for s in run.switch_times)}",
+        f"switch_times = {','.join(map(report_number, run.switch_times))}",
         f"sigma_t0 = {int(run.sigma[i0]):+d}",
-        f"lambda_t0 = {run.lam[i0]:.6f}",
-        f"V_t0 = {run.V[i0]:.6f}",
+        f"lambda_t0 = {report_number(run.lam[i0])}",
+        f"V_t0 = {report_number(run.V[i0])}",
         f"in_roa_at_t0 = {str(bool(run.V[i0] < sc.gains.roa_radius)).lower()}",
         f"final_yaw_error_rad = {run.final_yaw_error:.9g}",
         f"final_yaw_error_deg = {math.degrees(run.final_yaw_error):.9g}",
@@ -458,31 +477,123 @@ def format_comparison_report(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scenario_to_text(scenario: Scenario) -> str:
-    """Flat key-value echo of a scenario, readable back as a scenario file.
+def _exact_text(value, read=float, shown=None) -> str:
+    """Text that ``read`` turns back into the float ``value``: "%.12g" of
+    the value in the file's unit (``shown(value)``, default the value itself)
+    when that reads back, else the repr of it or of a float one ulp either
+    side of it, whichever reads back first.  A value that none of them gives
+    raises ValueError."""
+    value = float(value)
+    shown = value if shown is None else shown(value)
+    for text in (
+        "%.12g" % shown,
+        *map(repr, (shown, math.nextafter(shown, -math.inf), math.nextafter(shown, math.inf))),
+    ):
+        if read(text) == value:
+            return text
+    raise ValueError(f"no scenario.txt text reads back to {value!r}")
 
-    A scenario file holds only the inertia diagonal (``j_diag``), so a
-    non-diagonal inertia raises ValueError instead of being echoed without
-    its off-diagonal terms.
-    """
-    j = np.diag(scenario.inertia)
-    if not np.array_equal(scenario.inertia, np.diag(j)):
+
+def _float_key(get, read=float, shown=None):
+    """Table entry of a float key: its reader and its exact echo."""
+    return read, lambda sc: _exact_text(get(sc), read, shown)
+
+
+def _read_controller(text: str) -> str:
+    if text not in CONTROLLERS:
+        raise ValueError(f"unknown controller {text!r}")
+    return text
+
+
+def _read_j_diag(text: str) -> tuple:
+    jd = tuple(float(x) for x in str(text).split(","))
+    if len(jd) != 3:
+        raise ValueError("j_diag must have three entries")
+    return jd
+
+
+def _echo_name(sc: Scenario) -> str:
+    name = sc.name
+    if name != name.strip() or "#" in name or len(name.splitlines()) > 1:
+        raise ValueError(
+            f"scenario name {name!r} cannot be held by scenario.txt: it contains '#' or a "
+            "line break, or starts or ends with whitespace"
+        )
+    return name
+
+
+def _echo_j_diag(sc: Scenario) -> str:
+    j = np.diag(sc.inertia)
+    if not np.array_equal(sc.inertia, np.diag(j)):
         raise ValueError("scenario.txt holds only j_diag; the inertia has off-diagonal terms")
-    lines = [
-        f"name = {scenario.name}",
-        f"mode = {scenario.maneuver.mode}",
-        f"controller = {scenario.controller}",
-        f"wz = {scenario.maneuver.w0[2]:.12g}",
-        f"psi0_deg = {math.degrees(scenario.maneuver.psi0):.12g}",
-        f"stage1_duration = {scenario.maneuver.stage1_duration:.12g}",
-        f"kq = {scenario.gains.kq:.12g}",
-        f"kw = {scenario.gains.kw:.12g}",
-        f"kn = {scenario.gains.kn:.12g}",
-        f"c = {scenario.gains.c:.12g}",
-        f"delta = {scenario.gains.delta:.12g}",
-        f"dt = {scenario.dt:.12g}",
-        f"horizon = {scenario.horizon_after_t0:.12g}",
-        f"seed = {scenario.seed}",
-        f"j_diag = {j[0]:.12g},{j[1]:.12g},{j[2]:.12g}",
-    ]
-    return "\n".join(lines) + "\n"
+    return ",".join(map(_exact_text, j.tolist()))
+
+
+# Every scenario.txt key, in file order: the reader of its value text (a
+# flag's parsed value passes through it unchanged) and its echo of a Scenario.
+SCENARIO_KEYS = {
+    "name": (str, _echo_name),
+    "mode": (str, lambda sc: sc.maneuver.mode),
+    "controller": (_read_controller, lambda sc: sc.controller),
+    "wz": _float_key(lambda sc: sc.maneuver.w0[2]),
+    "psi0_deg": _float_key(
+        lambda sc: sc.maneuver.psi0, lambda text: math.radians(float(text)), math.degrees
+    ),
+    "stage1_duration": _float_key(lambda sc: sc.maneuver.stage1_duration),
+    **{key: _float_key(lambda sc, key=key: getattr(sc.gains, key)) for key in GAIN_KEYS},
+    "dt": _float_key(lambda sc: sc.dt),
+    "horizon": _float_key(lambda sc: sc.horizon_after_t0),
+    "seed": (int, lambda sc: str(sc.seed)),
+    "j_diag": (_read_j_diag, _echo_j_diag),
+}
+
+
+def scenario_to_text(scenario: Scenario) -> str:
+    """Flat ``key = value`` echo of a scenario that reads back to it exactly.
+
+    Each float is written "%.12g" when that text reads back to the same
+    float, else with the shortest text that does.  A name that the file
+    cannot hold ('#', a line break, edge whitespace) and a non-diagonal
+    inertia (the file holds only ``j_diag``) raise ValueError.
+    """
+    return "".join(f"{key} = {echo(scenario)}\n" for key, (_, echo) in SCENARIO_KEYS.items())
+
+
+def scenario_from_text(text: str, overrides=None, source: str = "scenario") -> Scenario:
+    """Scenario from scenario.txt ``text`` (``#`` starts a comment) with
+    ``overrides`` (key -> file text or parsed value) replacing its values;
+    ``source`` names the text in error messages.  wz and psi0_deg are
+    required; other keys default to a stage3 switching run, with the law's
+    DEFAULT_GAINS."""
+    raw = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = body.partition("=")
+        key = key.strip()
+        if key not in SCENARIO_KEYS:
+            raise ValueError(f"{source}:{lineno}: unknown scenario key {key!r}")
+        raw[key] = value.strip()
+    raw.update(overrides or {})
+    v = {key: SCENARIO_KEYS[key][0](value) for key, value in raw.items()}
+    if "wz" not in v or "psi0_deg" not in v:
+        raise ValueError("an initial condition is required (wz and psi0_deg, or --ic)")
+    controller = v.get("controller", "switching")
+    return Scenario(
+        name=v.get("name", f"ic_{float(raw['wz']):g}_{float(raw['psi0_deg']):g}"),
+        maneuver=ManeuverSpec(
+            w0=np.array([0.0, 0.0, v["wz"]]),
+            psi0=v["psi0_deg"],
+            stage1_duration=v.get("stage1_duration", 1.0),
+            mode=v.get("mode", MODE_STAGE3),
+        ),
+        controller=controller,
+        gains=gains_with(DEFAULT_GAINS[controller], v),
+        inertia=np.diag(v["j_diag"]) if "j_diag" in v else DEFAULT_INERTIA.copy(),
+        dt=v.get("dt", DEFAULT_DT),
+        horizon_after_t0=v.get("horizon", 3.0),
+        seed=v.get("seed", 0),
+    )

@@ -10,7 +10,9 @@ part go negative for targets beyond pi (no shortest-path flip).
 The reference has one form, ``_bind_reference(spec)``: a closure over the
 maneuver's constants (stage-1 length, rate, axis) that returns a
 ReferenceSample of float tuples.  ``ManeuverTracker`` binds it once per run
-and its ``sample`` returns those tuples.
+and its ``sample`` returns those tuples.  ``stage3_initial_state`` gives
+the stage-3 start as the packed state tuple that ``rigid_body.simulate``
+takes, so this module needs nothing from ``rigid_body``.
 """
 
 import math
@@ -18,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-
-from .rigid_body import BodyState
 
 MODE_FULL = "full"
 MODE_STAGE3 = "stage3"
@@ -94,15 +94,15 @@ def _bind_reference(spec: ManeuverSpec):
     return sample
 
 
-def stage3_initial_state(spec: ManeuverSpec) -> BodyState:
-    """Body state at the stage-3 step for a direct (stage3-mode) start.
+def stage3_initial_state(spec: ManeuverSpec) -> tuple:
+    """Packed body state (qw, qx, qy, qz, wx, wy, wz) at the stage-3 step,
+    for a direct (stage3-mode) start.
 
     The attitude is the continuously accumulated yaw rotation, so for
     psi0 > pi the quaternion scalar part is negative by construction.
     """
     h = 0.5 * spec.psi0
-    q = np.array([math.cos(h), 0.0, 0.0, math.sin(h)])
-    return BodyState(q=q, w=spec.w0.copy())
+    return (math.cos(h), 0.0, 0.0, math.sin(h), *spec.w0.tolist())
 
 
 @dataclass

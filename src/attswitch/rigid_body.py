@@ -16,9 +16,11 @@ closure over the inertia rows, their inverse and the step size, and every
 step after that passes only float tuples: the packed state
 y = (qw, qx, qy, qz, wx, wy, wz) and the held torque tau.
 ``_bind_derivative`` is the only form of the state derivative, with the
-gyroscopic term w x Jw written in its body.  ``simulate`` hands its
+gyroscopic term w x Jw written in its body.  The packed state is also the
+only form of a state: ``simulate`` starts from a packed y0, hands its
 controller the packed state y itself, so nothing is built per step, and
-refuses runs longer than ``MAX_STEPS`` steps before it allocates them.
+refuses a bad y0 or a run longer than ``MAX_STEPS`` steps before it
+allocates the run.
 """
 
 import math
@@ -66,17 +68,6 @@ def validate_inertia(J: np.ndarray) -> np.ndarray:
 def _check_step(dt: float) -> None:
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-
-
-@dataclass
-class BodyState:
-    """Attitude quaternion (body w.r.t. inertial) and body-frame angular velocity.
-
-    Any 4- and 3-sequences of floats: the initial state of ``simulate``.
-    """
-
-    q: np.ndarray  # (4,) scalar-first unit quaternion
-    w: np.ndarray  # (3,) rad/s
 
 
 def _bind_derivative(J, Jinv):
@@ -157,8 +148,16 @@ def _all_finite(y) -> bool:
     return all(map(math.isfinite, y))
 
 
-def _packed(state: BodyState) -> tuple:
-    return (*map(float, state.q), *map(float, state.w))
+def _initial_state(y0) -> tuple:
+    """y0 as a 7-tuple of floats, or ValueError unless it is 7 finite numbers
+    with a unit quaternion (|q|^2 within 1e-9 of 1)."""
+    y = tuple(map(float, y0))
+    if len(y) != 7 or not _all_finite(y):
+        raise ValueError(f"the initial state must be 7 finite numbers (q, w), got {y}")
+    qq = y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
+    if abs(qq - 1.0) > 1e-9:
+        raise ValueError(f"the initial quaternion {y[:4]} is not a unit quaternion: |q|^2 = {qq!r}")
+    return y
 
 
 @dataclass
@@ -186,14 +185,18 @@ def float_rows(rows, width: int) -> np.ndarray:
 
 
 def simulate(
-    state: BodyState,
+    y0,
     controller,
     J: np.ndarray,
     dt: float,
     duration: float,
 ) -> Trajectory:
-    """Integrate the closed loop and record the sampled trajectory.
+    """Integrate the closed loop from the packed state y0 and record the
+    sampled trajectory.
 
+    y0 = (qw, qx, qy, qz, wx, wy, wz) is any 7-sequence of finite numbers:
+    the scalar-first attitude quaternion (body w.r.t. inertial), whose
+    squared norm must lie within 1e-9 of 1, and the body rate in rad/s.
     ``controller`` is a callable ``(t, y) -> (tau, row)`` invoked once per
     physics step with the packed state y = (qw, qx, qy, qz, wx, wy, wz), a
     tuple of floats; the returned torque (any 3-sequence) is converted to
@@ -203,9 +206,9 @@ def simulate(
     converted into its slice of the preallocated arrays, so at most one
     chunk of per-step tuples is alive at any time.
     Returns a Trajectory with one row per physics step plus the final state.
-    A run of more than MAX_STEPS steps raises ValueError before anything is
-    allocated.  Controller and integration failures are re-raised as SimulationError
-    tagged with the failure time.
+    A run of more than MAX_STEPS steps, or a bad y0, raises ValueError
+    before anything is allocated.  Controller and integration failures are
+    re-raised as SimulationError tagged with the failure time.
     """
     if not (math.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be non-negative and finite, got {duration}")
@@ -217,7 +220,7 @@ def simulate(
             f" more than the {MAX_STEPS} a run may take"
         )
     n_steps = int(round(steps))
-    y = _packed(state)
+    y = _initial_state(y0)
     n = n_steps + 1
     ys_out, taus_out, tel = np.empty((n, 7)), np.empty((n, 3)), None
     # filled by index: a store costs less than an append call per step

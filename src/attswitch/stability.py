@@ -209,6 +209,12 @@ def inter_switch_decrease_check(run, tol: float = 1e-6):
     return True, None
 
 
+def report_number(x: float) -> str:
+    """``%.6f`` below 1e15 in magnitude and ``%.6e`` from there, so that a
+    report number is at most 23 characters wide."""
+    return "%.6f" % x if abs(x) < 1e15 else "%.6e" % x
+
+
 def format_stability_report(gains: GainSet, ic_rows=None) -> str:
     """Stability report as key-value lines plus a CSV block of IC verdicts."""
     P, pd, c_max = p_matrix_certificate(gains)
@@ -237,7 +243,7 @@ def format_stability_report(gains: GainSet, ic_rows=None) -> str:
         for row in ic_rows:
             lines.append(
                 f"{row['wz']:g},{row['psi0_deg']:g},{row['sigma']:+d},"
-                f"{row['V']:.6f},{str(row['in_roa']).lower()}"
+                f"{report_number(row['V'])},{str(row['in_roa']).lower()}"
             )
     return "\n".join(lines) + "\n"
 
@@ -257,5 +263,6 @@ __all__ = [
     "exponential_rate_check",
     "inter_switch_decrease_check",
     "format_stability_report",
+    "report_number",
     "switch_function",
 ]

@@ -23,7 +23,7 @@ from attswitch.harness import (
     run_scenario,
 )
 from attswitch.quat import IDENTITY, rotate_vector
-from attswitch.rigid_body import BodyState, bind_rk4, simulate
+from attswitch.rigid_body import bind_rk4, simulate
 from attswitch.stability import (
     closed_loop_field,
     error_jacobian,
@@ -184,7 +184,7 @@ def test_criterion_7_energy_comparison():
 def test_criterion_8_numerical_hygiene():
     with criterion(8, "norm drift, momentum conservation, and 4th-order convergence"):
         J = np.diag([1.66e-5, 1.86e-5, 2.93e-5])
-        state = BodyState(q=IDENTITY.copy(), w=np.array([1.0, 0.6, -0.8]))
+        state = (*IDENTITY, 1.0, 0.6, -0.8)
         traj = simulate(state, lambda t, s: (np.zeros(3), ()), J, 1e-3, 10.0)
         h0 = rotate_vector(traj.q[0], J @ traj.w[0])
         for q, w in zip(traj.q[::25], traj.w[::25]):

@@ -9,6 +9,8 @@ per-layer metrics also rely on how often each certificate is called: its
 state count is the number of ``switch_function`` calls.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -55,6 +57,21 @@ def test_traced_closed_loop_reaches_every_simulation_span(bench_modules):
     assert calls["controllers.switching"] == steps
     assert calls["reference.sample"] == 2 * steps
     assert calls["quat.calls"] > 0
+
+
+def test_traced_simulate_counts_each_output_once(bench_modules, tmp_path):
+    layers, spans, _ = bench_modules
+    from attswitch import cli
+
+    tracer = spans.Tracer()
+    argv = ["simulate", "--ic", "2,150", "--horizon", "0.01", "--out", str(tmp_path)]
+    with spans.patched(layers.replacements(tracer, "simulate_full")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    calls = tracer.snapshot()
+    once = ("harness.scenario_to_text", "harness.format_run_report", "harness.export_run", "cli.main")
+    for name in once:
+        assert calls[name] == 1, name
 
 
 def test_traced_certify_counts_each_certificate(bench_modules):

@@ -1,5 +1,6 @@
 import pytest
 
+from attswitch import harness
 from attswitch.cli import main, parse_args
 
 TABLE_TARGETS = {
@@ -224,6 +225,25 @@ class TestSimulateCommand:
             == 0
         )
         assert "wz = 2" in (out2 / "scenario.txt").read_text()
+
+    def test_scenario_file_reproduces_its_run(self, tmp_path, capsys):
+        # "%.12g" echoed wz = 2.12345678901 and kq = 10, so a run from the
+        # echo integrated another IC with other gains
+        first, again = tmp_path / "first", tmp_path / "again"
+        args = ["simulate", "--ic", "2.123456789012345,150.123456789", "--kq", "10.00000000000001"]
+        assert main(args + ["--out", str(first)]) == 0
+        assert main(["simulate", "--scenario", str(first / "scenario.txt"), "--out", str(again)]) == 0
+        for name in ("telemetry.csv", "report.txt", "scenario.txt"):
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", ["a#b", " a", "a ", "a\nb", "a\rb", "a\x85b"])
+    def test_name_scenario_file_cannot_hold_usage_error(self, tmp_path, capsys, monkeypatch, name):
+        # "a#b" was echoed and read back as "a"; refused now before the run
+        monkeypatch.setattr(harness, "run_scenario", lambda scenario: pytest.fail("ran"))
+        out = tmp_path / "run"
+        assert main(["simulate", "--ic", "2,150", f"--name={name}", "--out", str(out)]) == 1
+        assert "cannot be held by scenario.txt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_scenario_key_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

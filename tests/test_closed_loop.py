@@ -140,7 +140,7 @@ def _production(law, wz, psi0_deg, inertia, steps):
 
 def _assert_bit_identical_to_reference(law, wz, psi0_deg, steps):
     run, s0, sc = _production(law, wz, psi0_deg, None, steps)
-    ref = reference_closed_loop(law, s0.q, s0.w, sc.inertia, sc.gains, sc.dt, steps)
+    ref = reference_closed_loop(law, s0[:4], s0[4:], sc.inertia, sc.gains, sc.dt, steps)
     for name in FIELDS:
         got = np.ascontiguousarray(getattr(run, name))
         assert got.shape == ref[name].shape, name
@@ -177,7 +177,7 @@ def test_nondiagonal_inertia_matches_reference(i):
     wz, psi0_deg = REFERENCE_ICS[i % len(REFERENCE_ICS)]
     for law in LAWS:
         run, s0, sc = _production(law, wz, psi0_deg, J, 500)
-        ref = reference_closed_loop(law, s0.q, s0.w, sc.inertia, sc.gains, sc.dt, 500)
+        ref = reference_closed_loop(law, s0[:4], s0[4:], sc.inertia, sc.gains, sc.dt, 500)
         for name in FIELDS:
             got, want = getattr(run, name), ref[name]
             dev = np.max(np.abs(got - want)) / np.max(np.abs(want))

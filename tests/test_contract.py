@@ -1,9 +1,12 @@
 """The command-line contract: every run exits 0, 1 or 2 without a traceback,
-and exit 0 means that every number it wrote is finite.
+and exit 0 means that every number it wrote is finite and at most WIDEST
+characters wide.
 
 ``test_cli_contract`` draws argument vectors over every flag of
 ``simulate``, ``sweep``, ``table1`` and ``stability-report``; the named
 tests below it pin the cases that broke the contract.
+``test_scenario_echo_reads_back_exactly`` draws ``simulate`` flags, 17-digit
+floats among them, and checks that scenario.txt reads back to its scenario.
 """
 
 import contextlib
@@ -17,7 +20,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from attswitch.cli import main
+from attswitch import harness
+from attswitch.cli import _build_scenario, main, parse_args
+from attswitch.controllers import GAIN_KEYS
 
 # what a numeric flag may be given, in one draw of ten, instead of one of its
 # own values: zero, negative, non-finite, extreme and unparsable
@@ -29,16 +34,35 @@ PSI = ("150", "100", "210", "359.9")
 DT = ("0.001", "0.005", "0.0199", "0.02")
 HORIZON = ("0.01", "0.05", "0.0001")
 STAGE1 = ("0", "0.01")
+J = ("1,1,1", "0.1,0.2,0.3")
 # grid counts stay small: a count is an allocation
 COUNT, BAD_COUNT = ("1", "2"), ("0", "-1", "1.5", "x")
 LAWS = ("continuous", "benchmark", "switching")
 PATH = re.compile(r"=(out|table|report|scenario\.txt|missing\.txt)$")
+# "%.17g" of a negative float with a three-digit exponent; "%.6f" stays
+# below it under 1e15, and reports switch to "%.6e" from there
+WIDEST = len("-1.2345678901234567e-300")
 TOKEN = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|\.\d+)|\b(?:nan|inf|infinity)\b", re.I)
 
 
+def _pool(values):
+    return values if isinstance(values, st.SearchStrategy) else st.sampled_from(values)
+
+
 def _mix(good, bad=ODD):
-    """One of a flag's ``good`` values, or in one draw of ten one of ``bad``."""
-    return st.integers(0, 9).flatmap(lambda i: st.sampled_from(good if i else bad))
+    """One of a flag's ``good`` values, or in one draw of ten one of ``bad``;
+    each a tuple of texts or a strategy."""
+    return st.integers(0, 9).flatmap(lambda i: _pool(good if i else bad))
+
+
+def _digits17(lo, hi):
+    """A float in [lo, hi] written with 17 significant digits, which "%.12g"
+    does not hold."""
+    return st.floats(lo, hi).map(lambda x: "%.17g" % x)
+
+
+def _or_digits17(values, lo, hi):
+    return st.one_of(st.sampled_from(values), _digits17(lo, hi))
 
 
 def _given(name, values):
@@ -58,22 +82,32 @@ def _command(name, *flags):
     return st.tuples(*flags).map(lambda fs: (name, *(x for f in fs for x in f)))
 
 
-GAIN_FLAGS = [_maybe(f"--{g}", _mix(GAIN)) for g in ("kq", "kw", "kn", "c", "delta")]
-ARGV = st.one_of(
-    _command(
+GAIN_FLAGS = [_maybe(f"--{g}", _mix(GAIN)) for g in GAIN_KEYS]
+
+
+def _simulate(
+    scenario, ic=_maybe, wz=WZ, psi=PSI, dt=DT, horizon=HORIZON, stage1=STAGE1, j=J, gain=GAIN
+):
+    """simulate with every flag but --out, each drawn from its pool; ``ic`` is
+    _maybe or _given."""
+    return _command(
         "simulate",
-        _maybe("--ic", _joined(_mix(WZ), _mix(PSI))),
+        ic("--ic", _joined(_mix(wz), _mix(psi))),
         _maybe("--controller", st.sampled_from(LAWS)),
         _maybe("--mode", st.sampled_from(("stage3", "full"))),
-        _maybe("--dt", _mix(DT)),
-        _given("--horizon", _mix(HORIZON)),
-        _given("--stage1", _mix(STAGE1)),
-        _maybe("--j", _mix(("1,1,1", "0.1,0.2,0.3"), ("1,0,1", "1,1", "nan,1,1", "1e308,1,1"))),
+        _maybe("--dt", _mix(dt)),
+        _given("--horizon", _mix(horizon)),
+        _given("--stage1", _mix(stage1)),
+        _maybe("--j", _mix(j, ("1,0,1", "1,1", "nan,1,1", "1e308,1,1"))),
         _maybe("--name", st.sampled_from(("run", ""))),
         _maybe("--seed", _mix(("0", "-1", "7"), ("1e3", "x"))),
-        _maybe("--scenario", _mix(("scenario.txt",), ("missing.txt",))),
-        *GAIN_FLAGS,
-    ),
+        scenario,
+        *(_maybe(f"--{g}", _mix(gain)) for g in GAIN_KEYS),
+    )
+
+
+ARGV = st.one_of(
+    _simulate(_maybe("--scenario", _mix(("scenario.txt",), ("missing.txt",)))),
     _command(
         "sweep",
         _given("--wz", _joined(_mix(WZ), _mix(WZ), _mix(COUNT, BAD_COUNT))),
@@ -88,8 +122,11 @@ ARGV = st.one_of(
 )
 
 
-def _non_finite_numbers(text: str):
-    return [tok for tok in TOKEN.findall(text) if not math.isfinite(float(tok))]
+def _bad_numbers(text: str):
+    """Number tokens that are not finite or are wider than WIDEST characters."""
+    return [
+        tok for tok in TOKEN.findall(text) if not math.isfinite(float(tok)) or len(tok) > WIDEST
+    ]
 
 
 def run_cli(argv, cwd: Path):
@@ -124,9 +161,9 @@ def check_contract(argv):
         written = sorted(p.relative_to(cwd) for p in cwd.rglob("*") if p.is_file() and p not in inputs)
         if code == 0:
             for path in written:
-                bad = _non_finite_numbers((cwd / path).read_text())
+                bad = _bad_numbers((cwd / path).read_text())
                 assert not bad, (argv, path, bad[:5])
-            assert not _non_finite_numbers(out), (argv, out)
+            assert not _bad_numbers(out), (argv, out)
         else:
             assert "error" in err, (argv, err)
         return code, err, written
@@ -183,3 +220,54 @@ def test_overflowing_run_exits_2_before_writing():
     assert code == 2
     assert err.startswith("attswitch: runtime error: ") and err.count("\n") == 1, err
     assert written == []
+
+
+def test_huge_report_numbers_keep_a_bounded_width():
+    # Lambda and V at t0 are of order 1e301: "%.6f" wrote them as 316- and
+    # 322-character lines of report.txt
+    code, err, written = check_contract(("simulate", "--ic=2,150", "--kq=1e-300"))
+    assert code == 0, err
+    assert [p.name for p in written] == ["report.txt", "scenario.txt", "telemetry.csv"]
+
+
+def _fields(sc):
+    """Every field of a scenario, each float as its bits."""
+    m, g = sc.maneuver, sc.gains
+    floats = (m.psi0, m.stage1_duration, sc.dt, sc.horizon_after_t0, *(getattr(g, k) for k in GAIN_KEYS))
+    return (
+        sc.name, m.mode, sc.controller, sc.seed, m.w0.tobytes(), sc.inertia.tobytes(),
+        *(float(x).hex() for x in floats),
+    )
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    _simulate(
+        st.just(()),
+        ic=_given,
+        wz=_or_digits17(WZ, 0.5, 10.0),
+        psi=_or_digits17(PSI, 1e-3, 359.999),
+        dt=_or_digits17(DT, 1e-4, 0.0199),
+        horizon=_or_digits17(HORIZON, 1e-3, 0.1),
+        stage1=_or_digits17(STAGE1, 0.0, 2.0),
+        j=st.one_of(st.sampled_from(J), _joined(*[_digits17(1e-6, 1.0)] * 3)),
+        gain=_or_digits17(GAIN, 1e-3, 1e3),
+    )
+)
+def test_scenario_echo_reads_back_exactly(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the c >= c_max advisory
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                scenario = _build_scenario(parse_args(argv))
+        except (SystemExit, ValueError):
+            return  # input simulate refuses with exit 1
+        text = harness.scenario_to_text(scenario)
+        again = harness.scenario_from_text(text)
+    assert harness.scenario_to_text(again) == text
+    assert _fields(again) == _fields(scenario)

@@ -445,9 +445,9 @@ class TestClosedLoopEquivalence:
             assert np.max(np.abs(fd_nu[i - 1] - rhs_nu)) <= 1e-6
 
 
-def control(ctrl, t, state):
-    """Call a controller on a BodyState's packed state; name the telemetry row."""
-    tau, row = ctrl(t, (*state.q.tolist(), *state.w.tolist()))
+def control(ctrl, t, y):
+    """Call a controller on a packed state; name the telemetry row."""
+    tau, row = ctrl(t, y)
     return tau, ControlTelemetry(*row)
 
 

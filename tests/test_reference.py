@@ -101,20 +101,20 @@ class TestReferenceAt:
 class TestStage3InitialState:
     def test_100_degrees(self):
         s = stage3_initial_state(yaw_spec(2.0, 100.0, MODE_STAGE3))
-        assert s.q[0] == pytest.approx(math.cos(math.radians(50.0)), abs=1e-12)
-        assert s.q[0] == pytest.approx(0.64279, abs=1e-5)
-        assert np.allclose(s.w, [0.0, 0.0, 2.0])
+        assert s[0] == pytest.approx(math.cos(math.radians(50.0)), abs=1e-12)
+        assert s[0] == pytest.approx(0.64279, abs=1e-5)
+        assert np.allclose(s[4:], [0.0, 0.0, 2.0])
 
     def test_210_degrees_scalar_part_negative(self):
         # continuity: for psi0 > pi the scalar part must stay negative
         s = stage3_initial_state(yaw_spec(2.0, 210.0, MODE_STAGE3))
-        assert s.q[0] == pytest.approx(-0.25882, abs=1e-5)
-        assert s.q[0] == pytest.approx(math.cos(math.radians(105.0)), abs=1e-12)
+        assert s[0] == pytest.approx(-0.25882, abs=1e-5)
+        assert s[0] == pytest.approx(math.cos(math.radians(105.0)), abs=1e-12)
 
     def test_tiny_maneuver_is_near_identity(self):
         s = stage3_initial_state(yaw_spec(0.0, 1e-7, MODE_STAGE3))
-        assert np.allclose(s.q, IDENTITY, atol=1e-8)
-        assert np.allclose(s.w, 0.0)
+        assert np.allclose(s[:4], IDENTITY, atol=1e-8)
+        assert np.allclose(s[4:], 0.0)
 
 
 class TestManeuverTracker:

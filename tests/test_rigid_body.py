@@ -7,7 +7,6 @@ import pytest
 from attswitch.quat import IDENTITY, from_axis_angle, rotate_vector, yaw_of
 from attswitch.rigid_body import (
     CHUNK,
-    BodyState,
     SimulationError,
     _bind_derivative,
     bind_rk4,
@@ -25,10 +24,10 @@ def zero_controller(t, y):
     return np.zeros(3), ()
 
 
-def derivative(s, tau, J):
-    """(q_dot, w_dot) of a BodyState under torque tau, from the bound derivative."""
+def derivative(y, tau, J):
+    """(q_dot, w_dot) of a packed state under torque tau, from the bound derivative."""
     J = np.asarray(J, dtype=float)
-    d = _bind_derivative(J.tolist(), np.linalg.inv(J).tolist())(*s.q, *s.w, *tau)
+    d = _bind_derivative(J.tolist(), np.linalg.inv(J).tolist())(*y, *tau)
     return np.array(d[:4]), np.array(d[4:])
 
 
@@ -62,20 +61,20 @@ class TestValidateInertia:
 
 class TestOpenLoopDerivative:
     def test_equilibrium(self):
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
+        s = (*IDENTITY, 0.0, 0.0, 0.0)
         qdot, wdot = derivative(s, np.zeros(3), np.diag([1.0, 2.0, 3.0]))
         assert np.allclose(qdot, 0.0)
         assert np.allclose(wdot, 0.0)
 
     def test_diagonal_scaling(self):
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
+        s = (*IDENTITY, 0.0, 0.0, 0.0)
         _, wdot = derivative(s, np.array([0.0, 0.0, 1.0]), np.diag([2.0, 2.0, 2.0]))
         assert np.allclose(wdot, [0.0, 0.0, 0.5])
 
     def test_gyroscopic_term(self):
         # hand cross-product oracle: w x Jw = (1,1,0) x (1,2,0) = (0,0,1)
         J = np.diag([1.0, 2.0, 3.0])
-        s = BodyState(q=IDENTITY.copy(), w=np.array([1.0, 1.0, 0.0]))
+        s = (*IDENTITY, 1.0, 1.0, 0.0)
         _, wdot = derivative(s, np.zeros(3), J)
         assert np.allclose(wdot, [0.0, 0.0, -1.0 / 3.0])
 
@@ -101,16 +100,16 @@ class TestRk4Step:
 
 class TestSimulate:
     def test_zero_duration_single_sample(self):
-        s = BodyState(q=from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.4), w=np.array([0.1, 0.0, 0.0]))
+        s = (*from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.4), 0.1, 0.0, 0.0)
         traj = simulate(s, zero_controller, np.eye(3), 1e-3, 0.0)
         assert len(traj) == 1
         assert traj.t[0] == 0.0
-        assert np.allclose(traj.q[0], s.q)
-        assert np.allclose(traj.w[0], s.w)
+        assert np.allclose(traj.q[0], s[:4])
+        assert np.allclose(traj.w[0], s[4:])
         assert np.allclose(traj.tau[0], 0.0)
 
     def test_empty_rows_give_zero_width_telemetry(self):
-        s = BodyState(q=IDENTITY.copy(), w=TUMBLE_W.copy())
+        s = (*IDENTITY, *TUMBLE_W)
         traj = simulate(s, zero_controller, TUMBLE_J, 1e-3, (CHUNK + 1) * 1e-3)
         assert traj.telemetry.shape == (CHUNK + 2, 0)
 
@@ -118,7 +117,7 @@ class TestSimulate:
         def controller(t, y):
             return np.zeros(3), (t, y[6])
 
-        s = BodyState(q=IDENTITY.copy(), w=TUMBLE_W.copy())
+        s = (*IDENTITY, *TUMBLE_W)
         traj = simulate(s, controller, TUMBLE_J, 1e-3, 2 * CHUNK * 1e-3)
         assert traj.telemetry.shape == (2 * CHUNK + 1, 2)
         assert traj.telemetry.dtype == float
@@ -135,7 +134,7 @@ class TestSimulate:
             tau = (-1e-4 * qx - 1e-5 * wx, -1e-4 * qy - 1e-5 * wy, -1e-4 * qz - 1e-5 * wz)
             return tau, (*tau, qw * qw, t, 0.5 * t, -t, 1.0, 2.0)
 
-        s = BodyState(q=from_axis_angle(np.array([0.6, 0.0, 0.8]), 2.5), w=TUMBLE_W.copy())
+        s = (*from_axis_angle(np.array([0.6, 0.0, 0.8]), 2.5), *TUMBLE_W)
         tracemalloc.start()
         try:
             traj = simulate(s, controller, TUMBLE_J, 1e-3, 16 * CHUNK * 1e-3)
@@ -147,7 +146,7 @@ class TestSimulate:
         assert peak < 2 * arrays
 
     def test_torque_free_principal_spin_constant_rate(self):
-        s = BodyState(q=IDENTITY.copy(), w=np.array([0.0, 0.0, 1.5]))
+        s = (*IDENTITY, 0.0, 0.0, 1.5)
         rates = simulate(s, zero_controller, np.diag([1.0, 2.0, 3.0]), 1e-3, 0.5).w
         assert np.allclose(rates, rates[0], atol=1e-12)
 
@@ -155,7 +154,7 @@ class TestSimulate:
         "dt,duration", [(math.inf, 1.0), (math.nan, 1.0), (1e-3, math.inf), (1e-3, math.nan)]
     )
     def test_rejects_nonfinite_step_or_duration(self, dt, duration):
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
+        s = (*IDENTITY, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="finite"):
             simulate(s, zero_controller, np.eye(3), dt, duration)
 
@@ -169,12 +168,35 @@ class TestSimulate:
             return np.zeros(3), ()
 
         monkeypatch.setattr(rigid_body, "MAX_STEPS", 5)
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
+        s = (*IDENTITY, 0.0, 0.0, 0.0)
         assert len(simulate(s, counting_controller, np.eye(3), 0.25, 1.25)) == 6
         calls.clear()
         with pytest.raises(ValueError, match="more than the 5 a run may take"):
             simulate(s, counting_controller, np.eye(3), 0.25, 1.5)
         assert calls == []
+
+    def _refused(self, y0, match):
+        calls = []
+
+        def counting_controller(t, y):
+            calls.append(t)
+            return np.zeros(3), ()
+
+        with pytest.raises(ValueError, match=match):
+            simulate(y0, counting_controller, np.eye(3), 1e-3, 1.0)
+        assert calls == []
+
+    def test_rejects_six_entry_state(self):
+        # unpacking a 6-tuple failed after the first controller call
+        self._refused((*IDENTITY, 0.0, 0.0), "7 finite numbers")
+
+    def test_rejects_nonfinite_rate(self):
+        # a NaN rate was integrated and failed as SimulationError at t = 0.001
+        self._refused((*IDENTITY, math.nan, 0.0, 0.0), "7 finite numbers")
+
+    def test_rejects_unnormalised_quaternion(self):
+        # q = (2, 0, 0, 0) was accepted and recorded unnormalised in row 0
+        self._refused((2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "not a unit quaternion")
 
     def test_controller_error_carries_timestamp(self):
         def bad_controller(t, y):
@@ -182,7 +204,7 @@ class TestSimulate:
                 raise ValueError("boom")
             return np.zeros(3), ()
 
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
+        s = (*IDENTITY, 0.0, 0.0, 0.0)
         with pytest.raises(SimulationError, match=r"controller failed at t=0\.011"):
             simulate(s, bad_controller, np.eye(3), 1e-3, 1.0)
 
@@ -190,7 +212,7 @@ class TestSimulate:
         def nan_controller(t, y):
             return np.array([math.nan, 0.0, 0.0]), ()
 
-        s = BodyState(q=IDENTITY.copy(), w=np.zeros(3))
+        s = (*IDENTITY, 0.0, 0.0, 0.0)
         with pytest.raises(SimulationError, match="non-finite state"):
             simulate(s, nan_controller, np.eye(3), 1e-3, 0.1)
 
@@ -212,7 +234,7 @@ class TestSimulate:
             return tau, (*err.n_e, *err.w_err)
 
         axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-        s = BodyState(q=from_axis_angle(axis, 0.1), w=np.zeros(3))
+        s = (*from_axis_angle(axis, 0.1), 0.0, 0.0, 0.0)
         errs = simulate(s, controller, J, 1e-3, 1.2).telemetry
         n_norm = np.linalg.norm(errs[:, :3], axis=1)
         w_norm = np.linalg.norm(errs[:, 3:], axis=1)
@@ -236,7 +258,7 @@ class TestSimulate:
         def ndarray_controller(t, y):
             return torque(y), ()
 
-        s = BodyState(q=from_axis_angle(np.array([0.6, 0.0, 0.8]), 2.5), w=TUMBLE_W.copy())
+        s = (*from_axis_angle(np.array([0.6, 0.0, 0.8]), 2.5), *TUMBLE_W)
         a, b = (simulate(s, c, TUMBLE_J, 1e-3, 0.5) for c in (tuple_controller, ndarray_controller))
         for name in ("q", "w", "tau"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
@@ -244,7 +266,7 @@ class TestSimulate:
 
 class TestConservation:
     def test_torque_free_invariants_over_10k_steps(self):
-        s = BodyState(q=IDENTITY.copy(), w=TUMBLE_W.copy())
+        s = (*IDENTITY, *TUMBLE_W)
         traj = simulate(s, zero_controller, TUMBLE_J, 1e-3, 10.0)
         h0 = rotate_vector(traj.q[0], TUMBLE_J @ traj.w[0])
         e0 = 0.5 * traj.w[0] @ (TUMBLE_J @ traj.w[0])
