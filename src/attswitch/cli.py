@@ -145,20 +145,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _params_text(**values) -> str:
+    """params.txt: a ``key = value`` line per value, each float written so
+    that it reads back exactly (``harness._exact_text``)."""
+    return "".join(
+        f"{key} = {harness._exact_text(v) if isinstance(v, float) else v}\n"
+        for key, v in values.items()
+    )
+
+
 def _cmd_compare(args) -> int:
     pert = harness.PerturbationSpec(psi0_deg=args.perturb_psi, wz=args.perturb_wz)
+    dt = args.dt if args.dt is not None else DEFAULT_DT
     report = harness.effort_comparison(
-        repeats=args.repeats,
-        perturbation=pert,
-        dt=args.dt if args.dt is not None else DEFAULT_DT,
-        seed=args.seed,
+        repeats=args.repeats, perturbation=pert, dt=dt, seed=args.seed
     )
     text = harness.format_comparison_report(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = (
-        f"repeats = {args.repeats}\nseed = {args.seed}\n"
-        f"perturb_psi = {args.perturb_psi:g}\nperturb_wz = {args.perturb_wz:g}\n"
+    params = _params_text(
+        repeats=args.repeats, seed=args.seed, perturb_psi=args.perturb_psi,
+        perturb_wz=args.perturb_wz, dt=dt,
     )
     _write(out / "params.txt", params)
     _write(out / "report.txt", text)
@@ -211,7 +218,8 @@ def _cmd_sweep(args) -> int:
             )
             i0 = 0
             lines.append(
-                f"{wz:g},{psi:g},{int(run.sigma[i0]):+d},{report_number(run.V[i0])},"
+                f"{harness._exact_text(wz)},{harness._exact_text(psi)},"
+                f"{int(run.sigma[i0]):+d},{report_number(run.V[i0])},"
                 f"{str(bool(run.V[i0] < gains.roa_radius)).lower()},"
                 f"{len(run.switch_times)},{run.gamma_tau:.9g},"
                 f"{report_number(math.degrees(run.final_yaw_error))}"
@@ -219,7 +227,11 @@ def _cmd_sweep(args) -> int:
     text = "\n".join(lines) + "\n"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "params.txt", f"wz = {args.wz}\npsi = {args.psi}\ncontroller = {args.controller}\n")
+    params = _params_text(
+        wz=args.wz, psi=args.psi, controller=args.controller, dt=dt, horizon=horizon,
+        **{key: getattr(gains, key) for key in GAIN_KEYS},
+    )
+    _write(out / "params.txt", params)
     _write(out / "sweep.csv", text)
     print(text, end="")
     return 0

@@ -19,7 +19,9 @@ The torque, the error, Lambda and the sigma update each have exactly one
 form, written on plain floats: the error state is a pair (q_err, w_err) of
 4- and 3-sequences and every result a tuple of floats.  The torque is the
 factory ``_bind_torque(kq, kw, kn, J)``, a closure over the gains and the
-inertia rows with J a + w x Jw in its body; Lambda is
+inertia rows with J a + w x Jw in its body, whose products with the
+off-diagonal entries of J are formed only when one of them is nonzero, with
+the same bits either way (see its docstring); Lambda is
 ``_lam(q_err, w_err, a, b)`` with a = -2 kn/kq and b = 4c, from the real kn
 for every law.  Each controller binds its torque and a, b once, in
 ``__init__``; the three differ only in their sigma rule.  A controller is
@@ -210,8 +212,20 @@ def _bind_torque(kq: float, kw: float, kn: float, J):
     The one torque form of all three laws: the switching law binds its kn;
     the continuous (s = +1) and shorter-path (s = sgn(m_e)) laws bind kn = 0,
     which makes nu = w_err and drops the n_e_dot term.
+
+    The products with the off-diagonal entries of J are formed only when one
+    of them is nonzero (``off``), and then added in the order of the full
+    sums J a and J w, so a non-diagonal inertia keeps its bits.  A diagonal
+    one keeps them too, for finite inputs and a feedforward wdot_d with no
+    -0.0 entry (the reference's is +0.0): each dropped product is
+    +-0.0, and x + (+-0.0) = x unless x = -0.0, while a is never -0.0 because
+    wdot_d is added to it, so neither J_ii a_i (unless it underflows to zero)
+    nor a torque entry is.  A sign change of a zero J w entry changes w x Jw
+    only in the sign of a zero, which the sum J_ii a_i + (w x Jw)_i does not
+    keep.
     """
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
+    off = any((j01, j02, j10, j12, j20, j21))
 
     def torque(s, q_err, w_err, w, wdot_d):
         m, nx, ny, nz = q_err
@@ -228,13 +242,19 @@ def _bind_torque(kq: float, kw: float, kn: float, J):
         ax = kp * nx + kw * ux + wdot_d[0] + kd * dx
         ay = kp * ny + kw * uy + wdot_d[1] + kd * dy
         az = kp * nz + kw * uz + wdot_d[2] + kd * dz
-        jx = j00 * wx + j01 * wy + j02 * wz
-        jy = j10 * wx + j11 * wy + j12 * wz
-        jz = j20 * wx + j21 * wy + j22 * wz
+        jx, jy, jz = j00 * wx, j11 * wy, j22 * wz
+        tx, ty, tz = j00 * ax, j11 * ay, j22 * az
+        if off:
+            jx, jy, jz = (
+                jx + j01 * wy + j02 * wz, j10 * wx + jy + j12 * wz, j20 * wx + j21 * wy + jz
+            )
+            tx, ty, tz = (
+                tx + j01 * ay + j02 * az, j10 * ax + ty + j12 * az, j20 * ax + j21 * ay + tz
+            )
         return (
-            j00 * ax + j01 * ay + j02 * az + (wy * jz - wz * jy),
-            j10 * ax + j11 * ay + j12 * az + (wz * jx - wx * jz),
-            j20 * ax + j21 * ay + j22 * az + (wx * jy - wy * jx),
+            tx + (wy * jz - wz * jy),
+            ty + (wz * jx - wx * jz),
+            tz + (wx * jy - wy * jx),
         )
 
     return torque

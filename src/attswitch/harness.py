@@ -458,8 +458,8 @@ def format_comparison_report(report: ComparisonReport) -> str:
     lines = [
         "# controller effort comparison",
         f"repeats = {report.repeats}",
-        f"perturbation_psi0_deg = {report.perturbation.psi0_deg:g}",
-        f"perturbation_wz = {report.perturbation.wz:g}",
+        f"perturbation_psi0_deg = {_exact_text(report.perturbation.psi0_deg)}",
+        f"perturbation_wz = {_exact_text(report.perturbation.wz)}",
         f"mean_mismatch_reduction_percent = {report.mean_mismatch_reduction:.3f}",
         "",
         "[results]",
@@ -491,7 +491,7 @@ def _exact_text(value, read=float, shown=None) -> str:
     ):
         if read(text) == value:
             return text
-    raise ValueError(f"no scenario.txt text reads back to {value!r}")
+    raise ValueError(f"no text reads back to {value!r}")
 
 
 def _float_key(get, read=float, shown=None):

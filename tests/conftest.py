@@ -132,7 +132,9 @@ def _ref_torque(law, q_err, w_err, sigma, w, wdot_d, gains, J):
     return J @ a + _ref_gyro(w, J)
 
 
-def _ref_deriv7(y, tx, ty, tz, J, Jinv):
+def general_derivative(y, tx, ty, tz, J, Jinv):
+    """The packed-state derivative with all nine products of J w and of
+    Jinv r, summed left to right, for inertia rows J and Jinv of any form."""
     qw, qx, qy, qz, wx, wy, wz = y
     jx = J[0][0] * wx + J[0][1] * wy + J[0][2] * wz
     jy = J[1][0] * wx + J[1][1] * wy + J[1][2] * wz
@@ -151,15 +153,40 @@ def _ref_deriv7(y, tx, ty, tz, J, Jinv):
     )
 
 
+def general_torque(kq, kw, kn, J, s, q_err, w_err, w, wdot_d):
+    """The one torque form, J a + w x Jw, with all nine products of J a and
+    of J w summed left to right, for inertia rows J of any form; the
+    arguments are those of ``controllers._bind_torque`` and of its torque."""
+    m, nx, ny, nz = q_err
+    ex, ey, ez = w_err
+    wx, wy, wz = w
+    kp, kd = s * kq, s * kn
+    ux, uy, uz = ex + kd * nx, ey + kd * ny, ez + kd * nz
+    dx = 0.5 * (m * ex + ey * nz - ez * ny)
+    dy = 0.5 * (m * ey + ez * nx - ex * nz)
+    dz = 0.5 * (m * ez + ex * ny - ey * nx)
+    ax = kp * nx + kw * ux + wdot_d[0] + kd * dx
+    ay = kp * ny + kw * uy + wdot_d[1] + kd * dy
+    az = kp * nz + kw * uz + wdot_d[2] + kd * dz
+    jx = J[0][0] * wx + J[0][1] * wy + J[0][2] * wz
+    jy = J[1][0] * wx + J[1][1] * wy + J[1][2] * wz
+    jz = J[2][0] * wx + J[2][1] * wy + J[2][2] * wz
+    return (
+        J[0][0] * ax + J[0][1] * ay + J[0][2] * az + (wy * jz - wz * jy),
+        J[1][0] * ax + J[1][1] * ay + J[1][2] * az + (wz * jx - wx * jz),
+        J[2][0] * ax + J[2][1] * ay + J[2][2] * az + (wx * jy - wy * jx),
+    )
+
+
 def _ref_rk4(y, tx, ty, tz, J, Jinv, dt):
-    k1 = _ref_deriv7(y, tx, ty, tz, J, Jinv)
+    k1 = general_derivative(y, tx, ty, tz, J, Jinv)
     h = 0.5 * dt
     y2 = tuple(y[i] + h * k1[i] for i in range(7))
-    k2 = _ref_deriv7(y2, tx, ty, tz, J, Jinv)
+    k2 = general_derivative(y2, tx, ty, tz, J, Jinv)
     y3 = tuple(y[i] + h * k2[i] for i in range(7))
-    k3 = _ref_deriv7(y3, tx, ty, tz, J, Jinv)
+    k3 = general_derivative(y3, tx, ty, tz, J, Jinv)
     y4 = tuple(y[i] + dt * k3[i] for i in range(7))
-    k4 = _ref_deriv7(y4, tx, ty, tz, J, Jinv)
+    k4 = general_derivative(y4, tx, ty, tz, J, Jinv)
     s = dt / 6.0
     y = tuple(y[i] + s * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(7))
     qw, qx, qy, qz, wx, wy, wz = y

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from attswitch import harness
 from attswitch.cli import main, parse_args
+from attswitch.controllers import GAIN_KEYS
 
 TABLE_TARGETS = {
     (2.0, 150.0): 7.97,
@@ -10,6 +12,12 @@ TABLE_TARGETS = {
     (2.0, 100.0): 6.10,
     (2.0, 210.0): 5.90,
 }
+
+
+def _key_values(path):
+    """The ``key = value`` lines of a params.txt or report header, as text."""
+    lines = (line.partition(" = ") for line in path.read_text().splitlines())
+    return {key: value for key, sep, value in lines if sep}
 
 
 class TestParseArgs:
@@ -273,6 +281,29 @@ class TestCompareCommand:
         assert "ic_4_100,switching," in text
         assert (out / "params.txt").exists()
 
+    def test_params_read_back_exactly(self, tmp_path, monkeypatch):
+        # params.txt and the report header printed "%g": 0.123457 and 0.0123457,
+        # and params.txt had no dt
+        used = {}
+
+        def comparison(repeats, perturbation, dt, seed):
+            used.update(perturb_psi=perturbation.psi0_deg, perturb_wz=perturbation.wz, dt=dt)
+            return harness.ComparisonReport(repeats, perturbation, rows=[])
+
+        monkeypatch.setattr(harness, "effort_comparison", comparison)
+        out = tmp_path / "cmp"
+        args = ["compare", "--perturb-psi", "0.123456789", "--perturb-wz", "0.0123456789",
+                "--dt", "0.0009999999999999998", "--out", str(out)]
+        assert main(args) == 0
+        params = _key_values(out / "params.txt")
+        assert params.keys() == {"repeats", "seed", "perturb_psi", "perturb_wz", "dt"}
+        assert {k: float(params[k]) for k in used} == used
+        assert used == {"perturb_psi": 0.123456789, "perturb_wz": 0.0123456789,
+                        "dt": 0.0009999999999999998}
+        report = _key_values(out / "report.txt")
+        assert float(report["perturbation_psi0_deg"]) == used["perturb_psi"]
+        assert float(report["perturbation_wz"]) == used["perturb_wz"]
+
     def test_step_not_dividing_the_horizon_runs(self, tmp_path):
         # 3 s at dt = 1.1 ms: 2727 steps end at 2.9997 s, so 2728 are taken
         out = tmp_path / "cmp"
@@ -320,6 +351,26 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("wz,psi0_deg,sigma_t0,V_t0,in_roa")
         assert len(lines) == 1 + 4
+
+    def test_ic_labels_and_params_read_back_exactly(self, tmp_path):
+        # the IC columns printed "%g", so all three rows read "2"; params.txt
+        # had no dt, horizon or gains
+        out = tmp_path / "sweep"
+        args = ["sweep", "--wz", "2,2.0000001,3", "--psi", "150,150,1", "--horizon", "0.1",
+                "--dt", "0.0009999999999999998", "--kq", "10.00000000000001", "--out", str(out)]
+        assert main(args) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == np.linspace(2.0, 2.0000001, 3).tolist()
+        assert [r[1] for r in rows] == ["150"] * 3
+        params = _key_values(out / "params.txt")
+        assert list(params) == ["wz", "psi", "controller", "dt", "horizon", *GAIN_KEYS]
+        assert (params["wz"], params["psi"], params["controller"]) == (
+            "2,2.0000001,3", "150,150,1", "switching"
+        )
+        assert float(params["dt"]) == 0.0009999999999999998
+        assert float(params["horizon"]) == 0.1
+        gains = harness.gains_with(harness.SWITCHING_GAINS, {"kq": 10.00000000000001})
+        assert {k: float(params[k]) for k in GAIN_KEYS} == {k: getattr(gains, k) for k in GAIN_KEYS}
 
     def test_horizon_between_steps_runs(self, tmp_path):
         out = tmp_path / "sweep"

@@ -4,23 +4,39 @@ The SHA-256 digests below were taken from the CLI output files before the
 closed-loop step was rewritten on plain floats; any change that alters a
 single byte of ``telemetry.csv`` or ``report.txt`` fails here.  The
 equivalence tests compare the production loop with the reference loop in
-conftest: bit for bit on the default (diagonal) inertia, and to a relative
-1e-12 on non-diagonal inertias, where the production path sums J @ v in
-Python while the reference sums it in numpy.
+conftest: bit for bit on the default (diagonal) inertia, signed zeros
+included, and to a relative 1e-12 on non-diagonal inertias, where the
+production path sums J @ v in Python while the reference sums it in numpy.
+Non-diagonal runs are pinned to the bit by their own digests, and the bound
+derivative and torque are compared with the general forms in conftest,
+which form every product of the inertia.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import reference_closed_loop
+from conftest import general_derivative, general_torque, reference_closed_loop
+from hypothesis import given, settings, strategies as st
 
 from attswitch.cli import main
-from attswitch.harness import REFERENCE_ICS, make_ic_scenario, run_scenario
-from attswitch.reference import stage3_initial_state
-from attswitch.rigid_body import CHUNK
+from attswitch.controllers import _bind_torque
+from attswitch.harness import (
+    DEFAULT_GAINS,
+    REFERENCE_ICS,
+    Scenario,
+    make_controller,
+    make_ic_scenario,
+    run_scenario,
+    scenario_from_text,
+)
+from attswitch.reference import ManeuverSpec, stage3_initial_state
+from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, _bind_derivative, simulate
 
 LAWS = ("benchmark", "switching", "continuous")
 
@@ -206,3 +222,232 @@ def test_nondiagonal_inertia_run_converges_to_diagonal_run(law, wz, psi0_deg):
             for dt in (2e-3, 1e-3, 5e-4, 2.5e-4)]
     ratios = [coarse / fine for coarse, fine in zip(devs, devs[1:])]
     assert all(1.8 <= r <= 2.4 for r in ratios), (devs, ratios)
+
+
+# --- Non-diagonal inertia, pinned to the bit --------------------------------
+# Inertias 2^-16 L diag(d) L^T, L unit lower triangular with entries l/8 below
+# the diagonal (|l| < 8, so LU with partial pivoting swaps no rows): every
+# step of np.linalg.inv is exact on them, so the inverse the integrator binds
+# has the same bits on every LAPACK build.  The first four were drawn at
+# random (every off-diagonal entry nonzero); the last has a single
+# off-diagonal pair.
+LDL_INERTIAS = (
+    ((-2, -3, 2), (4, 2, 1)),
+    ((-6, 1, -3), (2, 1, 4)),
+    ((2, 6, -2), (1, 1, 4)),
+    ((5, -2, 6), (2, 1, 1)),
+    ((2, 0, 0), (1, 1, 2)),
+)
+
+
+def _ldl_fractions(l, d):
+    L = ((1, 0, 0), (Fraction(l[0], 8), 1, 0), (Fraction(l[1], 8), Fraction(l[2], 8), 1))
+    return [
+        [sum(L[i][k] * d[k] * L[j][k] for k in range(3)) / 2**16 for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def _exact_inverse(M):
+    """Inverse of a 3x3 matrix of Fractions, by cofactors."""
+    def cof(i, j):
+        (a, b), (c, e) = ([M[r][s] for s in range(3) if s != j] for r in range(3) if r != i)
+        return (-1) ** (i + j) * (a * e - b * c)
+
+    det = sum(M[0][j] * cof(0, j) for j in range(3))
+    return [[cof(j, i) / det for j in range(3)] for i in range(3)]
+
+
+def _ldl_inertia(l, d):
+    return np.array(_ldl_fractions(l, d), dtype=float)
+
+
+@pytest.mark.parametrize("l,d", LDL_INERTIAS)
+def test_ldl_inertia_inverse_is_exact(l, d):
+    M = _ldl_fractions(l, d)
+    exact = _exact_inverse(M)
+    assert all(Fraction(float(x)) == x for row in (*M, *exact) for x in row)
+    assert np.linalg.inv(_ldl_inertia(l, d)).tolist() == [[float(x) for x in r] for r in exact]
+
+
+def _nondiagonal_scenario(i, mode, law):
+    wz, psi0_deg = REFERENCE_ICS[i]
+    return Scenario(
+        name=f"ldl_{i}",
+        maneuver=ManeuverSpec(w0=np.array([0.0, 0.0, wz]), psi0=math.radians(psi0_deg), mode=mode),
+        controller=law,
+        gains=DEFAULT_GAINS[law],
+        inertia=_ldl_inertia(*LDL_INERTIAS[i]),
+        horizon_after_t0=0.5,
+    )
+
+
+def _run_digest(run):
+    h = hashlib.sha256()
+    for name in FIELDS:
+        h.update(np.ascontiguousarray(getattr(run, name)).tobytes())
+    return h.hexdigest()
+
+
+# (inertia index, mode, law) -> SHA-256 of the q, w, tau and telemetry
+# (m_e, n_e, w_e, sigma, lambda) bytes of a 0.5 s run from REFERENCE_ICS[i]
+NONDIAGONAL_DIGESTS = {
+    (0, "stage3", "benchmark"): "9b0230985d2ee78d8fbdd3b18fb0c6f499a39b1d85ca744813ce81f6ca27f201",
+    (0, "stage3", "switching"): "bfe999257e04bd6c3af284c441f558ceaace79f1fa260f65bf8cbccd3d0a9dee",
+    (0, "stage3", "continuous"): "d1d7b33f1abd2b9f8f3e17446fc33b0d14ff4ced2f00a393cd561419003471af",
+    (0, "full", "benchmark"): "42d76725594064ed541dd7d0d369785e2f834fb8de6414692b5b7aa677171830",
+    (0, "full", "switching"): "8161542504c6860fe2d29818ecd1bac7d6e7f8e44a03e429516ab12eca3757ed",
+    (0, "full", "continuous"): "fe34ecb7aa2737cf0c772711378ab13590e3c89e648bb93eb204bf05d135ebc9",
+    (1, "stage3", "benchmark"): "654984e2a3dbc30b5d7794f0af0a53132a3fff3d4d753fa20618d4523e8be093",
+    (1, "stage3", "switching"): "e8a2b89da0ba9de7f4a659ce924fda0e5238c4063aaf99a45423baf29725a30a",
+    (1, "stage3", "continuous"): "9d0036c723bc917acbb3d9499e8d7fea91843ce955ffeaefaecd21dc5a15fc49",
+    (1, "full", "benchmark"): "60cffc08fa0272a6f2d330c445353c455e608921ec77df93785ab182d094e575",
+    (1, "full", "switching"): "630723106a1490289ee1e8f17bfd086b1d0aa3318aa6b1eb7b33bb527a797371",
+    (1, "full", "continuous"): "e931c5c616d8f082ecd6c7bfbeb2718142c5a36f35a13cae91dcb6eed8c1e436",
+    (2, "stage3", "benchmark"): "526466e63f74e731c59e5600eb2f428d0d0a26726bb08cb14f422563eab46216",
+    (2, "stage3", "switching"): "c2ea68ee62093c3ae8d227fe59c3162c05f9471cb3ea7e20c93fe2855207211c",
+    (2, "stage3", "continuous"): "6cdac23bd1a542845fb9b67bd6a830e297c709f59b625d5dea78734a947a8cab",
+    (2, "full", "benchmark"): "b76b73f7dc46ab22d80389351bc43a858aa073db5d6e97ce920678d5e8f612cf",
+    (2, "full", "switching"): "905ba2a3ee266589bafb78b8a0cebccc5007c0b465c131f9a014d1d354631c62",
+    (2, "full", "continuous"): "c0713ebb53fffd247b3ae1e595d4fb5dfd41d913ea03fa352264591eddc8e2b1",
+    (3, "stage3", "benchmark"): "e0343e77d59321a21c4017fb0ff291c1cf282523a074a472e42749c1c68c32a5",
+    (3, "stage3", "switching"): "550686af4b53b3401c7b5357ba607e6e6f97b297efa59f0b4e7c75351d6bc09b",
+    (3, "stage3", "continuous"): "2742c2e48d427daeef6c074d6b9b4924430e1916fa865886e83d977244514be6",
+    (3, "full", "benchmark"): "590bd622448c1d79e40e8419dc186de345fdf431d8bc5b63b024fc4a8bf1bd3a",
+    (3, "full", "switching"): "dbf8544b40a948a68a091db7bbb275a1a390784c1ca3ad2629b96e5e3b43cf7c",
+    (3, "full", "continuous"): "81fe097d9f9f1b45183b7f3f48c052d75effee68c865f3b668f34ab95636c347",
+    (4, "stage3", "benchmark"): "b7f0588ced1c19e6e691d7d821fe1b039ec6d493006588a6474b89ffbd7d3362",
+    (4, "stage3", "switching"): "bfdcaa6bd644ed9200cdc13f6b686d74d52b5da299c655dcbb794bcd6e61997e",
+    (4, "stage3", "continuous"): "a055b393eda6b6585979e20b427f57da09e0ba2539d8b8dfa3cbb88015402cb3",
+    (4, "full", "benchmark"): "64c50808f3bafa9dbfe785565308b2eccd02a02e2a4e5369c82c038dd242b38f",
+    (4, "full", "switching"): "fe2ae76c5fa40bf11ffbee2ddcd18b1647160a4709d5156351b82619c00054db",
+    (4, "full", "continuous"): "e5d2054d8c058b2170bf47d1fd5a258950fecbd749e53f93400d09950b62a81f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(NONDIAGONAL_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_nondiagonal_inertia_runs_pinned_to_the_bit(key):
+    # the relative-1e-12 agreement above would pass a re-ordered J @ v sum;
+    # these digests would not
+    i, mode, law = key
+    assert _run_digest(run_scenario(_nondiagonal_scenario(i, mode, law))) == NONDIAGONAL_DIGESTS[key]
+
+
+# --- Signed zeros on the diagonal path --------------------------------------
+# The bound derivative and torque skip the products with a zero off-diagonal
+# inertia entry; that keeps the bits only while no -0.0 reaches the sums
+# those products were added to (see their docstrings).
+
+
+def _bound_flag(f):
+    """The ``off`` flag a bound derivative or torque closes over."""
+    return dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))["off"]
+
+
+def test_default_inertia_takes_the_diagonal_path():
+    Jinv = np.linalg.inv(DEFAULT_INERTIA)
+    assert np.count_nonzero(Jinv - np.diag(np.diag(Jinv))) == 0
+    assert not _bound_flag(_bind_derivative(DEFAULT_INERTIA.tolist(), Jinv.tolist()))
+    assert not _bound_flag(_bind_torque(10.0, 100.0, 10.0, DEFAULT_INERTIA.tolist()))
+    J = _ldl_inertia(*LDL_INERTIAS[-1])
+    assert _bound_flag(_bind_derivative(J.tolist(), np.linalg.inv(J).tolist()))
+    assert _bound_flag(_bind_torque(10.0, 100.0, 10.0, J.tolist()))
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("zeros", list(itertools.product((0.0, -0.0), repeat=4)), ids=repr)
+def test_signed_zero_states_bit_identical_to_reference(law, zeros):
+    # a yaw maneuver keeps qx, qy, wx and wy at zero all run long, with the
+    # signs they start with
+    steps = 300
+    sc = make_ic_scenario(2.0, 150.0, law, horizon=steps * 1e-3)
+    qw, _, _, qz, _, _, wz = stage3_initial_state(sc.maneuver)
+    qx, qy, wx, wy = zeros
+    y0 = (qw, qx, qy, qz, wx, wy, wz)
+    traj = simulate(y0, make_controller(sc), sc.inertia, sc.dt, steps * sc.dt)
+    ref = reference_closed_loop(law, y0[:4], y0[4:], sc.inertia, sc.gains, sc.dt, steps)
+    telemetry = np.column_stack(
+        [ref["m_e"], ref["n_e"], ref["w_e"], ref["sigma"].astype(float), ref["lam"]]
+    )
+    for got, want in ((traj.q, ref["q"]), (traj.w, ref["w"]), (traj.tau, ref["tau"]),
+                      (traj.telemetry, telemetry)):
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_negative_zero_rate_bit_identical_to_reference(law):
+    _assert_bit_identical_to_reference(law, -0.0, 150.0, 300)
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS), ids="-".join)
+def test_digest_runs_hold_no_negative_zero_torque(key):
+    mode, ic, law = key
+    wz, psi0_deg = ic.split(",")
+    overrides = {"mode": mode, "wz": wz, "psi0_deg": psi0_deg, "controller": law}
+    tau = run_scenario(scenario_from_text("", overrides)).tau
+    assert not np.signbit(tau[tau == 0.0]).any()
+
+
+# finite entries, zeros of both signs among them, none so small that a
+# product with them underflows
+_ENTRY = st.one_of(
+    st.sampled_from((0.0, -0.0)), st.floats(-10.0, 10.0).filter(lambda x: abs(x) >= 1e-6)
+)
+# the same with -0.0 turned into +0.0: feedforward, and torques, which are
+# scaled to the size of w x Jw so that a change in it shows in r
+_NO_NEGATIVE_ZERO = _ENTRY.map(lambda x: x + 0.0)
+_TORQUE = _NO_NEGATIVE_ZERO.map(lambda x: 1e-4 * x)
+
+
+def _vector(entry, n):
+    return st.tuples(*[entry] * n)
+
+
+def _bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _assert_bound_forms_match_general(J, y, tau, gains, s, w_err, wdot_d):
+    rows, inv = J.tolist(), np.linalg.inv(J).tolist()
+    derivative = _bind_derivative(rows, inv)
+    assert _bytes(derivative(*y, *tau)) == _bytes(general_derivative(y, *tau, rows, inv))
+    torque = _bind_torque(*gains, rows)
+    got = torque(s, y[:4], w_err, y[4:], wdot_d)
+    assert _bytes(got) == _bytes(general_torque(*gains, rows, s, y[:4], w_err, y[4:], wdot_d))
+
+
+_GAINS = st.tuples(
+    st.floats(0.1, 1e3), st.floats(0.1, 1e3), st.one_of(st.just(0.0), st.floats(0.1, 1e2))
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    jd=_vector(st.floats(1e-6, 1e-3), 3),
+    y=_vector(_ENTRY, 7),
+    tau=_vector(_TORQUE, 3),
+    gains=_GAINS,
+    s=st.sampled_from((1, -1)),
+    w_err=_vector(_ENTRY, 3),
+    wdot_d=_vector(_NO_NEGATIVE_ZERO, 3),
+)
+def test_diagonal_forms_match_general_forms(jd, y, tau, gains, s, w_err, wdot_d):
+    _assert_bound_forms_match_general(np.diag(jd), y, tau, gains, s, w_err, wdot_d)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    y=_vector(_ENTRY, 7),
+    tau=_vector(_ENTRY.map(lambda x: 1e-4 * x), 3),
+    gains=_GAINS,
+    s=st.sampled_from((1, -1)),
+    w_err=_vector(_ENTRY, 3),
+    wdot_d=_vector(_ENTRY, 3),
+)
+def test_nondiagonal_forms_match_general_forms(seed, y, tau, gains, s, w_err, wdot_d):
+    # every product is formed here, in the general forms' order, so even
+    # -0.0 inputs keep their bits
+    J = _random_spd(np.random.default_rng(seed))
+    _assert_bound_forms_match_general(J, y, tau, gains, s, w_err, wdot_d)

@@ -8,6 +8,7 @@ from attswitch.quat import IDENTITY, from_axis_angle, rotate_vector, yaw_of
 from attswitch.rigid_body import (
     CHUNK,
     SimulationError,
+    _all_finite,
     _bind_derivative,
     bind_rk4,
     simulate,
@@ -77,6 +78,30 @@ class TestOpenLoopDerivative:
         s = (*IDENTITY, 1.0, 1.0, 0.0)
         _, wdot = derivative(s, np.zeros(3), J)
         assert np.allclose(wdot, [0.0, 0.0, -1.0 / 3.0])
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize(
+        "y",
+        [
+            (1e308, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0, -1e308, -1e308, -1e308),
+            (1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308),
+        ],
+    )
+    def test_finite_entries_that_sum_to_inf(self, y):
+        assert math.isinf(sum(y))
+        assert _all_finite(y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("i", range(7))
+    def test_a_nonfinite_entry(self, i, bad):
+        y = [0.5, -0.25, 1e308, 1e308, 0.0, -0.0, 2.0]
+        y[i] = bad
+        assert not _all_finite(tuple(y))
+
+    def test_infinities_that_sum_to_nan(self):
+        assert not _all_finite((math.inf, -math.inf, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 class TestRk4Step:
