@@ -8,7 +8,6 @@ from .controllers import (
     ErrorState,
     GainSet,
     SwitchingController,
-    SwitchState,
     attitude_error,
     nu_sigma,
     switch_function,

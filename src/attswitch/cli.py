@@ -163,9 +163,10 @@ def _cmd_compare(args) -> int:
     text = harness.format_comparison_report(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # the report header's names, so one input has one name in the run directory
     params = _params_text(
-        repeats=args.repeats, seed=args.seed, perturb_psi=args.perturb_psi,
-        perturb_wz=args.perturb_wz, dt=dt,
+        repeats=args.repeats, seed=args.seed, perturbation_psi0_deg=pert.psi0_deg,
+        perturbation_wz=pert.wz, dt=dt,
     )
     _write(out / "params.txt", params)
     _write(out / "report.txt", text)

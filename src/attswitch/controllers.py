@@ -13,9 +13,15 @@ error dynamics are independent of the inertia matrix:
 
 The switching signal sigma selects which of the two antipodal closed-loop
 equilibria is stabilized; it is updated once per control step from the
-switching function value Lambda with a dead band of width 2*delta.
+switching function value Lambda with a dead band of width 2*delta, by the
+pure rule ``update_sigma(sigma, Lambda, delta)``.
 
-The torque, the error, Lambda and the sigma update each have exactly one
+A controller is only its law: the reference tracker it samples unwraps the
+measured yaw and pins the stage-3 start, and a run's switch times are read
+from its telemetry sigma column (``harness.run_scenario``), so the
+switching law keeps nothing but its current sigma.
+
+The torque, the error, Lambda and the sigma rule each have exactly one
 form, written on plain floats: the error state is a pair (q_err, w_err) of
 4- and 3-sequences and every result a tuple of floats.  The torque is the
 factory ``_bind_torque(kq, kw, kn, J)``, a closure over the gains and the
@@ -44,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quat import hamilton_product, yaw_of
+from .quat import hamilton_product
 from .reference import ManeuverTracker
 
 # the GainSet fields, in order: the scenario.txt keys and command-line flags
@@ -162,15 +168,6 @@ class ErrorState:
         return f"ErrorState(q_err={self._f[:4]!r}, w_err={self._f[4:]!r})"
 
 
-@dataclass(frozen=True)
-class SwitchState:
-    """Switch sign and history; a new one is made only when the sign changes."""
-
-    sigma: int = +1
-    switch_count: int = 0
-    switch_times: tuple = ()
-
-
 def _error(y, q_d, w_d):
     """Float error state of the packed state y = (qw, qx, qy, qz, wx, wy, wz):
     q_err = q^-1 * q_d (lazily renormalized), w_err = w_d - w."""
@@ -272,28 +269,17 @@ def switch_function(err: ErrorState, gains: GainSet) -> float:
     return _lam(f, f[4:], gains.lam_slope, gains.roa_radius)
 
 
-def update_sigma(
-    state: SwitchState, lam: float, delta: float, t: float | None = None
-) -> SwitchState:
-    """Hysteretic update of the switch sign.
-
-    Holds the current sign inside the dead band (-delta, delta), selects +1
-    for lam >= delta and -1 for lam <= -delta.  A sign change returns a new
-    state with the switch count incremented and t recorded when provided;
-    otherwise ``state`` itself is returned.
-    """
-    if delta <= 0.0:
+def update_sigma(sigma: int, lam: float, delta: float) -> int:
+    """Hysteretic rule for the switch sign: +1 for lam >= delta, -1 for
+    lam <= -delta, and ``sigma`` itself inside the dead band (-delta, delta)
+    (and for a NaN lam).  delta must be positive."""
+    if not delta > 0.0:  # also refuses a NaN delta, which would hold sigma forever
         raise ValueError(f"delta must be positive, got {delta}")
     if lam >= delta:
-        new = +1
-    elif lam <= -delta:
-        new = -1
-    else:
-        return state
-    if new == state.sigma:
-        return state
-    times = state.switch_times + (t,) if t is not None else state.switch_times
-    return SwitchState(sigma=new, switch_count=state.switch_count + 1, switch_times=times)
+        return +1
+    if lam <= -delta:
+        return -1
+    return sigma
 
 
 class ControlTelemetry(NamedTuple):
@@ -316,7 +302,7 @@ class ControlTelemetry(NamedTuple):
 
 
 class _ControllerBase:
-    """Shared set-up: gains, inertia, reference tracker and yaw unwrapping.
+    """Shared set-up: gains, inertia and reference tracker.
 
     A controller is called as ``controller(t, y)`` with the packed state
     y = (qw, qx, qy, qz, wx, wy, wz) and returns ``(tau, row)``: the torque
@@ -324,9 +310,8 @@ class _ControllerBase:
     ControlTelemetry), the row protocol of ``rigid_body.simulate``.  Its
     torque (``_bind_torque``, with kn = 0 unless the law switches) and
     Lambda's constants are bound once, here.  Each law's ``__call__``
-    samples the reference and forms the error itself; the measured yaw only
-    matters until the tracker pins the stage-3 start, so it is unwrapped
-    only while that is pending.
+    samples the reference with the measured state, which is all the tracker
+    needs to pin the stage-3 start, and forms the error itself.
     """
 
     # kn inside the torque; only the switching law's nu carries it
@@ -339,28 +324,11 @@ class _ControllerBase:
         kn = gains.kn if self._torque_kn else 0.0
         self._torque = _bind_torque(gains.kq, gains.kw, kn, self.J.tolist())
         self._a, self._b = gains.lam_slope, gains.roa_radius
-        self._prev_yaw = None
-        self._yaw_accum = 0.0
-
-    def _unwrapped_yaw(self, y) -> float:
-        yaw = yaw_of(y[:4])
-        if self._prev_yaw is None:
-            self._yaw_accum = yaw
-        else:
-            d = yaw - self._prev_yaw
-            if d > math.pi:
-                d -= 2.0 * math.pi
-            elif d < -math.pi:
-                d += 2.0 * math.pi
-            self._yaw_accum += d
-        self._prev_yaw = yaw
-        return self._yaw_accum
 
 
 class ContinuousController(_ControllerBase):
     def __call__(self, t: float, y):
-        tracker = self.tracker
-        ref = tracker.sample(t, self._unwrapped_yaw(y) if tracker.t0 is None else None)
+        ref = self.tracker.sample(t, y)
         q_err, w_err = _error(y, ref.q_d, ref.w_d)
         tau = self._torque(+1, q_err, w_err, y[4:], ref.wdot_d)
         return tau, (*q_err, *w_err, +1, _lam(q_err, w_err, self._a, self._b))
@@ -370,8 +338,7 @@ class BenchmarkController(_ControllerBase):
     """Stateless shorter-path law; its effective sign is re-read every step."""
 
     def __call__(self, t: float, y):
-        tracker = self.tracker
-        ref = tracker.sample(t, self._unwrapped_yaw(y) if tracker.t0 is None else None)
+        ref = self.tracker.sample(t, y)
         q_err, w_err = _error(y, ref.q_d, ref.w_d)
         sigma = _shorter_path_sign(q_err[0])
         tau = self._torque(sigma, q_err, w_err, y[4:], ref.wdot_d)
@@ -379,20 +346,19 @@ class BenchmarkController(_ControllerBase):
 
 
 class SwitchingController(_ControllerBase):
-    """Hysteretic Lyapunov-based switching law; owns the switch state."""
+    """Hysteretic Lyapunov-based switching law; its only state is the
+    current switch sign ``sigma``, +1 at the start of a run."""
 
     _torque_kn = True
 
     def __init__(self, gains: GainSet, J: np.ndarray, tracker: ManeuverTracker):
         super().__init__(gains, J, tracker)
-        self.switch_state = SwitchState(sigma=+1)
+        self.sigma = +1
 
     def __call__(self, t: float, y):
-        tracker = self.tracker
-        ref = tracker.sample(t, self._unwrapped_yaw(y) if tracker.t0 is None else None)
+        ref = self.tracker.sample(t, y)
         q_err, w_err = _error(y, ref.q_d, ref.w_d)
         lam = _lam(q_err, w_err, self._a, self._b)
-        self.switch_state = update_sigma(self.switch_state, lam, self.gains.delta, t)
-        sigma = self.switch_state.sigma
+        self.sigma = sigma = update_sigma(self.sigma, lam, self.gains.delta)
         tau = self._torque(sigma, q_err, w_err, y[4:], ref.wdot_d)
         return tau, (*q_err, *w_err, sigma, lam)

@@ -26,7 +26,6 @@ from .controllers import (
     ContinuousController,
     GainSet,
     SwitchingController,
-    SwitchState,
     _shorter_path_sign,
     attitude_error,
     switch_function,
@@ -187,11 +186,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
             f"stage-3 window [{t0}, {tf}] overruns the simulated horizon {t[-1]}"
         )
     i_f = int(np.searchsorted(t, tf - 1e-12))
-    switch_times = (
-        controller.switch_state.switch_times
-        if isinstance(controller, SwitchingController)
-        else ()
-    )
+    # the hysteretic law's switches are the rows whose sigma differs from the
+    # row before (+1 before the first); the benchmark law's sign is no switch
+    switch_times = ()
+    if scenario.controller == "switching":
+        switch_times = tuple(t[np.diff(sigma, prepend=1) != 0].tolist())
     # finite states can still give an overflowing V or effort: refused below
     with np.errstate(over="ignore", invalid="ignore"):
         V = stability.lyapunov_series(m_e, n_e, w_e, sigma, scenario.gains)
@@ -220,7 +219,6 @@ def make_ic_scenario(
     inertia: np.ndarray | None = None,
     dt: float = DEFAULT_DT,
     horizon: float = 3.0,
-    name: str | None = None,
 ) -> Scenario:
     """Stage3-mode scenario for an initial condition {wz rad/s, psi0 deg}."""
     if gains is None:
@@ -230,7 +228,7 @@ def make_ic_scenario(
         w0=np.array([0.0, 0.0, wz]), psi0=math.radians(psi0_deg), mode=MODE_STAGE3
     )
     return Scenario(
-        name=name or f"ic_{wz:g}_{psi0_deg:g}_{controller}",
+        name=f"ic_{wz:g}_{psi0_deg:g}_{controller}",
         maneuver=maneuver,
         controller=controller,
         gains=gains,
@@ -261,7 +259,7 @@ def lyapunov_ic_table(gains: GainSet | None = None, ics=REFERENCE_ICS):
     for wz, psi0_deg in ics:
         err = initial_error_state(wz, psi0_deg)
         lam = switch_function(err, gains)
-        sigma = update_sigma(SwitchState(sigma=+1), lam, gains.delta).sigma
+        sigma = update_sigma(+1, lam, gains.delta)
         V = stability.lyapunov_value(err, sigma, gains)
         if not (math.isfinite(lam) and math.isfinite(V)):
             raise ValueError(
@@ -348,9 +346,6 @@ class ComparisonReport:
 def effort_comparison(
     repeats: int = 10,
     perturbation: PerturbationSpec | None = None,
-    gains_switching: GainSet | None = None,
-    gains_benchmark: GainSet | None = None,
-    inertia: np.ndarray | None = None,
     dt: float = DEFAULT_DT,
     horizon: float = 3.0,
     seed: int = 0,
@@ -368,10 +363,8 @@ def effort_comparison(
     for wz, psi in ics:
         if not (0.0 < psi - pert.psi0_deg and psi + pert.psi0_deg < 360.0):
             raise ValueError(f"IC ({wz:g}, {psi:g} deg) +-{pert.psi0_deg:g} deg leaves (0, 360)")
-    gsw = gains_switching or SWITCHING_GAINS
-    gbm = gains_benchmark or BENCHMARK_GAINS
     rows = []
-    for i, ic in enumerate(lyapunov_ic_table(gsw, ics)):
+    for i, ic in enumerate(lyapunov_ic_table(SWITCHING_GAINS, ics)):
         wz, psi0_deg = ic["wz"], ic["psi0_deg"]
         g_b = np.empty(repeats)
         g_s = np.empty(repeats)
@@ -380,12 +373,8 @@ def effort_comparison(
             rng = np.random.default_rng([seed, i, r])
             wz_r = wz + rng.uniform(-pert.wz, pert.wz)
             psi_r = psi0_deg + rng.uniform(-pert.psi0_deg, pert.psi0_deg)
-            run_b = run_scenario(
-                make_ic_scenario(wz_r, psi_r, "benchmark", gbm, inertia, dt, horizon)
-            )
-            run_s = run_scenario(
-                make_ic_scenario(wz_r, psi_r, "switching", gsw, inertia, dt, horizon)
-            )
+            run_b = run_scenario(make_ic_scenario(wz_r, psi_r, "benchmark", dt=dt, horizon=horizon))
+            run_s = run_scenario(make_ic_scenario(wz_r, psi_r, "switching", dt=dt, horizon=horizon))
             g_b[r] = run_b.gamma_tau
             g_s[r] = run_s.gamma_tau
             switches = max(switches, len(run_s.switch_times))

@@ -10,9 +10,11 @@ part go negative for targets beyond pi (no shortest-path flip).
 The reference has one form, ``_bind_reference(spec)``: a closure over the
 maneuver's constants (stage-1 length, rate, axis) that returns a
 ReferenceSample of float tuples.  ``ManeuverTracker`` binds it once per run
-and its ``sample`` returns those tuples.  ``stage3_initial_state`` gives
-the stage-3 start as the packed state tuple that ``rigid_body.simulate``
-takes, so this module needs nothing from ``rigid_body``.
+and its ``sample(t, y)`` returns those tuples.  The tracker alone owns the
+stage-3 trigger: it unwraps the yaw of the measured packed state y until the
+trigger fires.  ``stage3_initial_state`` gives the stage-3 start as the
+packed state tuple that ``rigid_body.simulate`` takes, so this module needs
+nothing from ``rigid_body``.
 """
 
 import math
@@ -20,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from .quat import yaw_of
 
 MODE_FULL = "full"
 MODE_STAGE3 = "stage3"
@@ -109,9 +113,11 @@ def stage3_initial_state(spec: ManeuverSpec) -> tuple:
 class ManeuverTracker:
     """Stateful wrapper that pins the stage-3 transition during a run.
 
-    Full mode: ``sample`` arms the transition the first time the measured
-    (unwrapped) yaw reaches psi0 while in stage 2.  Stage3 mode starts with
-    t0 = 0 so every query is already in stage 3.
+    ``sample(t, y)`` takes the measured packed state
+    y = (qw, qx, qy, qz, wx, wy, wz).  Full mode: while t0 is pending, each
+    sample unwraps the measured yaw across +-pi and arms the transition the
+    first time that yaw reaches psi0 in stage 2.  Stage3 mode starts with
+    t0 = 0, so every query is already in stage 3 and the yaw is never read.
     """
 
     spec: ManeuverSpec
@@ -120,13 +126,20 @@ class ManeuverTracker:
     def __post_init__(self):
         self.t0 = 0.0 if self.spec.mode == MODE_STAGE3 else None
         self._reference = _bind_reference(self.spec)
+        # the last measured yaw, in [-pi, pi], and its unwrapped sum; from 0,
+        # the first yaw is its own sum (up to the sign of a zero)
+        self._prev_yaw = self._yaw = 0.0
 
-    def sample(self, t: float, measured_yaw: float | None = None) -> ReferenceSample:
-        if (
-            self.t0 is None
-            and measured_yaw is not None
-            and t >= self.spec.stage1_duration
-            and measured_yaw >= self.spec.psi0
-        ):
-            self.t0 = t
+    def sample(self, t: float, y) -> ReferenceSample:
+        if self.t0 is None:
+            yaw = yaw_of(y[:4])
+            d = yaw - self._prev_yaw
+            if d > math.pi:
+                d -= 2.0 * math.pi
+            elif d < -math.pi:
+                d += 2.0 * math.pi
+            self._yaw += d
+            self._prev_yaw = yaw
+            if t >= self.spec.stage1_duration and self._yaw >= self.spec.psi0:
+                self.t0 = t
         return self._reference(t, self.t0)

@@ -287,7 +287,9 @@ class TestCompareCommand:
         used = {}
 
         def comparison(repeats, perturbation, dt, seed):
-            used.update(perturb_psi=perturbation.psi0_deg, perturb_wz=perturbation.wz, dt=dt)
+            used.update(
+                perturbation_psi0_deg=perturbation.psi0_deg, perturbation_wz=perturbation.wz, dt=dt
+            )
             return harness.ComparisonReport(repeats, perturbation, rows=[])
 
         monkeypatch.setattr(harness, "effort_comparison", comparison)
@@ -296,13 +298,16 @@ class TestCompareCommand:
                 "--dt", "0.0009999999999999998", "--out", str(out)]
         assert main(args) == 0
         params = _key_values(out / "params.txt")
-        assert params.keys() == {"repeats", "seed", "perturb_psi", "perturb_wz", "dt"}
+        # one name per input: params.txt uses the report header's names
+        assert params.keys() == {
+            "repeats", "seed", "perturbation_psi0_deg", "perturbation_wz", "dt"
+        }
         assert {k: float(params[k]) for k in used} == used
-        assert used == {"perturb_psi": 0.123456789, "perturb_wz": 0.0123456789,
+        assert used == {"perturbation_psi0_deg": 0.123456789, "perturbation_wz": 0.0123456789,
                         "dt": 0.0009999999999999998}
         report = _key_values(out / "report.txt")
-        assert float(report["perturbation_psi0_deg"]) == used["perturb_psi"]
-        assert float(report["perturbation_wz"]) == used["perturb_wz"]
+        for key in ("perturbation_psi0_deg", "perturbation_wz"):
+            assert report[key] == params[key]
 
     def test_step_not_dividing_the_horizon_runs(self, tmp_path):
         # 3 s at dt = 1.1 ms: 2727 steps end at 2.9997 s, so 2728 are taken

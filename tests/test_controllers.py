@@ -13,7 +13,6 @@ from attswitch.controllers import (
     ErrorState,
     GainSet,
     SwitchingController,
-    SwitchState,
     attitude_error,
     nu_sigma,
     switch_function,
@@ -343,47 +342,50 @@ class TestSwitchFunction:
 
 class TestUpdateSigma:
     def test_holds_inside_dead_band(self):
-        st = SwitchState(sigma=+1)
-        assert update_sigma(st, 0.05, 0.1).sigma == +1
-        st = SwitchState(sigma=-1)
-        assert update_sigma(st, -0.05, 0.1).sigma == -1
-        assert update_sigma(st, 0.05, 0.1).sigma == -1
+        assert update_sigma(+1, 0.05, 0.1) == +1
+        assert update_sigma(-1, -0.05, 0.1) == -1
+        assert update_sigma(-1, 0.05, 0.1) == -1
 
     def test_switches_down(self):
-        st = update_sigma(SwitchState(sigma=+1), -0.986, 0.1, t=1.5)
-        assert st.sigma == -1
-        assert st.switch_count == 1
-        assert st.switch_times == (1.5,)
+        assert update_sigma(+1, -0.986, 0.1) == -1
 
     def test_switches_up(self):
-        st = update_sigma(SwitchState(sigma=-1), 2.078, 0.1, t=0.0)
-        assert st.sigma == +1
-        assert st.switch_count == 1
+        assert update_sigma(-1, 2.078, 0.1) == +1
 
     def test_boundary_is_inclusive(self):
-        assert update_sigma(SwitchState(sigma=-1), 0.1, 0.1).sigma == +1
-        assert update_sigma(SwitchState(sigma=+1), -0.1, 0.1).sigma == -1
+        assert update_sigma(-1, 0.1, 0.1) == +1
+        assert update_sigma(+1, -0.1, 0.1) == -1
 
     def test_no_count_without_change(self):
-        st = update_sigma(SwitchState(sigma=+1), 5.0, 0.1, t=2.0)
-        assert st.sigma == +1
-        assert st.switch_count == 0
-        assert st.switch_times == ()
+        # past the band on the sign's own side: the sign it was given
+        assert update_sigma(+1, 5.0, 0.1) == +1
+        assert update_sigma(-1, -5.0, 0.1) == -1
+
+    @pytest.mark.parametrize("sigma", [+1, -1])
+    def test_nan_lambda_holds(self, sigma):
+        assert update_sigma(sigma, math.nan, 0.1) == sigma
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            update_sigma(SwitchState(), 0.0, 0.0)
+        for delta in (0.0, -0.1, -math.inf):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                update_sigma(+1, 0.0, delta)
+
+    @pytest.mark.parametrize("lam", [5.0, -5.0])
+    def test_rejects_nan_delta(self, lam):
+        # NaN fails every comparison, so it would hold sigma forever
+        with pytest.raises(ValueError, match="delta must be positive, got nan"):
+            update_sigma(+1, lam, math.nan)
 
     def test_hysteresis_property(self, rng):
         # the sign can only change when |lam| reaches delta with opposing sign
-        st = SwitchState(sigma=+1)
+        sigma = +1
         delta = 0.3
         for lam in rng.uniform(-1.5, 1.5, size=500):
-            before = st.sigma
-            st = update_sigma(st, lam, delta)
-            if st.sigma != before:
+            before = sigma
+            sigma = update_sigma(sigma, lam, delta)
+            if sigma != before:
                 assert abs(lam) >= delta
-                assert np.sign(lam) == st.sigma
+                assert np.sign(lam) == sigma
 
 
 class TestClosedLoopEquivalence:
@@ -464,14 +466,14 @@ class TestControllers:
         state = stage3_initial_state(spec)
         _, tel = control(ctrl, 0.0, state)
         assert tel.sigma == -1
-        assert ctrl.switch_state.switch_times == (0.0,)
+        assert ctrl.sigma == -1
 
     def test_switching_controller_holds_for_slow_spin(self):
         spec, tracker = self._tracker(2.0, 100.0)
         ctrl = SwitchingController(PAPER_GAINS, np.eye(3), tracker)
         _, tel = control(ctrl, 0.0, stage3_initial_state(spec))
         assert tel.sigma == +1
-        assert ctrl.switch_state.switch_count == 0
+        assert ctrl.sigma == +1
 
     def test_benchmark_controller_reports_shorter_path_sign(self):
         spec, tracker = self._tracker(2.0, 210.0)
@@ -503,10 +505,10 @@ class TestControllers:
         assert tau_b == tau_c
         for sigma in (+1, -1):
             ctrl = SwitchingController(PAPER_GAINS, np.eye(3), tracker)
-            ctrl.switch_state = SwitchState(sigma=sigma)
+            ctrl.sigma = sigma
             _, row = ctrl(0.0, y)
             assert ControlTelemetry(*row).sigma == sigma
-            assert ctrl.switch_state.switch_count == 0
+            assert ctrl.sigma == sigma
 
     @pytest.mark.parametrize("cls", [ContinuousController, BenchmarkController, SwitchingController])
     @pytest.mark.parametrize("mode,t", [(MODE_STAGE3, 0.0), ("full", 1.3)])

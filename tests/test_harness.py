@@ -142,6 +142,33 @@ class TestRunScenario:
         assert nominal <= run.t0 < nominal + 0.2
         assert abs(math.degrees(run.final_yaw_error)) < 0.5
 
+    @pytest.mark.parametrize("wz,psi0_deg,switches", [(2.0, 150.0, 1), (4.0, 100.0, 1), (2.0, 100.0, 0)])
+    def test_full_mode_switches_at_the_stage3_step(self, wz, psi0_deg, switches):
+        # stage 2 tracks closely, so sigma holds +1 until the reference
+        # snaps back at t0; a fast spin then switches there and only there
+        sc = Scenario(
+            name="full",
+            maneuver=ManeuverSpec(w0=np.array([0.0, 0.0, wz]), psi0=math.radians(psi0_deg)),
+            controller="switching",
+            gains=SWITCHING_GAINS,
+        )
+        run = run_scenario(sc)
+        assert run.t0 > 1.0
+        assert run.switch_times == (run.t0,) * switches
+        i0 = int(np.searchsorted(run.t, run.t0))
+        assert np.all(run.sigma[:i0] == +1)
+        assert np.all(run.sigma[i0:] == (-1 if switches else +1))
+
+    def test_benchmark_sign_flip_is_no_switch(self):
+        # the shorter-path sign follows m_e each step, so its flips are not
+        # the hysteretic law's switches and the report counts none
+        run = run_scenario(make_ic_scenario(30.0, 175.0, "benchmark", horizon=1.0))
+        assert np.count_nonzero(np.diff(run.sigma)) == 1
+        assert run.switch_times == ()
+        report = format_run_report(run)
+        assert "\nswitch_count = 0\n" in report
+        assert "\nswitch_times = \n" in report
+
     def test_full_mode_needs_nonzero_rate(self):
         with pytest.raises(ValueError, match="positive yaw rate"):
             ManeuverSpec(w0=np.zeros(3), psi0=1.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attswitch.quat import IDENTITY, from_axis_angle, quat_kinematics
+from attswitch.quat import IDENTITY, from_axis_angle, quat_kinematics, yaw_of
 from attswitch.reference import (
     MODE_FULL,
     MODE_STAGE3,
@@ -20,6 +20,12 @@ B3 = np.array([0.0, 0.0, 1.0])
 def sample(spec, t, t0):
     """The bound reference of ``spec`` at time t, its fields as ndarrays."""
     return ReferenceSample(*map(np.array, _bind_reference(spec)(t, t0)))
+
+
+def yaw_state(yaw_deg):
+    """Packed state at rest with yaw ``yaw_deg`` about the body z axis."""
+    h = 0.5 * math.radians(yaw_deg)
+    return (math.cos(h), 0.0, 0.0, math.sin(h), 0.0, 0.0, 0.0)
 
 
 def yaw_spec(wz, psi0_deg, mode=MODE_FULL, stage1=1.0):
@@ -119,20 +125,38 @@ class TestStage3InitialState:
 
 class TestManeuverTracker:
     def test_stage3_mode_starts_transitioned(self):
-        tracker = ManeuverTracker(yaw_spec(2.0, 100.0, MODE_STAGE3))
+        spec = yaw_spec(2.0, 100.0, MODE_STAGE3)
+        tracker = ManeuverTracker(spec)
         assert tracker.t0 == 0.0
-        ref = tracker.sample(0.0)
+        ref = tracker.sample(0.0, stage3_initial_state(spec))
         assert np.allclose(ref.q_d, IDENTITY)
+
+    def test_stage3_mode_never_reads_the_state(self):
+        tracker = ManeuverTracker(yaw_spec(2.0, 100.0, MODE_STAGE3))
+        assert tracker.sample(0.5, None).q_d == tuple(IDENTITY.tolist())
 
     def test_full_mode_triggers_on_measured_yaw(self):
         tracker = ManeuverTracker(yaw_spec(2.0, 100.0))
         assert tracker.t0 is None
-        tracker.sample(1.5, measured_yaw=math.radians(90.0))
+        tracker.sample(1.5, yaw_state(90.0))
         assert tracker.t0 is None
-        tracker.sample(1.9, measured_yaw=math.radians(100.5))
+        tracker.sample(1.9, yaw_state(100.5))
+        assert tracker.t0 == 1.9
+        # armed once: a later yaw below psi0 leaves t0 where it is
+        tracker.sample(2.0, yaw_state(10.0))
         assert tracker.t0 == 1.9
 
     def test_no_trigger_during_stage1(self):
         tracker = ManeuverTracker(yaw_spec(2.0, 100.0))
-        tracker.sample(0.5, measured_yaw=math.radians(170.0))
+        tracker.sample(0.5, yaw_state(170.0))
         assert tracker.t0 is None
+
+    def test_yaw_unwrapped_across_pi(self):
+        # the measured yaw lies in (-pi, pi]: 181 deg reads -179 deg, which
+        # only the unwrapped sum 179 + 2 = 181 deg carries past psi0
+        tracker = ManeuverTracker(yaw_spec(2.0, 180.5))
+        tracker.sample(1.5, yaw_state(179.0))
+        assert tracker.t0 is None
+        assert yaw_of(yaw_state(181.0)[:4]) == pytest.approx(math.radians(-179.0))
+        tracker.sample(1.6, yaw_state(181.0))
+        assert tracker.t0 == 1.6
