@@ -113,7 +113,7 @@ def _parse_grid(text: str, what: str):
         raise ValueError(f"{what} count must be >= 1")
     if not math.isfinite(stop - start):
         raise ValueError(f"{what} start and stop must be finite and span a finite range, got {text!r}")
-    return np.linspace(start, stop, count)
+    return start, stop, count
 
 
 def _build_scenario(args) -> harness.Scenario:
@@ -205,10 +205,11 @@ def _cmd_stability_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     gains = harness.gains_with(harness.DEFAULT_GAINS[args.controller], vars(args))
-    wz_grid = _parse_grid(args.wz, "--wz")
-    psi_grid = _parse_grid(args.psi, "--psi")
+    grids = _parse_grid(args.wz, "--wz"), _parse_grid(args.psi, "--psi")
     dt = args.dt if args.dt is not None else DEFAULT_DT
     horizon = args.horizon if args.horizon is not None else 3.0
+    harness.check_run_count(grids[0][2] * grids[1][2])
+    wz_grid, psi_grid = (np.linspace(*grid) for grid in grids)
     lines = ["wz,psi0_deg,sigma_t0,V_t0,in_roa,switches,gamma_tau,final_yaw_error_deg"]
     for wz in wz_grid:
         for psi in psi_grid:

@@ -21,26 +21,20 @@ measured yaw and pins the stage-3 start, and a run's switch times are read
 from its telemetry sigma column (``harness.run_scenario``), so the
 switching law keeps nothing but its current sigma.
 
-The torque, the error, Lambda and the sigma rule each have exactly one
-form, written on plain floats: the error state is a pair (q_err, w_err) of
-4- and 3-sequences and every result a tuple of floats.  The torque is the
-factory ``_bind_torque(kq, kw, kn, J)``, a closure over the gains and the
-inertia rows with J a + w x Jw in its body, whose products with the
-off-diagonal entries of J are formed only when one of them is nonzero, with
-the same bits either way (see its docstring); Lambda is
-``_lam(q_err, w_err, a, b)`` with a = -2 kn/kq and b = 4c, from the real kn
-for every law.  Each controller binds its torque and a, b once, in
-``__init__``; the three differ only in their sigma rule.  A controller is
-called as ``controller(t, y)`` with the packed state
-y = (qw, qx, qy, qz, wx, wy, wz) and returns the torque and a telemetry row,
-both tuples of floats; the row has the fixed width ``simulate`` needs to
-fill its (N, 9) telemetry array.  An ``ErrorState`` holds seven entries
-(m, nx, ny, nz, ex, ey, ez): floats read once from its inputs, or a run's
-columns when built by ``ErrorState.of_columns``.  The public functions
-delegate to the same forms: ``attitude_error`` builds its state from
-``_error``'s float tuples, ``switch_function`` hands the entries to ``_lam``
-with the ``GainSet``'s a and b, and ``_read`` unpacks them, nu included, for
-``nu_sigma`` and the certificates in ``stability``.
+Each controller binds one closure, ``_bind_law(gains, J, name)``, on plain
+floats: from the packed state y = (qw, qx, qy, qz, wx, wy, wz) and the
+reference sample it writes q^-1 q_d, w_d - w, Lambda, nu, n_e_dot and the
+torque J a + w x Jw once each, and calls only ``quat.renorm_if_drifted`` and
+the law's sigma rule.  A stage-3 control step thus opens four Python frames
+(continuous) or five: ``__call__``, ``ManeuverTracker.sample``, the law,
+``renorm_if_drifted`` and the rule.  ``quat.hamilton_product`` and ``_lam``,
+which ``attitude_error`` and ``switch_function`` use, write the error and
+Lambda again; delegating to them would cost the law a frame each (ROADMAP
+item 2).  A controller returns ``(tau, row)``, tuples of floats, the row of
+the fixed width ``simulate`` needs for its (N, 9) telemetry array.  An
+``ErrorState`` holds seven entries (m, nx, ny, nz, ex, ey, ez): floats read
+once, or a run's columns (``ErrorState.of_columns``); ``_read`` unpacks
+them, nu included, for ``nu_sigma`` and the certificates in ``stability``.
 """
 
 import math
@@ -50,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quat import hamilton_product
+from .quat import hamilton_product, renorm_if_drifted
 from .reference import ManeuverTracker
 
 # the GainSet fields, in order: the scenario.txt keys and command-line flags
@@ -168,20 +162,14 @@ class ErrorState:
         return f"ErrorState(q_err={self._f[:4]!r}, w_err={self._f[4:]!r})"
 
 
-def _error(y, q_d, w_d):
-    """Float error state of the packed state y = (qw, qx, qy, qz, wx, wy, wz):
-    q_err = q^-1 * q_d (lazily renormalized), w_err = w_d - w."""
-    qw, qx, qy, qz, wx, wy, wz = y
-    return (
-        hamilton_product((qw, -qx, -qy, -qz), q_d),
-        (w_d[0] - wx, w_d[1] - wy, w_d[2] - wz),
-    )
-
-
 def attitude_error(q: np.ndarray, q_d: np.ndarray, w: np.ndarray, w_d: np.ndarray) -> ErrorState:
-    """Error state: q_err = q^-1 * q_d, w_err = w_d - w (no sign flip)."""
-    q_err, w_err = _error((*q, *w), q_d, w_d)
-    return ErrorState(q_err=q_err, w_err=w_err)
+    """Error state: q_err = q^-1 * q_d (lazily renormalized), w_err = w_d - w
+    (no sign flip)."""
+    qw, qx, qy, qz = q
+    wx, wy, wz = w
+    return ErrorState(
+        hamilton_product((qw, -qx, -qy, -qz), q_d), (w_d[0] - wx, w_d[1] - wy, w_d[2] - wz)
+    )
 
 
 def _read(err: ErrorState, sigma: int, kn: float):
@@ -200,61 +188,6 @@ def nu_sigma(err: ErrorState, sigma: int, gains: GainSet) -> np.ndarray:
 def _shorter_path_sign(m_e) -> int:
     # sgn(0) is defined as +1; m_e = 0 is a measure-zero tie
     return +1 if m_e >= 0.0 else -1
-
-
-def _bind_torque(kq: float, kw: float, kn: float, J):
-    """``torque(s, q_err, w_err, w, wdot_d)`` = J(s kq n_e + kw nu + wdot_d + s kn n_e_dot) + w x Jw
-    with nu = w_err + s kn n_e, bound to the gains and the inertia rows J.
-
-    The one torque form of all three laws: the switching law binds its kn;
-    the continuous (s = +1) and shorter-path (s = sgn(m_e)) laws bind kn = 0,
-    which makes nu = w_err and drops the n_e_dot term.
-
-    The products with the off-diagonal entries of J are formed only when one
-    of them is nonzero (``off``), and then added in the order of the full
-    sums J a and J w, so a non-diagonal inertia keeps its bits.  A diagonal
-    one keeps them too, for finite inputs and a feedforward wdot_d with no
-    -0.0 entry (the reference's is +0.0): each dropped product is
-    +-0.0, and x + (+-0.0) = x unless x = -0.0, while a is never -0.0 because
-    wdot_d is added to it, so neither J_ii a_i (unless it underflows to zero)
-    nor a torque entry is.  A sign change of a zero J w entry changes w x Jw
-    only in the sign of a zero, which the sum J_ii a_i + (w x Jw)_i does not
-    keep.
-    """
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
-    off = any((j01, j02, j10, j12, j20, j21))
-
-    def torque(s, q_err, w_err, w, wdot_d):
-        m, nx, ny, nz = q_err
-        ex, ey, ez = w_err
-        wx, wy, wz = w
-        kp = s * kq
-        kd = s * kn
-        # nu as in _read, written out here because the call costs more than
-        # the arithmetic; n_e_dot = vector part of 0.5 [0, w_err] q_err
-        ux, uy, uz = ex + kd * nx, ey + kd * ny, ez + kd * nz
-        dx = 0.5 * (m * ex + ey * nz - ez * ny)
-        dy = 0.5 * (m * ey + ez * nx - ex * nz)
-        dz = 0.5 * (m * ez + ex * ny - ey * nx)
-        ax = kp * nx + kw * ux + wdot_d[0] + kd * dx
-        ay = kp * ny + kw * uy + wdot_d[1] + kd * dy
-        az = kp * nz + kw * uz + wdot_d[2] + kd * dz
-        jx, jy, jz = j00 * wx, j11 * wy, j22 * wz
-        tx, ty, tz = j00 * ax, j11 * ay, j22 * az
-        if off:
-            jx, jy, jz = (
-                jx + j01 * wy + j02 * wz, j10 * wx + jy + j12 * wz, j20 * wx + j21 * wy + jz
-            )
-            tx, ty, tz = (
-                tx + j01 * ay + j02 * az, j10 * ax + ty + j12 * az, j20 * ax + j21 * ay + tz
-            )
-        return (
-            tx + (wy * jz - wz * jy),
-            ty + (wz * jx - wx * jz),
-            tz + (wx * jy - wy * jx),
-        )
-
-    return torque
 
 
 def _lam(q_err, w_err, a, b):
@@ -282,6 +215,73 @@ def update_sigma(sigma: int, lam: float, delta: float) -> int:
     return sigma
 
 
+def _bind_law(gains: GainSet, J, name: str):
+    """Control step ``law(sigma, y, ref) -> (tau, row)`` of the law ``name``,
+    bound to the gains and the inertia rows J.
+
+    From the packed state y and the sample ref = (q_d, w_d, wdot_d) it forms
+    q_err = q^-1 q_d (lazily renormalized), w_err = w_d - w and Lambda, picks
+    s, and returns the torque of the module docstring and the row
+    (q_err, w_err, s, Lambda).  The name fixes the sign rule once: s is
+    update_sigma(sigma, Lambda, delta) with the gains' kn ("switching"),
+    sgn(m_e) ("benchmark") or the sigma passed in ("continuous"), these two
+    with kn = 0, whose zero terms are formed all the same (left out, they can
+    flip the sign of a zero torque for a -0.0 feedforward and a non-diagonal J).
+
+    The products with the off-diagonal entries of J are formed only when one
+    of them is nonzero (``off``), and then added in the order of the full
+    sums J a and J w, so a non-diagonal inertia keeps its bits.  A diagonal
+    one keeps them too, for finite inputs and a feedforward wdot_d with no
+    -0.0 entry (the reference's is +0.0): each dropped product is +-0.0, and
+    x + (+-0.0) = x unless x = -0.0, while a is never -0.0 because wdot_d is
+    added to it, so neither J_ii a_i (unless it underflows to zero) nor a
+    torque entry is.  A sign change of a zero J w entry changes w x Jw only
+    in the sign of a zero, which the sum J_ii a_i + (w x Jw)_i does not keep.
+    """
+    kn = {"continuous": 0.0, "benchmark": 0.0, "switching": gains.kn}[name]
+    switching, benchmark = name == "switching", name == "benchmark"
+    kq, kw, delta = gains.kq, gains.kw, gains.delta
+    slope, radius = gains.lam_slope, gains.roa_radius
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
+    off = any((j01, j02, j10, j12, j20, j21))
+
+    def law(sigma, y, ref):
+        qw, qx, qy, qz, wx, wy, wz = y
+        (pw, px, py, pz), (vx, vy, vz), (fx, fy, fz) = ref
+        m, nx, ny, nz = renorm_if_drifted(
+            qw * pw + qx * px + qy * py + qz * pz,
+            qw * px - qx * pw - qy * pz + qz * py,
+            qw * py + qx * pz - qy * pw - qz * px,
+            qw * pz - qx * py + qy * px - qz * pw,
+        )
+        ex, ey, ez = vx - wx, vy - wy, vz - wz
+        lam = slope * (ex * nx + ey * ny + ez * nz) + radius * m
+        # the sign: hysteresis (switching), shorter path (benchmark) or as given
+        s = update_sigma(sigma, lam, delta) if switching else (
+            _shorter_path_sign(m) if benchmark else sigma
+        )
+        kp = s * kq
+        kd = s * kn
+        # nu, and n_e_dot = vector part of 0.5 [0, w_err] q_err
+        ux, uy, uz = ex + kd * nx, ey + kd * ny, ez + kd * nz
+        ax = kp * nx + kw * ux + fx + kd * (0.5 * (m * ex + ey * nz - ez * ny))
+        ay = kp * ny + kw * uy + fy + kd * (0.5 * (m * ey + ez * nx - ex * nz))
+        az = kp * nz + kw * uz + fz + kd * (0.5 * (m * ez + ex * ny - ey * nx))
+        jx, jy, jz = j00 * wx, j11 * wy, j22 * wz
+        tx, ty, tz = j00 * ax, j11 * ay, j22 * az
+        if off:
+            jx, jy, jz = (
+                jx + j01 * wy + j02 * wz, j10 * wx + jy + j12 * wz, j20 * wx + j21 * wy + jz
+            )
+            tx, ty, tz = (
+                tx + j01 * ay + j02 * az, j10 * ax + ty + j12 * az, j20 * ax + j21 * ay + tz
+            )
+        tau = (tx + (wy * jz - wz * jy), ty + (wz * jx - wx * jz), tz + (wx * jy - wy * jx))
+        return tau, (m, nx, ny, nz, ex, ey, ez, s, lam)
+
+    return law
+
+
 class ControlTelemetry(NamedTuple):
     """Column names of a controller's telemetry row.
 
@@ -307,58 +307,44 @@ class _ControllerBase:
     A controller is called as ``controller(t, y)`` with the packed state
     y = (qw, qx, qy, qz, wx, wy, wz) and returns ``(tau, row)``: the torque
     as a tuple of floats and its fixed-width telemetry row of 9 floats (see
-    ControlTelemetry), the row protocol of ``rigid_body.simulate``.  Its
-    torque (``_bind_torque``, with kn = 0 unless the law switches) and
-    Lambda's constants are bound once, here.  Each law's ``__call__``
-    samples the reference with the measured state, which is all the tracker
-    needs to pin the stage-3 start, and forms the error itself.
+    ControlTelemetry), the row protocol of ``rigid_body.simulate``.  Its law
+    (``_bind_law`` of the class's ``_name``) is bound once, here; each
+    law's ``__call__`` hands it the sign, the measured state and the
+    reference sampled with that state, which is all the tracker needs to pin
+    the stage-3 start.
     """
 
-    # kn inside the torque; only the switching law's nu carries it
-    _torque_kn = False
+    _name = "continuous"
 
     def __init__(self, gains: GainSet, J: np.ndarray, tracker: ManeuverTracker):
         self.gains = gains
         self.J = np.asarray(J, dtype=float)
         self.tracker = tracker
-        kn = gains.kn if self._torque_kn else 0.0
-        self._torque = _bind_torque(gains.kq, gains.kw, kn, self.J.tolist())
-        self._a, self._b = gains.lam_slope, gains.roa_radius
+        self._law = _bind_law(gains, self.J.tolist(), self._name)
 
 
 class ContinuousController(_ControllerBase):
     def __call__(self, t: float, y):
-        ref = self.tracker.sample(t, y)
-        q_err, w_err = _error(y, ref.q_d, ref.w_d)
-        tau = self._torque(+1, q_err, w_err, y[4:], ref.wdot_d)
-        return tau, (*q_err, *w_err, +1, _lam(q_err, w_err, self._a, self._b))
+        return self._law(+1, y, self.tracker.sample(t, y))
 
 
 class BenchmarkController(_ControllerBase):
     """Stateless shorter-path law; its effective sign is re-read every step."""
 
+    _name = "benchmark"
+
     def __call__(self, t: float, y):
-        ref = self.tracker.sample(t, y)
-        q_err, w_err = _error(y, ref.q_d, ref.w_d)
-        sigma = _shorter_path_sign(q_err[0])
-        tau = self._torque(sigma, q_err, w_err, y[4:], ref.wdot_d)
-        return tau, (*q_err, *w_err, sigma, _lam(q_err, w_err, self._a, self._b))
+        return self._law(+1, y, self.tracker.sample(t, y))
 
 
 class SwitchingController(_ControllerBase):
     """Hysteretic Lyapunov-based switching law; its only state is the
     current switch sign ``sigma``, +1 at the start of a run."""
 
-    _torque_kn = True
-
-    def __init__(self, gains: GainSet, J: np.ndarray, tracker: ManeuverTracker):
-        super().__init__(gains, J, tracker)
-        self.sigma = +1
+    _name = "switching"
+    sigma = +1
 
     def __call__(self, t: float, y):
-        ref = self.tracker.sample(t, y)
-        q_err, w_err = _error(y, ref.q_d, ref.w_d)
-        lam = _lam(q_err, w_err, self._a, self._b)
-        self.sigma = sigma = update_sigma(self.sigma, lam, self.gains.delta)
-        tau = self._torque(sigma, q_err, w_err, y[4:], ref.wdot_d)
-        return tau, (*q_err, *w_err, sigma, lam)
+        tau, row = self._law(self.sigma, y, self.tracker.sample(t, y))
+        self.sigma = row[7]
+        return tau, row

@@ -37,6 +37,7 @@ from .rigid_body import (
     CHUNK,
     DEFAULT_DT,
     DEFAULT_INERTIA,
+    MAX_STEPS,
     SimulationError,
     simulate,
     validate_inertia,
@@ -238,6 +239,13 @@ def make_ic_scenario(
     )
 
 
+def check_run_count(runs: int) -> None:
+    """ValueError past MAX_STEPS runs, before a command allocates an entry
+    per run, as a run's arrays hold a row per step (``simulate`` bounds those)."""
+    if runs > MAX_STEPS:
+        raise ValueError(f"{runs} runs are more than the {MAX_STEPS} a command may make")
+
+
 def initial_error_state(wz: float, psi0_deg: float):
     """Closed-form error state at the stage-3 step for an IC pair."""
     spec = ManeuverSpec(
@@ -290,8 +298,8 @@ class PerturbationSpec:
     def __post_init__(self):
         for name in ("psi0_deg", "wz"):
             v = float(getattr(self, name))
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"perturbation {name} must be non-negative and finite, got {v}")
+            if not (math.isfinite(2.0 * v) and v >= 0.0):  # 2v: the draw's range
+                raise ValueError(f"perturbation {name} must be non-negative with a finite double, got {v}")
 
 
 @dataclass
@@ -359,6 +367,7 @@ def effort_comparison(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    check_run_count(2 * repeats * len(ics))
     pert = perturbation or PerturbationSpec()
     for wz, psi in ics:
         if not (0.0 < psi - pert.psi0_deg and psi + pert.psi0_deg < 360.0):

@@ -7,12 +7,12 @@ step.  The stage-2 quaternion is obtained by integrating the constant rate
 from identity, which keeps it kinematically consistent and lets its scalar
 part go negative for targets beyond pi (no shortest-path flip).
 
-The reference has one form, ``_bind_reference(spec)``: a closure over the
-maneuver's constants (stage-1 length, rate, axis) that returns a
-ReferenceSample of float tuples.  ``ManeuverTracker`` binds it once per run
-and its ``sample(t, y)`` returns those tuples.  The tracker alone owns the
-stage-3 trigger: it unwraps the yaw of the measured packed state y until the
-trigger fires.  ``stage3_initial_state`` gives the stage-3 start as the
+The stage-2 spin has one form, ``_bind_reference(spec)``, a closure over
+the maneuver's constants.  ``ManeuverTracker`` binds it once per run, and
+its ``sample(t, y)`` owns the stage test and the stage-3 trigger: it
+unwraps the yaw of the measured packed state y until the trigger fires, and
+returns the hold sample of stages 1 and 3 itself, so a stage-3 sample is
+one Python frame.  ``stage3_initial_state`` gives the stage-3 start as the
 packed state tuple that ``rigid_body.simulate`` takes, so this module needs
 nothing from ``rigid_body``.
 """
@@ -73,29 +73,24 @@ _HOLD = ReferenceSample((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def _bind_reference(spec: ManeuverSpec):
-    """Float reference ``sample(t, t0) -> ReferenceSample`` of float tuples,
-    bound to the maneuver.
-
-    ``t0 = None`` means the stage-2 -> stage-3 transition has not happened
-    yet (full mode while still spinning up); in stage3 mode callers pass
-    t0 = 0.  The stage-3 feedforward at the step instant is defined as zero,
-    treating the reference change as an ideal discontinuity.
+    """Stage-2 reference ``spin(t) -> ReferenceSample`` of float tuples,
+    bound to the maneuver: the desired frame turned about the w0 axis at
+    the rate |w0| since the end of stage 1 (held at identity if w0 is
+    zero).  Which stage a time lies in is ``ManeuverTracker.sample``'s test.
     """
     rate = math.sqrt(float(spec.w0 @ spec.w0))
     if rate < 1e-15:
-        return lambda t, t0: _HOLD
+        return lambda t: _HOLD
     t1 = spec.stage1_duration
     w0 = tuple(spec.w0.tolist())
     ax, ay, az = (spec.w0 / rate).tolist()
 
-    def sample(t: float, t0: float | None) -> ReferenceSample:
-        if (t0 is not None and t >= t0) or t < t1:
-            return _HOLD
+    def spin(t: float) -> ReferenceSample:
         h = 0.5 * (rate * (t - t1))
         s = math.sin(h)
         return ReferenceSample((math.cos(h), ax * s, ay * s, az * s), w0, _HOLD.wdot_d)
 
-    return sample
+    return spin
 
 
 def stage3_initial_state(spec: ManeuverSpec) -> tuple:
@@ -113,11 +108,12 @@ def stage3_initial_state(spec: ManeuverSpec) -> tuple:
 class ManeuverTracker:
     """Stateful wrapper that pins the stage-3 transition during a run.
 
-    ``sample(t, y)`` takes the measured packed state
-    y = (qw, qx, qy, qz, wx, wy, wz).  Full mode: while t0 is pending, each
-    sample unwraps the measured yaw across +-pi and arms the transition the
-    first time that yaw reaches psi0 in stage 2.  Stage3 mode starts with
-    t0 = 0, so every query is already in stage 3 and the yaw is never read.
+    ``sample(t, y)`` takes the measured packed state y and returns the
+    identity hold in stage 1 and from t0 on (a zero feedforward at the step:
+    an ideal discontinuity), else the stage-2 spin.  Full mode: while t0 is
+    pending, each sample unwraps the measured yaw across +-pi and arms the
+    transition the first time that yaw reaches psi0 in stage 2.  Stage3 mode
+    starts with t0 = 0, so the yaw is never read.
     """
 
     spec: ManeuverSpec
@@ -125,13 +121,14 @@ class ManeuverTracker:
 
     def __post_init__(self):
         self.t0 = 0.0 if self.spec.mode == MODE_STAGE3 else None
-        self._reference = _bind_reference(self.spec)
+        self._spin = _bind_reference(self.spec)
         # the last measured yaw, in [-pi, pi], and its unwrapped sum; from 0,
         # the first yaw is its own sum (up to the sign of a zero)
         self._prev_yaw = self._yaw = 0.0
 
     def sample(self, t: float, y) -> ReferenceSample:
-        if self.t0 is None:
+        t0 = self.t0
+        if t0 is None:
             yaw = yaw_of(y[:4])
             d = yaw - self._prev_yaw
             if d > math.pi:
@@ -141,5 +138,7 @@ class ManeuverTracker:
             self._yaw += d
             self._prev_yaw = yaw
             if t >= self.spec.stage1_duration and self._yaw >= self.spec.psi0:
-                self.t0 = t
-        return self._reference(t, self.t0)
+                self.t0 = t0 = t
+        if (t0 is not None and t >= t0) or t < self.spec.stage1_duration:
+            return _HOLD
+        return self._spin(t)

@@ -24,7 +24,8 @@ scenario.txt can hold) skips 24 float operations of each derivative call,
 The packed state is also the only form of a state: ``simulate`` starts
 from a packed y0, hands its controller the packed state y itself, so
 nothing is built per step, and refuses a bad y0 or a run longer than
-``MAX_STEPS`` steps before it allocates the run.
+``MAX_STEPS`` steps before it allocates the run.  Besides the controller's,
+a step opens six Python frames: the RK4 step, four derivatives, one renorm.
 """
 
 import math
@@ -227,10 +228,10 @@ def simulate(
     physics step with the packed state y = (qw, qx, qy, qz, wx, wy, wz), a
     tuple of floats; the returned torque (any 3-sequence) is converted to
     floats once and held over the step.  ``row`` is the step's telemetry, a
-    sequence of floats whose width W is fixed by the first row (W may be 0).
-    The rows of a run are gathered CHUNK steps at a time and each chunk is
-    converted into its slice of the preallocated arrays, so at most one
-    chunk of per-step tuples is alive at any time.
+    sequence of floats whose width W is fixed by the first row (W may be 0,
+    and another width raises SimulationError).  The rows are gathered CHUNK
+    steps at a time, each chunk converted into its slice of the preallocated
+    arrays, so at most one chunk of per-step tuples is alive at any time.
     Returns a Trajectory with one row per physics step plus the final state.
     A run of more than MAX_STEPS steps, or a bad y0, raises ValueError
     before anything is allocated.  Controller and integration failures are
@@ -248,7 +249,7 @@ def simulate(
     n_steps = int(round(steps))
     y = _initial_state(y0)
     n = n_steps + 1
-    ys_out, taus_out, tel = np.empty((n, 7)), np.empty((n, 3)), None
+    ys_out, taus_out, tel, width = np.empty((n, 7)), np.empty((n, 3)), None, -1
     # filled by index: a store costs less than an append call per step
     ys, taus, rows = [None] * CHUNK, [None] * CHUNK, [None] * CHUNK
     for start in range(0, n, CHUNK):
@@ -259,6 +260,10 @@ def simulate(
                 tau, row = controller(t, y)
                 tx, ty, tz = tau
                 tau = (float(tx), float(ty), float(tz))
+                if len(row) != width:
+                    if k:
+                        raise ValueError(f"a telemetry row of {len(row)} floats, not {width}")
+                    width = len(row)
             except SimulationError:
                 raise
             except Exception as exc:
@@ -280,10 +285,10 @@ def simulate(
                 )
         m = stop - start
         if tel is None:
-            tel = np.empty((n, len(rows[0])))
+            tel = np.empty((n, width))
         ys_out[start:stop] = float_rows(ys[:m], 7)
         taus_out[start:stop] = float_rows(taus[:m], 3)
-        tel[start:stop] = float_rows(rows[:m], tel.shape[1])
+        tel[start:stop] = float_rows(rows[:m], width)
     return Trajectory(
         t=np.arange(n) * dt, q=ys_out[:, :4], w=ys_out[:, 4:], tau=taus_out, telemetry=tel
     )

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from attswitch.controllers import _bind_torque, _shorter_path_sign
+from attswitch.controllers import _bind_law
 from attswitch.harness import CSV_HEADER
 from attswitch.quat import quat_kinematics
 
@@ -31,16 +33,25 @@ def half_rate_left(w, q):
 
 
 def law_torque(law, err, w, gains, J, sigma=+1):
-    """Torque of ``law`` at an ErrorState through the one bound torque form,
+    """Torque of ``law`` at an ErrorState through the one bound law form,
     with zero feedforward: kn = 0 in the torque and s = +1 (continuous) or
-    sgn(m_e) (benchmark), or the gains' kn and s = sigma (switching)."""
+    sgn(m_e) (benchmark), or the gains' kn and s = sigma (switching).
+
+    The law forms the error itself, so it is handed the identity attitude
+    with body rate w and the reference (q_err, w_err + w, 0): q^-1 q_d is
+    then q_err, and w_d - w is w_err whenever w_err + w is exact (every
+    caller's w_err is -w or w is zero).  The switching law's dead band is
+    widened to 1e300, so that its sign rule holds sigma."""
     if law == "switching":
-        kn, s = gains.kn, sigma
-    else:
-        kn, s = 0.0, _shorter_path_sign(err.m_e) if law == "benchmark" else +1
-    torque = _bind_torque(gains.kq, gains.kw, kn, np.asarray(J, dtype=float).tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the c_max advisory, already seen
+            gains = dataclasses.replace(gains, delta=1e300)
+    control = _bind_law(gains, np.asarray(J, dtype=float).tolist(), law)
     w = np.asarray(w, dtype=float).tolist()
-    return np.array(torque(s, err.q_err.tolist(), err.w_err.tolist(), w, (0.0, 0.0, 0.0)))
+    w_d = (np.asarray(err.w_err) + w).tolist()
+    tau, _ = control(sigma if law == "switching" else +1, (1.0, 0.0, 0.0, 0.0, *w),
+                     (err.q_err.tolist(), w_d, (0.0, 0.0, 0.0)))
+    return np.array(tau)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ conftest: bit for bit on the default (diagonal) inertia, signed zeros
 included, and to a relative 1e-12 on non-diagonal inertias, where the
 production path sums J @ v in Python while the reference sums it in numpy.
 Non-diagonal runs are pinned to the bit by their own digests, and the bound
-derivative and torque are compared with the general forms in conftest,
+derivative and law are compared with the general forms in conftest,
 which form every product of the inertia.
 """
 
@@ -22,10 +22,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import general_derivative, general_torque, reference_closed_loop
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attswitch.cli import main
-from attswitch.controllers import _bind_torque
+from attswitch.controllers import GainSet, _bind_law, _lam, _shorter_path_sign
 from attswitch.harness import (
     DEFAULT_GAINS,
     REFERENCE_ICS,
@@ -35,6 +35,7 @@ from attswitch.harness import (
     run_scenario,
     scenario_from_text,
 )
+from attswitch.quat import hamilton_product
 from attswitch.reference import ManeuverSpec, stage3_initial_state
 from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, _bind_derivative, simulate
 
@@ -348,10 +349,11 @@ def test_default_inertia_takes_the_diagonal_path():
     Jinv = np.linalg.inv(DEFAULT_INERTIA)
     assert np.count_nonzero(Jinv - np.diag(np.diag(Jinv))) == 0
     assert not _bound_flag(_bind_derivative(DEFAULT_INERTIA.tolist(), Jinv.tolist()))
-    assert not _bound_flag(_bind_torque(10.0, 100.0, 10.0, DEFAULT_INERTIA.tolist()))
+    gains = DEFAULT_GAINS["switching"]
+    assert not _bound_flag(_bind_law(gains, DEFAULT_INERTIA.tolist(), "switching"))
     J = _ldl_inertia(*LDL_INERTIAS[-1])
     assert _bound_flag(_bind_derivative(J.tolist(), np.linalg.inv(J).tolist()))
-    assert _bound_flag(_bind_torque(10.0, 100.0, 10.0, J.tolist()))
+    assert _bound_flag(_bind_law(gains, J.tolist(), "switching"))
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -404,17 +406,40 @@ def _vector(entry, n):
     return st.tuples(*[entry] * n)
 
 
+# a packed state or a reference attitude whose quaternion is not zero, so
+# that the error quaternion can be renormalized
+_STATE = _vector(_ENTRY, 7).filter(lambda y: any(y[:4]))
+_QUAT = _vector(_ENTRY, 4).filter(any)
+
+
 def _bytes(values):
     return np.array(values, dtype=float).tobytes()
 
 
-def _assert_bound_forms_match_general(J, y, tau, gains, s, w_err, wdot_d):
+def _error(y, q_d, w_d):
+    """q^-1 q_d through quat.hamilton_product and w_d - w, of the packed y."""
+    qw, qx, qy, qz, wx, wy, wz = y
+    return hamilton_product((qw, -qx, -qy, -qz), q_d), (w_d[0] - wx, w_d[1] - wy, w_d[2] - wz)
+
+
+def _law_gains(kq, kw, kn=1.0, delta=0.1):
+    # c is far below c_max, so no advisory; it only scales Lambda
+    return GainSet(kq=kq, kw=kw, kn=kn, c=1e-3 * min(1.0, 4.0 * kn * kw / kq), delta=delta)
+
+
+def _assert_bound_forms_match_general(J, y, tau, gains, s, q_d, w_d, wdot_d):
+    # gains = (kq, kw, kn): kn = 0 is the continuous law's form, which
+    # takes its sign as given; kn > 0 the switching law's, whose dead band
+    # of 1e300 holds the sign it is given
     rows, inv = J.tolist(), np.linalg.inv(J).tolist()
     derivative = _bind_derivative(rows, inv)
     assert _bytes(derivative(*y, *tau)) == _bytes(general_derivative(y, *tau, rows, inv))
-    torque = _bind_torque(*gains, rows)
-    got = torque(s, y[:4], w_err, y[4:], wdot_d)
-    assert _bytes(got) == _bytes(general_torque(*gains, rows, s, y[:4], w_err, y[4:], wdot_d))
+    kq, kw, kn = gains
+    law = _bind_law(_law_gains(kq, kw, kn or 1.0, 1e300), rows, "switching" if kn else "continuous")
+    got, row = law(s, y, (q_d, w_d, wdot_d))
+    assert row[7] == s
+    q_err, w_err = _error(y, q_d, w_d)
+    assert _bytes(got) == _bytes(general_torque(*gains, rows, s, q_err, w_err, y[4:], wdot_d))
 
 
 _GAINS = st.tuples(
@@ -425,29 +450,63 @@ _GAINS = st.tuples(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     jd=_vector(st.floats(1e-6, 1e-3), 3),
-    y=_vector(_ENTRY, 7),
+    y=_STATE,
     tau=_vector(_TORQUE, 3),
     gains=_GAINS,
     s=st.sampled_from((1, -1)),
-    w_err=_vector(_ENTRY, 3),
+    q_d=_QUAT,
+    w_d=_vector(_ENTRY, 3),
     wdot_d=_vector(_NO_NEGATIVE_ZERO, 3),
 )
-def test_diagonal_forms_match_general_forms(jd, y, tau, gains, s, w_err, wdot_d):
-    _assert_bound_forms_match_general(np.diag(jd), y, tau, gains, s, w_err, wdot_d)
+def test_diagonal_forms_match_general_forms(jd, y, tau, gains, s, q_d, w_d, wdot_d):
+    _assert_bound_forms_match_general(np.diag(jd), y, tau, gains, s, q_d, w_d, wdot_d)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    y=_vector(_ENTRY, 7),
+    y=_STATE,
     tau=_vector(_ENTRY.map(lambda x: 1e-4 * x), 3),
     gains=_GAINS,
     s=st.sampled_from((1, -1)),
-    w_err=_vector(_ENTRY, 3),
+    q_d=_QUAT,
+    w_d=_vector(_ENTRY, 3),
     wdot_d=_vector(_ENTRY, 3),
 )
-def test_nondiagonal_forms_match_general_forms(seed, y, tau, gains, s, w_err, wdot_d):
+# a kn = 0 law that leaves out its zero kn terms gives tau_z = -0.0 here,
+# against the general form's +0.0
+@example(
+    seed=0, y=(1.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0), tau=(0.0, 0.0, 0.0), gains=(10.0, 100.0, 0.0),
+    s=-1, q_d=(1.0, 0.0, 0.0, 0.0), w_d=(0.0, -0.0, -0.0), wdot_d=(0.0, -0.0, -0.0),
+)
+def test_nondiagonal_forms_match_general_forms(seed, y, tau, gains, s, q_d, w_d, wdot_d):
     # every product is formed here, in the general forms' order, so even
     # -0.0 inputs keep their bits
     J = _random_spd(np.random.default_rng(seed))
-    _assert_bound_forms_match_general(J, y, tau, gains, s, w_err, wdot_d)
+    _assert_bound_forms_match_general(J, y, tau, gains, s, q_d, w_d, wdot_d)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(("continuous", "benchmark")),
+    diagonal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    gains=st.tuples(st.floats(0.1, 1e3), st.floats(0.1, 1e3), st.floats(0.1, 1e2)),
+    y=_STATE,
+    q_d=_QUAT,
+    w_d=_vector(_ENTRY, 3),
+    wdot_d=_vector(_NO_NEGATIVE_ZERO, 3),
+)
+def test_kn_zero_laws_match_the_general_form(name, diagonal, seed, gains, y, q_d, w_d, wdot_d):
+    # the continuous and benchmark laws bind kn = 0; the general form forms
+    # every product of J, the error comes from quat.hamilton_product and
+    # Lambda from _lam
+    J = _random_spd(np.random.default_rng(seed))
+    rows = (np.diag(np.diag(J)) if diagonal else J).tolist()
+    g = _law_gains(*gains)
+    tau, row = _bind_law(g, rows, name)(+1, y, (q_d, w_d, wdot_d))
+    q_err, w_err = _error(y, q_d, w_d)
+    s = _shorter_path_sign(q_err[0]) if name == "benchmark" else +1
+    want = general_torque(g.kq, g.kw, 0.0, rows, s, q_err, w_err, y[4:], wdot_d)
+    assert _bytes(tau) == _bytes(want)
+    assert _bytes(row) == _bytes((*q_err, *w_err, s, _lam(q_err, w_err, g.lam_slope, g.roa_radius)))

@@ -3,8 +3,9 @@ and exit 0 means that every number it wrote is finite and at most WIDEST
 characters wide.
 
 ``test_cli_contract`` draws argument vectors over every flag of
-``simulate``, ``sweep``, ``table1`` and ``stability-report``; the named
-tests below it pin the cases that broke the contract.
+``simulate``, ``sweep``, ``table1`` and ``stability-report``, and
+``test_compare_contract`` over those of ``compare``; the named tests below
+them pin the cases that broke the contract.
 ``test_scenario_echo_reads_back_exactly`` draws ``simulate`` flags, 17-digit
 floats among them, and checks that scenario.txt reads back to its scenario.
 """
@@ -37,6 +38,13 @@ STAGE1 = ("0", "0.01")
 J = ("1,1,1", "0.1,0.2,0.3")
 # grid counts stay small: a count is an allocation
 COUNT, BAD_COUNT = ("1", "2"), ("0", "-1", "1.5", "x")
+# compare runs ten 3 s runs a repeat: one or two repeats, and steps of 5 ms
+# and more, up to and past the dt kw = 2 limit (kw = 100)
+REPEATS, BAD_REPEATS = ("1", "2"), (*ODD, "1000000000000")
+COMPARE_DT = ("0.005", "0.01", "0.0199", "0.02", "0.05")
+SEED, BAD_SEED = ("0", "7", "4294967295"), ("-1", "1e3", "x")
+PERTURB_PSI = ("0", "1", "29", "100")
+PERTURB_WZ = ("0", "0.05", "1.9", "3")
 LAWS = ("continuous", "benchmark", "switching")
 PATH = re.compile(r"=(out|table|report|scenario\.txt|missing\.txt)$")
 # "%.17g" of a negative float with a three-digit exponent; "%.6f" stays
@@ -122,6 +130,16 @@ ARGV = st.one_of(
 )
 
 
+COMPARE_ARGV = _command(
+    "compare",
+    _given("--repeats", _mix(REPEATS, BAD_REPEATS)),
+    _maybe("--seed", _mix(SEED, BAD_SEED)),
+    _maybe("--perturb-psi", _mix(PERTURB_PSI)),
+    _maybe("--perturb-wz", _mix(PERTURB_WZ)),
+    _given("--dt", _mix(COMPARE_DT)),
+)
+
+
 def _bad_numbers(text: str):
     """Number tokens that are not finite or are wider than WIDEST characters."""
     return [
@@ -135,7 +153,7 @@ def run_cli(argv, cwd: Path):
     Any exception other than SystemExit propagates, as a traceback would.
     """
     argv = list(argv)
-    if argv[0] in ("simulate", "sweep") and not any(a.startswith("--out=") for a in argv):
+    if argv[0] in ("simulate", "sweep", "compare") and not any(a.startswith("--out=") for a in argv):
         argv.append("--out=out")
     (cwd / "scenario.txt").write_text("wz = 4\npsi0_deg = 150\nhorizon = 0.01\n")
     argv = [PATH.sub(lambda m: f"={cwd / m[1]}", a) for a in argv]
@@ -180,6 +198,17 @@ def test_cli_contract(argv):
     check_contract(argv)
 
 
+@settings(
+    derandomize=True,
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(COMPARE_ARGV)
+def test_compare_contract(argv):
+    check_contract(argv)
+
+
 # Each exits 1 before it writes anything.  The first four overflowed a gain
 # constant and exited 0 with inf or -inf in their output; the others are what
 # test_cli_contract found.
@@ -200,6 +229,12 @@ REFUSED = {
     "simulate-wz-1e300": ("simulate", "--ic=1e300,150", "--horizon=0.01"),
     # horizon / dt is inf, and round(inf) raised OverflowError: a traceback
     "simulate-dt-5e-324": ("simulate", "--ic=2,150", "--dt=5e-324", "--horizon=0.05"),
+    # the grid and the effort arrays were allocated first: a numpy
+    # _ArrayMemoryError traceback
+    "sweep-count-1e12": ("sweep", "--wz=1,4,1000000000000", "--psi=150,150,1"),
+    "compare-repeats-1e12": ("compare", "--repeats=1000000000000"),
+    # the perturbation draw's range 2e308 overflowed: an OverflowError traceback
+    "compare-perturb-wz-1e308": ("compare", "--repeats=1", "--perturb-wz=1e308"),
 }
 
 

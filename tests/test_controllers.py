@@ -13,6 +13,7 @@ from attswitch.controllers import (
     ErrorState,
     GainSet,
     SwitchingController,
+    _bind_law,
     attitude_error,
     nu_sigma,
     switch_function,
@@ -185,6 +186,12 @@ class TestErrorState:
         assert repr(err) == "ErrorState(q_err=(1.0, 0.0, 0.0, 0.0), w_err=(0.25, -0.5, 3.0))"
         err = ErrorState(q_err=rand_unit_quat(rng), w_err=rng.normal(size=3))
         assert eval(repr(err), {"ErrorState": ErrorState}) == err
+
+
+def test_unknown_law_name_raises():
+    # the name fixes the sign rule; an unknown one must not bind some law
+    with pytest.raises(KeyError, match="shorter"):
+        _bind_law(PAPER_GAINS, np.eye(3).tolist(), "shorter")
 
 
 class TestContinuousTorque:

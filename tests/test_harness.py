@@ -294,6 +294,17 @@ class TestEffortComparison:
         with pytest.raises(ValueError):
             effort_comparison(repeats=0)
 
+    def test_run_count_past_max_steps_rejected_before_any_run(self, monkeypatch):
+        def run_scenario(scenario):
+            raise AssertionError("ran before the run count was checked")
+
+        monkeypatch.setattr(harness, "run_scenario", run_scenario)
+        monkeypatch.setattr(harness, "MAX_STEPS", 9)
+        harness.check_run_count(9)
+        # two runs a repeat at each IC
+        with pytest.raises(ValueError, match="10 runs are more than the 9 a command may make"):
+            effort_comparison(repeats=5, ics=REFERENCE_ICS[:1])
+
 
 def _plus_zero(run, i):
     run.n_e[:, 0] = 0.0

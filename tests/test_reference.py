@@ -10,22 +10,25 @@ from attswitch.reference import (
     ManeuverSpec,
     ManeuverTracker,
     ReferenceSample,
-    _bind_reference,
     stage3_initial_state,
 )
 
 B3 = np.array([0.0, 0.0, 1.0])
 
 
-def sample(spec, t, t0):
-    """The bound reference of ``spec`` at time t, its fields as ndarrays."""
-    return ReferenceSample(*map(np.array, _bind_reference(spec)(t, t0)))
-
-
 def yaw_state(yaw_deg):
     """Packed state at rest with yaw ``yaw_deg`` about the body z axis."""
     h = 0.5 * math.radians(yaw_deg)
     return (math.cos(h), 0.0, 0.0, math.sin(h), 0.0, 0.0, 0.0)
+
+
+def sample(spec, t, t0):
+    """The reference of ``spec`` at time t with the stage-3 start t0 (None:
+    not yet armed), its fields as ndarrays.  The tracker is shown the state
+    at rest at yaw 0, which never arms t0 (psi0 > 0)."""
+    tracker = ManeuverTracker(spec)
+    tracker.t0 = t0
+    return ReferenceSample(*map(np.array, tracker.sample(t, yaw_state(0.0))))
 
 
 def yaw_spec(wz, psi0_deg, mode=MODE_FULL, stage1=1.0):

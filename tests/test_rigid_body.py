@@ -133,6 +133,17 @@ class TestSimulate:
         assert np.allclose(traj.w[0], s[4:])
         assert np.allclose(traj.tau[0], 0.0)
 
+    @pytest.mark.parametrize("k_bad", [1, CHUNK + 1])
+    def test_row_width_change_raises(self, k_bad):
+        # rows of 2, 3, 2, 2, ... floats: the conversion took the chunk's
+        # first 2 n floats and shifted every row after the wide one
+        def controller(t, y):
+            return (0.0, 0.0, 0.0), (t, t, t)[: 3 if round(t / 1e-3) == k_bad else 2]
+
+        s = (*IDENTITY, *TUMBLE_W)
+        with pytest.raises(SimulationError, match="a telemetry row of 3 floats, not 2"):
+            simulate(s, controller, TUMBLE_J, 1e-3, 2 * CHUNK * 1e-3)
+
     def test_empty_rows_give_zero_width_telemetry(self):
         s = (*IDENTITY, *TUMBLE_W)
         traj = simulate(s, zero_controller, TUMBLE_J, 1e-3, (CHUNK + 1) * 1e-3)
