@@ -4,11 +4,9 @@ controller, a shorter-path benchmark law, and Lyapunov verification tools."""
 from .controllers import (
     BenchmarkController,
     ContinuousController,
-    ControlTelemetry,
     ErrorState,
     GainSet,
     SwitchingController,
-    attitude_error,
     nu_sigma,
     switch_function,
     update_sigma,

@@ -218,11 +218,10 @@ def _cmd_sweep(args) -> int:
                     float(wz), float(psi), args.controller, gains, dt=dt, horizon=horizon
                 )
             )
-            i0 = 0
+            sigma, _, V, in_roa = harness.values_at_t0(run)
             lines.append(
                 f"{harness._exact_text(wz)},{harness._exact_text(psi)},"
-                f"{int(run.sigma[i0]):+d},{report_number(run.V[i0])},"
-                f"{str(bool(run.V[i0] < gains.roa_radius)).lower()},"
+                f"{sigma:+d},{report_number(V)},{str(in_roa).lower()},"
                 f"{len(run.switch_times)},{run.gamma_tau:.9g},"
                 f"{report_number(math.degrees(run.final_yaw_error))}"
             )

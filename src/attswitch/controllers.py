@@ -1,4 +1,4 @@
-"""Attitude error, torque laws, and the hysteretic switching logic.
+"""Torque laws, the hysteretic switching logic, and the error state.
 
 All three torque laws are one feedback-linearized form, so the closed-loop
 error dynamics are independent of the inertia matrix:
@@ -27,11 +27,12 @@ reference sample it writes q^-1 q_d, w_d - w, Lambda, nu, n_e_dot and the
 torque J a + w x Jw once each, and calls only ``quat.renorm_if_drifted`` and
 the law's sigma rule.  A stage-3 control step thus opens four Python frames
 (continuous) or five: ``__call__``, ``ManeuverTracker.sample``, the law,
-``renorm_if_drifted`` and the rule.  ``quat.hamilton_product`` and ``_lam``,
-which ``attitude_error`` and ``switch_function`` use, write the error and
-Lambda again; delegating to them would cost the law a frame each (ROADMAP
-item 2).  A controller returns ``(tau, row)``, tuples of floats, the row of
-the fixed width ``simulate`` needs for its (N, 9) telemetry array.  An
+``renorm_if_drifted`` and the rule.  ``_lam``, which ``switch_function``
+uses, writes Lambda again; delegating to it would cost the law a frame
+(ROADMAP item 2).  A controller returns ``(tau, row)``, tuples of floats,
+the row of the fixed width ``simulate`` needs for its (N, 9) telemetry
+array, laid out as ``_bind_law`` documents; a run's first row is also its
+starting error state, sign and Lambda (``harness.lyapunov_ic_table``).  An
 ``ErrorState`` holds seven entries (m, nx, ny, nz, ex, ey, ez): floats read
 once, or a run's columns (``ErrorState.of_columns``); ``_read`` unpacks
 them, nu included, for ``nu_sigma`` and the certificates in ``stability``.
@@ -40,11 +41,10 @@ them, nu included, for ``nu_sigma`` and the certificates in ``stability``.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .quat import hamilton_product, renorm_if_drifted
+from .quat import renorm_if_drifted
 from .reference import ManeuverTracker
 
 # the GainSet fields, in order: the scenario.txt keys and command-line flags
@@ -162,16 +162,6 @@ class ErrorState:
         return f"ErrorState(q_err={self._f[:4]!r}, w_err={self._f[4:]!r})"
 
 
-def attitude_error(q: np.ndarray, q_d: np.ndarray, w: np.ndarray, w_d: np.ndarray) -> ErrorState:
-    """Error state: q_err = q^-1 * q_d (lazily renormalized), w_err = w_d - w
-    (no sign flip)."""
-    qw, qx, qy, qz = q
-    wx, wy, wz = w
-    return ErrorState(
-        hamilton_product((qw, -qx, -qy, -qz), q_d), (w_d[0] - wx, w_d[1] - wy, w_d[2] - wz)
-    )
-
-
 def _read(err: ErrorState, sigma: int, kn: float):
     """``(m, nx, ny, nz, ux, uy, uz)``: the error state's floats, with
     nu = w_err + sigma kn n_e for switch sign sigma."""
@@ -215,14 +205,21 @@ def update_sigma(sigma: int, lam: float, delta: float) -> int:
     return sigma
 
 
+def law_kn(gains: GainSet, name: str) -> float:
+    """The kn that the law ``name`` binds: the gains' kn for the switching
+    law, 0 for the continuous and benchmark laws."""
+    return {"continuous": 0.0, "benchmark": 0.0, "switching": gains.kn}[name]
+
+
 def _bind_law(gains: GainSet, J, name: str):
     """Control step ``law(sigma, y, ref) -> (tau, row)`` of the law ``name``,
     bound to the gains and the inertia rows J.
 
     From the packed state y and the sample ref = (q_d, w_d, wdot_d) it forms
     q_err = q^-1 q_d (lazily renormalized), w_err = w_d - w and Lambda, picks
-    s, and returns the torque of the module docstring and the row
-    (q_err, w_err, s, Lambda).  The name fixes the sign rule once: s is
+    s, and returns the torque of the module docstring and the telemetry row
+    of nine floats (m_e, nex, ney, nez, wex, wey, wez, s, Lambda): q_err,
+    w_err, the sign and Lambda.  The name fixes the sign rule once: s is
     update_sigma(sigma, Lambda, delta) with the gains' kn ("switching"),
     sgn(m_e) ("benchmark") or the sigma passed in ("continuous"), these two
     with kn = 0, whose zero terms are formed all the same (left out, they can
@@ -238,7 +235,7 @@ def _bind_law(gains: GainSet, J, name: str):
     torque entry is.  A sign change of a zero J w entry changes w x Jw only
     in the sign of a zero, which the sum J_ii a_i + (w x Jw)_i does not keep.
     """
-    kn = {"continuous": 0.0, "benchmark": 0.0, "switching": gains.kn}[name]
+    kn = law_kn(gains, name)
     switching, benchmark = name == "switching", name == "benchmark"
     kq, kw, delta = gains.kq, gains.kw, gains.delta
     slope, radius = gains.lam_slope, gains.roa_radius
@@ -282,32 +279,13 @@ def _bind_law(gains: GainSet, J, name: str):
     return law
 
 
-class ControlTelemetry(NamedTuple):
-    """Column names of a controller's telemetry row.
-
-    A controller returns each row as a plain tuple of floats in this order,
-    which ``simulate`` writes into the run's (N, 9) telemetry array;
-    ``ControlTelemetry(*row)`` names its fields.
-    """
-
-    m_e: float
-    nex: float
-    ney: float
-    nez: float
-    wex: float
-    wey: float
-    wez: float
-    sigma: int
-    lam: float
-
-
 class _ControllerBase:
     """Shared set-up: gains, inertia and reference tracker.
 
     A controller is called as ``controller(t, y)`` with the packed state
     y = (qw, qx, qy, qz, wx, wy, wz) and returns ``(tau, row)``: the torque
     as a tuple of floats and its fixed-width telemetry row of 9 floats (see
-    ControlTelemetry), the row protocol of ``rigid_body.simulate``.  Its law
+    ``_bind_law``), the row protocol of ``rigid_body.simulate``.  Its law
     (``_bind_law`` of the class's ``_name``) is bound once, here; each
     law's ``__call__`` hands it the sign, the measured state and the
     reference sampled with that state, which is all the tracker needs to pin

@@ -12,6 +12,11 @@ mode).  scenario.txt has one table, ``SCENARIO_KEYS``: each key's reader
 and its echo, from which ``scenario_to_text`` writes a file that
 ``scenario_from_text`` reads back to the same scenario bit for bit.  A law's
 gains where none are given are ``DEFAULT_GAINS[law]``.
+
+A run's start has one reading: the switching law's telemetry row at t0.
+``lyapunov_ic_table`` makes that row with one call of the law, no run, and
+``values_at_t0`` reads it from a run for ``report.txt`` and ``sweep.csv``;
+V and ROA membership come from ``stability`` on that row.
 """
 
 import math
@@ -24,15 +29,15 @@ from .controllers import (
     GAIN_KEYS,
     BenchmarkController,
     ContinuousController,
+    ErrorState,
     GainSet,
     SwitchingController,
+    _bind_law,
     _shorter_path_sign,
-    attitude_error,
-    switch_function,
-    update_sigma,
+    law_kn,
 )
 from .quat import IDENTITY, yaw_of
-from .reference import MODE_STAGE3, ManeuverSpec, ManeuverTracker, stage3_initial_state
+from .reference import HOLD, MODE_STAGE3, ManeuverSpec, ManeuverTracker, stage3_initial_state
 from .rigid_body import (
     CHUNK,
     DEFAULT_DT,
@@ -108,12 +113,16 @@ class Scenario:
             raise ValueError(
                 f"horizon_after_t0 = {self.horizon_after_t0} is shorter than one step dt = {self.dt}"
             )
-        # the torque is held over each step, so the sampled rate loop
-        # w_{k+1} ~ (1 - dt kw) w_k diverges once dt kw reaches 2
-        if self.dt * self.gains.kw >= 2.0:
+        # the torque is held over each step, and near the equilibrium the
+        # n_e_dot term adds (kn/2) w_err to it, so the sampled rate loop
+        # w_{k+1} ~ (1 - dt (kw + kn/2)) w_k diverges once dt (kw + kn/2)
+        # reaches 2, with the kn the law binds (0 but for the switching law)
+        kn = law_kn(self.gains, self.controller)
+        if self.dt * (self.gains.kw + 0.5 * kn) >= 2.0:
             raise ValueError(
-                f"dt * kw = {self.dt * self.gains.kw:g} must be below 2 for the sampled "
-                f"rate loop to be stable (dt = {self.dt}, kw = {self.gains.kw})"
+                f"dt * (kw + kn/2) = {self.dt * (self.gains.kw + 0.5 * kn):g} must be below 2 "
+                f"for the sampled rate loop of the {self.controller} law to be stable "
+                f"(dt = {self.dt}, kw = {self.gains.kw}, kn = {kn})"
             )
         self.inertia = validate_inertia(self.inertia)
 
@@ -212,6 +221,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
     return run
 
 
+def _ic_maneuver(wz: float, psi0_deg: float) -> ManeuverSpec:
+    """Stage3-mode maneuver of an initial condition {wz rad/s, psi0 deg}."""
+    return ManeuverSpec(
+        w0=np.array([0.0, 0.0, wz]), psi0=math.radians(psi0_deg), mode=MODE_STAGE3
+    )
+
+
 def make_ic_scenario(
     wz: float,
     psi0_deg: float,
@@ -225,12 +241,9 @@ def make_ic_scenario(
     if gains is None:
         # None for an unknown law, which Scenario refuses
         gains = DEFAULT_GAINS.get(controller)
-    maneuver = ManeuverSpec(
-        w0=np.array([0.0, 0.0, wz]), psi0=math.radians(psi0_deg), mode=MODE_STAGE3
-    )
     return Scenario(
         name=f"ic_{wz:g}_{psi0_deg:g}_{controller}",
-        maneuver=maneuver,
+        maneuver=_ic_maneuver(wz, psi0_deg),
         controller=controller,
         gains=gains,
         inertia=DEFAULT_INERTIA.copy() if inertia is None else inertia,
@@ -246,28 +259,22 @@ def check_run_count(runs: int) -> None:
         raise ValueError(f"{runs} runs are more than the {MAX_STEPS} a command may make")
 
 
-def initial_error_state(wz: float, psi0_deg: float):
-    """Closed-form error state at the stage-3 step for an IC pair."""
-    spec = ManeuverSpec(
-        w0=np.array([0.0, 0.0, wz]), psi0=math.radians(psi0_deg), mode=MODE_STAGE3
-    )
-    y0 = stage3_initial_state(spec)
-    return attitude_error(y0[:4], IDENTITY, y0[4:], np.zeros(3))
-
-
 def lyapunov_ic_table(gains: GainSet | None = None, ics=REFERENCE_ICS):
-    """Switch sign and Lyapunov value at t0 for each benchmark IC.
+    """Error state, switch sign and Lyapunov value at t0 for each benchmark IC.
 
-    The sign is selected by one hysteretic update from sigma = +1, exactly
-    as the running controller would at its first stage-3 step; everything
-    is closed form, no simulation.  m_e at t0 is kept for the shorter-path sign.
+    Each IC's m_e, sigma and Lambda are the telemetry row of the switching
+    law's first stage-3 step, with the inputs that ``SwitchingController``
+    hands it at row 0 of a stage-3 run (sigma = +1, the stage-3 start and
+    the hold reference), so no simulation runs; V and ROA membership are
+    the certificates of that row.  m_e at t0 is kept for the shorter-path sign.
     """
     gains = gains or SWITCHING_GAINS
+    law = _bind_law(gains, DEFAULT_INERTIA.tolist(), "switching")
     rows = []
     for wz, psi0_deg in ics:
-        err = initial_error_state(wz, psi0_deg)
-        lam = switch_function(err, gains)
-        sigma = update_sigma(+1, lam, gains.delta)
+        y0 = stage3_initial_state(_ic_maneuver(wz, psi0_deg))
+        _, row = law(SwitchingController.sigma, y0, HOLD)
+        err, sigma, lam = ErrorState(row[:4], row[4:7]), row[7], row[8]
         V = stability.lyapunov_value(err, sigma, gains)
         if not (math.isfinite(lam) and math.isfinite(V)):
             raise ValueError(
@@ -367,6 +374,8 @@ def effort_comparison(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    if seed < 0:  # numpy's seed sequence refuses it without naming the seed
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     check_run_count(2 * repeats * len(ics))
     pert = perturbation or PerturbationSpec()
     for wz, psi in ics:
@@ -429,9 +438,18 @@ def export_run(run: RunResult, path) -> None:
         raise OSError(f"cannot write telemetry to {path}: {exc}") from exc
 
 
+def values_at_t0(run: RunResult) -> tuple:
+    """``(sigma, Lambda, V, in_roa)`` of the run's row at its stage-3 start
+    t0, ROA membership by ``stability.roa_contains`` on that row."""
+    i0 = int(np.searchsorted(run.t, run.t0 - 1e-12))
+    sigma = int(run.sigma[i0])
+    err = ErrorState((run.m_e[i0], *run.n_e[i0]), run.w_e[i0])
+    return sigma, run.lam[i0], run.V[i0], stability.roa_contains(err, sigma, run.scenario.gains)
+
+
 def format_run_report(run: RunResult) -> str:
     sc = run.scenario
-    i0 = int(np.searchsorted(run.t, run.t0 - 1e-12))
+    sigma, lam, V, in_roa = values_at_t0(run)
     lines = [
         "# run report",
         f"scenario = {sc.name}",
@@ -442,10 +460,10 @@ def format_run_report(run: RunResult) -> str:
         f"gamma_tau = {run.gamma_tau:.9g}",
         f"switch_count = {len(run.switch_times)}",
         f"switch_times = {','.join(map(report_number, run.switch_times))}",
-        f"sigma_t0 = {int(run.sigma[i0]):+d}",
-        f"lambda_t0 = {report_number(run.lam[i0])}",
-        f"V_t0 = {report_number(run.V[i0])}",
-        f"in_roa_at_t0 = {str(bool(run.V[i0] < sc.gains.roa_radius)).lower()}",
+        f"sigma_t0 = {sigma:+d}",
+        f"lambda_t0 = {report_number(lam)}",
+        f"V_t0 = {report_number(V)}",
+        f"in_roa_at_t0 = {str(in_roa).lower()}",
         f"final_yaw_error_rad = {run.final_yaw_error:.9g}",
         f"final_yaw_error_deg = {math.degrees(run.final_yaw_error):.9g}",
     ]

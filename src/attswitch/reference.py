@@ -69,7 +69,8 @@ class ReferenceSample(NamedTuple):
     wdot_d: tuple  # (3,) rad/s^2, feedforward
 
 
-_HOLD = ReferenceSample((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+# the identity hold of stages 1 and 3, a stage-3 run's reference from t0 on
+HOLD = ReferenceSample((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def _bind_reference(spec: ManeuverSpec):
@@ -80,7 +81,7 @@ def _bind_reference(spec: ManeuverSpec):
     """
     rate = math.sqrt(float(spec.w0 @ spec.w0))
     if rate < 1e-15:
-        return lambda t: _HOLD
+        return lambda t: HOLD
     t1 = spec.stage1_duration
     w0 = tuple(spec.w0.tolist())
     ax, ay, az = (spec.w0 / rate).tolist()
@@ -88,7 +89,7 @@ def _bind_reference(spec: ManeuverSpec):
     def spin(t: float) -> ReferenceSample:
         h = 0.5 * (rate * (t - t1))
         s = math.sin(h)
-        return ReferenceSample((math.cos(h), ax * s, ay * s, az * s), w0, _HOLD.wdot_d)
+        return ReferenceSample((math.cos(h), ax * s, ay * s, az * s), w0, HOLD.wdot_d)
 
     return spin
 
@@ -140,5 +141,5 @@ class ManeuverTracker:
             if t >= self.spec.stage1_duration and self._yaw >= self.spec.psi0:
                 self.t0 = t0 = t
         if (t0 is not None and t >= t0) or t < self.spec.stage1_duration:
-            return _HOLD
+            return HOLD
         return self._spin(t)

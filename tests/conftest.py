@@ -5,14 +5,25 @@ import warnings
 import numpy as np
 import pytest
 
-from attswitch.controllers import _bind_law
+from attswitch.controllers import ErrorState, _bind_law
 from attswitch.harness import CSV_HEADER
-from attswitch.quat import quat_kinematics
+from attswitch.quat import hamilton_product, quat_kinematics
 
 
 def rand_unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
+
+
+def reference_error_state(q, q_d, w, w_d):
+    """Reference error state: q_err = q^-1 * q_d by ``quat.hamilton_product``
+    (lazily renormalized) and w_err = w_d - w (no sign flip), the error that
+    ``_bind_law`` writes into a telemetry row."""
+    qw, qx, qy, qz = q
+    wx, wy, wz = w
+    return ErrorState(
+        hamilton_product((qw, -qx, -qy, -qz), q_d), (w_d[0] - wx, w_d[1] - wy, w_d[2] - wz)
+    )
 
 
 def half_rate_left(w, q):

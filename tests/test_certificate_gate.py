@@ -25,7 +25,10 @@ STATES_PER_GAIN_SET = 500
 # SHA-256 of the packed float64 results over six gain sets x 500 states
 CERTIFICATE_DIGEST = "e407866ab77f0e8a20ca11f4462d5bd9f74e01f2104c3a8d6aca10a547dac8fd"
 
-# CLI arguments -> SHA-256 of the stdout
+# CLI arguments -> SHA-256 of the stdout, or of the stdout and of files the
+# command writes to its --out directory.  The sweep, compare and
+# ``table1 --kw 5000`` digests were taken before the IC table and the t0
+# report fields were read from the switching law's own first row.
 CLI_DIGESTS = {
     ("table1",): "4e1942e1c3a1476f017fd46c95dd4f59ca20d6e91a7f988138830a6bcbbdc229",
     ("table1", "--kq", "3", "--kw", "7", "--kn", "2", "--c", "1.3"): (
@@ -34,6 +37,14 @@ CLI_DIGESTS = {
     ("stability-report",): "04a9e8ab66b00b567f19a179a7141a7de850fed470d3d124fc27944eafd7d557",
     ("stability-report", "--kq", "3", "--kw", "7", "--kn", "2", "--c", "1.3"): (
         "aaee167c8bb0e7b24a780b36290e7e0cc02418c63af0fc84d2e5317a1a54e5a4"
+    ),
+    ("table1", "--kw", "5000"): "4e1942e1c3a1476f017fd46c95dd4f59ca20d6e91a7f988138830a6bcbbdc229",
+    ("sweep",): {
+        "stdout": "5f09d5505cc1d5341775f4ac45a7f4ada80a6010349359cf89ab6ecbf347dfc3",
+        "params.txt": "ba9fda80de3677fdeaa9d64bfdf9220f3755fde63dd5f3d56a92a90f5eeedc3d",
+    },
+    ("compare", "--repeats", "2"): (
+        "2d06daf10d27f8ebae67d93072680f78432d287ba90ae533c1bc9ef2b01a9287"
     ),
 }
 
@@ -99,8 +110,13 @@ def test_certificate_types():
 
 
 @pytest.mark.parametrize("args", sorted(CLI_DIGESTS), ids=" ".join)
-def test_report_output_byte_identical(args):
+def test_report_output_byte_identical(args, tmp_path):
+    want = CLI_DIGESTS[args]
+    if isinstance(want, str):
+        want = {"stdout": want}
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(list(args)) == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CLI_DIGESTS[args]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+    files = {name: (tmp_path / name).read_bytes() for name in want if name != "stdout"}
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    assert got | {"stdout": hashlib.sha256(buf.getvalue().encode()).hexdigest()} == want

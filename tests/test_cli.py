@@ -156,6 +156,23 @@ class TestSimulateCommand:
         assert "must be below 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_switching_step_past_its_rate_loop_limit_usage_error(self, tmp_path, capsys):
+        # dt * (kw + kn/2) = 2.0475: the switching run used to exit 0 after
+        # 71 switches, 3.17 deg from the target and spinning at 3.95 rad/s
+        out = tmp_path / "run"
+        args = ["simulate", "--ic", "2,150", "--dt", "0.0195", "--horizon", "12"]
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dt * (kw + kn/2) = 2.0475 must be below 2" in err and "switching law" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("controller", ["benchmark", "continuous"])
+    def test_step_within_the_rate_loop_limit_of_a_law_without_kn_runs(self, tmp_path, controller):
+        out = tmp_path / "run"
+        args = ["simulate", "--ic", "2,150", "--dt", "0.0195", "--controller", controller]
+        assert main(args + ["--horizon", "0.5", "--out", str(out)]) == 0
+        assert (out / "report.txt").exists()
+
     @pytest.mark.parametrize("ic", ["0,150", "-2,150"])
     def test_full_mode_yaw_rate_not_positive_usage_error(self, tmp_path, capsys, ic):
         # the stage-2 yaw never reaches psi0; -2,150 used to integrate the
@@ -327,6 +344,20 @@ class TestCompareCommand:
         assert "must be below 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_switching_step_past_its_rate_loop_limit_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--repeats", "1", "--dt", "0.0195", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dt * (kw + kn/2) = 2.0475 must be below 2" in err and "switching law" in err
+        assert not out.exists()
+
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        # numpy's own message named neither the flag nor the value
+        out = tmp_path / "cmp"
+        assert main(["compare", "--repeats", "1", "--seed", "-1", "--out", str(out)]) == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_yaw_spread_leaving_range_usage_error(self, tmp_path, capsys):
         # which perturbed ICs left (0, 360) deg used to depend on the seed,
         # and some ran before the comparison failed
@@ -388,6 +419,14 @@ class TestSweepCommand:
         args = ["sweep", "--wz", "2,2,1", "--psi", "150,150,1", "--horizon", "0.0001"]
         assert main(args + ["--out", str(out)]) == 1
         assert "shorter than one step" in capsys.readouterr().err
+
+    def test_switching_step_past_its_rate_loop_limit_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--wz", "2,2,1", "--psi", "150,150,1", "--dt", "0.0195"]
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dt * (kw + kn/2) = 2.0475 must be below 2" in err and "switching law" in err
+        assert not out.exists()
 
     def test_bad_grid_usage_error(self, capsys):
         assert main(["sweep", "--wz", "2,3"]) == 1

@@ -39,7 +39,8 @@ J = ("1,1,1", "0.1,0.2,0.3")
 # grid counts stay small: a count is an allocation
 COUNT, BAD_COUNT = ("1", "2"), ("0", "-1", "1.5", "x")
 # compare runs ten 3 s runs a repeat: one or two repeats, and steps of 5 ms
-# and more, up to and past the dt kw = 2 limit (kw = 100)
+# and more, past the switching law's dt (kw + kn/2) = 2 limit (0.019048 s),
+# which refuses 0.0199 too, up to and past the benchmark law's dt kw = 2
 REPEATS, BAD_REPEATS = ("1", "2"), (*ODD, "1000000000000")
 COMPARE_DT = ("0.005", "0.01", "0.0199", "0.02", "0.05")
 SEED, BAD_SEED = ("0", "7", "4294967295"), ("-1", "1e3", "x")

@@ -9,12 +9,10 @@ from attswitch import stability
 from attswitch.controllers import (
     BenchmarkController,
     ContinuousController,
-    ControlTelemetry,
     ErrorState,
     GainSet,
     SwitchingController,
     _bind_law,
-    attitude_error,
     nu_sigma,
     switch_function,
     update_sigma,
@@ -23,7 +21,13 @@ from attswitch.quat import IDENTITY, from_axis_angle, quat_inverse, quat_mul
 from attswitch.reference import MODE_STAGE3, ManeuverSpec, ManeuverTracker, stage3_initial_state
 from attswitch.rigid_body import _bind_derivative
 
-from conftest import half_rate_left, integrate_feedback, law_torque, rand_unit_quat
+from conftest import (
+    half_rate_left,
+    integrate_feedback,
+    law_torque,
+    rand_unit_quat,
+    reference_error_state,
+)
 
 B3 = np.array([0.0, 0.0, 1.0])
 PAPER_GAINS = GainSet(kq=10.0, kw=100.0, kn=10.0, c=2.0, delta=0.1)
@@ -32,7 +36,7 @@ GENTLE_GAINS = GainSet(kq=2.0, kw=1.5, kn=0.8, c=1.0, delta=0.1)
 
 def err_for(psi_deg, wz, gains=None):
     q = from_axis_angle(B3, math.radians(psi_deg))
-    return attitude_error(q, IDENTITY, np.array([0.0, 0.0, wz]), np.zeros(3))
+    return reference_error_state(q, IDENTITY, np.array([0.0, 0.0, wz]), np.zeros(3))
 
 
 class TestGainSet:
@@ -96,7 +100,7 @@ class TestAttitudeError:
     def test_zero_error(self):
         q = rand_unit_quat(np.random.default_rng(1))
         w = np.array([0.4, -0.8, 0.1])
-        err = attitude_error(q, q, w, w)
+        err = reference_error_state(q, q, w, w)
         assert np.allclose(err.q_err, IDENTITY, atol=1e-12) or np.allclose(
             err.q_err, -IDENTITY, atol=1e-12
         )
@@ -116,11 +120,21 @@ class TestAttitudeError:
     @pytest.mark.parametrize("drift,rescaled", [(1e-13, False), (1e-9, True)])
     def test_error_quaternion_renormalized_only_past_drift_tolerance(self, drift, rescaled):
         q = from_axis_angle(B3, math.radians(210.0)) * math.sqrt(1.0 + drift)
-        err = attitude_error(q, IDENTITY, np.zeros(3), np.zeros(3))
+        err = reference_error_state(q, IDENTITY, np.zeros(3), np.zeros(3))
         raw = np.array([q[0], -q[1], -q[2], -q[3]])
         assert np.array_equal(err.q_err, raw) is not rescaled
         assert abs(err.q_err @ err.q_err - 1.0) <= (1e-15 if rescaled else 2e-13)
         assert err.m_e < 0.0
+
+    def test_law_row_holds_the_reference_error_state(self, rng):
+        # the error that every law writes into its telemetry row, bit for bit
+        law = _bind_law(PAPER_GAINS, np.eye(3).tolist(), "continuous")
+        for _ in range(200):
+            q, q_d = rand_unit_quat(rng), rand_unit_quat(rng)
+            w, w_d = rng.normal(size=3) * 3.0, rng.normal(size=3)
+            _, row = law(+1, (*q.tolist(), *w.tolist()), (q_d.tolist(), w_d.tolist(), (0.0,) * 3))
+            err = reference_error_state(q, q_d, w, w_d)
+            assert np.array(row[:7]).tobytes() == np.concatenate([err.q_err, err.w_err]).tobytes()
 
 
 def certificates(err, gains):
@@ -296,7 +310,7 @@ class TestSwitchingTorque:
                 M = rng.normal(size=(3, 3))
                 J = M @ M.T + 0.5 * np.eye(3)
                 assert np.count_nonzero(J - np.diag(np.diag(J))) == 6
-                err = attitude_error(q, q_d, w, np.zeros(3))
+                err = reference_error_state(q, q_d, w, np.zeros(3))
                 s = {"continuous": +1, "benchmark": 1 if err.m_e >= 0.0 else -1}.get(law, sigma)
                 tau = law_torque(law, err, w, g, J, sigma)
                 f = _bind_derivative(J.tolist(), np.linalg.inv(J).tolist())
@@ -415,7 +429,8 @@ class TestClosedLoopEquivalence:
         q_d = from_axis_angle(np.array([1.0, 2.0, -1.0]) / math.sqrt(6.0), 0.8)
 
         def torque_of(q, w):
-            return law_torque("continuous", attitude_error(q, q_d, w, np.zeros(3)), w, g, self.J)
+            err = reference_error_state(q, q_d, w, np.zeros(3))
+            return law_torque("continuous", err, w, g, self.J)
 
         q0 = from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.5)
         _, q, w = integrate_feedback(q0, np.array([0.2, -0.1, 0.3]), torque_of, self.J, self.DT, self.STEPS)
@@ -436,7 +451,7 @@ class TestClosedLoopEquivalence:
         q_d = from_axis_angle(np.array([0.0, 0.0, 1.0]), 1.2)
 
         def torque_of(q, w):
-            err = attitude_error(q, q_d, w, np.zeros(3))
+            err = reference_error_state(q, q_d, w, np.zeros(3))
             return law_torque("switching", err, w, g, self.J, sigma)
 
         q0 = from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.4)
@@ -454,12 +469,6 @@ class TestClosedLoopEquivalence:
             assert np.max(np.abs(fd_nu[i - 1] - rhs_nu)) <= 1e-6
 
 
-def control(ctrl, t, y):
-    """Call a controller on a packed state; name the telemetry row."""
-    tau, row = ctrl(t, y)
-    return tau, ControlTelemetry(*row)
-
-
 class TestControllers:
     def _tracker(self, wz, psi_deg):
         spec = ManeuverSpec(
@@ -471,28 +480,28 @@ class TestControllers:
         spec, tracker = self._tracker(4.0, 100.0)
         ctrl = SwitchingController(PAPER_GAINS, np.eye(3), tracker)
         state = stage3_initial_state(spec)
-        _, tel = control(ctrl, 0.0, state)
-        assert tel.sigma == -1
+        _, (*_, sigma, _) = ctrl(0.0, state)
+        assert sigma == -1
         assert ctrl.sigma == -1
 
     def test_switching_controller_holds_for_slow_spin(self):
         spec, tracker = self._tracker(2.0, 100.0)
         ctrl = SwitchingController(PAPER_GAINS, np.eye(3), tracker)
-        _, tel = control(ctrl, 0.0, stage3_initial_state(spec))
-        assert tel.sigma == +1
+        _, (*_, sigma, _) = ctrl(0.0, stage3_initial_state(spec))
+        assert sigma == +1
         assert ctrl.sigma == +1
 
     def test_benchmark_controller_reports_shorter_path_sign(self):
         spec, tracker = self._tracker(2.0, 210.0)
         ctrl = BenchmarkController(PAPER_GAINS, np.eye(3), tracker)
-        _, tel = control(ctrl, 0.0, stage3_initial_state(spec))
-        assert tel.sigma == -1
+        _, (*_, sigma, _) = ctrl(0.0, stage3_initial_state(spec))
+        assert sigma == -1
 
     def test_continuous_controller_sigma_constant(self):
         spec, tracker = self._tracker(2.0, 210.0)
         ctrl = ContinuousController(PAPER_GAINS, np.eye(3), tracker)
-        _, tel = control(ctrl, 0.0, stage3_initial_state(spec))
-        assert tel.sigma == +1
+        _, (*_, sigma, _) = ctrl(0.0, stage3_initial_state(spec))
+        assert sigma == +1
 
     @pytest.mark.parametrize(
         "axis,w", [((0.0, 0.0, 1.0), (0.3, -0.2, 0.01)), ((0.6, 0.0, 0.8), (0.246, 0.5, -0.172))]
@@ -505,16 +514,16 @@ class TestControllers:
         y = (0.0, *axis, *w)
         tau_c, row_c = ContinuousController(PAPER_GAINS, np.eye(3), tracker)(0.0, y)
         tau_b, row_b = BenchmarkController(PAPER_GAINS, np.eye(3), tracker)(0.0, y)
-        tel = ControlTelemetry(*row_b)
-        assert tel.m_e == 0.0
-        assert abs(tel.lam) < PAPER_GAINS.delta
-        assert tel.sigma == +1
+        m_e, *_, sigma_b, lam = row_b
+        assert m_e == 0.0
+        assert abs(lam) < PAPER_GAINS.delta
+        assert sigma_b == +1
         assert tau_b == tau_c
         for sigma in (+1, -1):
             ctrl = SwitchingController(PAPER_GAINS, np.eye(3), tracker)
             ctrl.sigma = sigma
             _, row = ctrl(0.0, y)
-            assert ControlTelemetry(*row).sigma == sigma
+            assert row[7] == sigma
             assert ctrl.sigma == sigma
 
     @pytest.mark.parametrize("cls", [ContinuousController, BenchmarkController, SwitchingController])

@@ -21,8 +21,9 @@ from attswitch.harness import (
     run_scenario,
     scenario_to_text,
 )
-from attswitch.reference import ManeuverSpec
-from attswitch.rigid_body import CHUNK
+from attswitch.controllers import _bind_law
+from attswitch.reference import HOLD, ManeuverSpec
+from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, bind_rk4
 
 TABLE_TARGETS = {
     (2.0, 150.0): (-1, 7.97),
@@ -173,9 +174,41 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="positive yaw rate"):
             ManeuverSpec(w0=np.zeros(3), psi0=1.0)
 
+    @pytest.mark.parametrize("controller", ["continuous", "benchmark", "switching"])
+    def test_step_limit_is_where_one_closed_loop_step_turns_unstable(self, controller):
+        # one control step (the law, then the RK4 step) linearised by central
+        # differences in the six tangent coordinates (q's vector part, w) at
+        # the sigma-matched equilibrium: its spectral radius crosses 1 at
+        # dt (kw + kn/2) = 2, with kn = 0 but for the switching law
+        gains = harness.DEFAULT_GAINS[controller]
+        kn = gains.kn if controller == "switching" else 0.0
+        limit = 2.0 / (gains.kw + 0.5 * kn)
+        law = _bind_law(gains, DEFAULT_INERTIA.tolist(), controller)
+
+        def spectral_radius(dt):
+            step = bind_rk4(DEFAULT_INERTIA, dt)
+
+            def one_step(x):
+                y = (math.sqrt(1.0 - x[:3] @ x[:3]), *x.tolist())
+                tau, _ = law(+1, y, HOLD)
+                return np.array(step(y, tau)[1:])
+
+            h = 1e-7
+            cols = [(one_step(h * e) - one_step(-h * e)) / (2.0 * h) for e in np.eye(6)]
+            return max(abs(np.linalg.eigvals(np.array(cols).T)))
+
+        assert spectral_radius(0.98 * limit) < 1.0 < spectral_radius(1.02 * limit)
+        make_ic_scenario(2.0, 150.0, controller, dt=0.98 * limit)
+        with pytest.raises(ValueError, match="must be below 2"):
+            make_ic_scenario(2.0, 150.0, controller, dt=1.02 * limit)
+
     def test_step_just_inside_rate_loop_limit_accepted(self):
-        sc = make_ic_scenario(2.0, 150.0, "switching", dt=0.0199)
-        assert sc.dt * sc.gains.kw == pytest.approx(1.99)
+        # the limit is dt (kw + kn/2) = 2 with the kn the law binds, 0 but
+        # for the switching law, whose limit is 2/105 at its default gains
+        for controller, kn in (("benchmark", 0.0), ("continuous", 0.0), ("switching", 10.0)):
+            sc = make_ic_scenario(2.0, 150.0, controller, dt=1.99 / (100.0 + 0.5 * kn))
+            assert sc.dt * (sc.gains.kw + 0.5 * kn) == pytest.approx(1.99)
+        assert make_ic_scenario(2.0, 150.0, "benchmark", dt=0.0199).dt == 0.0199
 
     @pytest.mark.parametrize("controller", ["continuous", "benchmark", "switching"])
     def test_step_at_rate_loop_limit_rejected(self, controller):
@@ -220,8 +253,24 @@ class TestIcTable:
             assert row["V"] == pytest.approx(v, abs=0.005)
             assert row["in_roa"]
 
+    def test_rows_are_row_0_of_a_switching_run_bit_for_bit(self):
+        # the reference ICs, yaw targets next to 0 and 360 deg, both zero
+        # rates, a half turn whose Lambda starts inside the dead band (so
+        # sigma keeps its start value) and seeded random ones
+        rng = np.random.default_rng(20241019)
+        edges = [(2.0, 1e-7), (2.0, 359.9999999), (0.0, 150.0), (-0.0, 150.0), (-0.0, 1e-7),
+                 (0.0, 359.9999999), (0.01, 180.0), (-0.01, 180.0)]
+        drawn = [(rng.uniform(-50.0, 50.0), rng.uniform(1.0, 359.0)) for _ in range(6)]
+        ics = (*REFERENCE_ICS, *edges, *drawn)
+        for ic, row in zip(ics, lyapunov_ic_table(ics=ics), strict=True):
+            run = run_scenario(make_ic_scenario(*ic, horizon=0.002))
+            got = np.array([row["m_e"], row["sigma"], row["lam"], row["V"]])
+            want = np.array([run.m_e[0], run.sigma[0], run.lam[0], run.V[0]])
+            assert got.tobytes() == want.tobytes(), ic
+            assert (row["sigma"], row["lam"], row["V"], row["in_roa"]) == harness.values_at_t0(run)
+
     def test_runs_under_a_millisecond_scale(self):
-        # closed form; generous wall-clock bound to catch accidental simulation
+        # one law call per IC; generous wall-clock bound to catch accidental simulation
         import time
 
         t0 = time.perf_counter()

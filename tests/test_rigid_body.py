@@ -15,7 +15,7 @@ from attswitch.rigid_body import (
     validate_inertia,
 )
 
-from conftest import law_torque
+from conftest import law_torque, reference_error_state
 
 TUMBLE_J = np.diag([1.66e-5, 1.86e-5, 2.93e-5])
 TUMBLE_W = np.array([1.0, 0.6, -0.8])
@@ -255,7 +255,7 @@ class TestSimulate:
     def test_small_error_regulation_decays_monotonically(self):
         # proportional-derivative law from a small tilt: after the rate
         # transient both error norms shrink monotonically
-        from attswitch.controllers import GainSet, attitude_error
+        from attswitch.controllers import GainSet
 
         # critically damped for the error kinematics n_dot ~ w_e/2:
         # lam^2 + kw*lam + kq/2 = 0 with kw^2 = 2*kq gives a -10 double root
@@ -265,7 +265,7 @@ class TestSimulate:
 
         def controller(t, y):
             q, w = np.array(y[:4]), np.array(y[4:])
-            err = attitude_error(q, q_d, w, np.zeros(3))
+            err = reference_error_state(q, q_d, w, np.zeros(3))
             tau = law_torque("continuous", err, w, g, J)
             return tau, (*err.n_e, *err.w_err)
 

@@ -6,15 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from attswitch.controllers import ErrorState, GainSet, attitude_error, nu_sigma, switch_function
+from attswitch.controllers import ErrorState, GainSet, nu_sigma, switch_function
 from attswitch.harness import (
     SWITCHING_GAINS,
-    initial_error_state,
     make_ic_scenario,
     run_scenario,
 )
 from attswitch.quat import IDENTITY, from_axis_angle
-from attswitch.reference import ManeuverSpec
+from attswitch.reference import MODE_STAGE3, ManeuverSpec, stage3_initial_state
 from attswitch.stability import (
     closed_loop_field,
     error_jacobian,
@@ -36,6 +35,7 @@ from conftest import (
     law_torque,
     rand_unit_quat,
     reference_error_jacobian,
+    reference_error_state,
     reference_lyapunov_decay_bound,
     reference_lyapunov_rate,
     reference_lyapunov_value,
@@ -68,6 +68,14 @@ def table_oracle_V(wz, psi0_deg, sigma, g=SWITCHING_GAINS):
     return 0.5 / g.kq * nu_z**2 + 2.0 * g.c * (1.0 - sigma * math.cos(half))
 
 
+def ic_error_state(wz, psi0_deg):
+    """Reference error state at the stage-3 start of an IC {wz rad/s, psi0 deg}."""
+    y0 = stage3_initial_state(
+        ManeuverSpec(w0=np.array([0.0, 0.0, wz]), psi0=math.radians(psi0_deg), mode=MODE_STAGE3)
+    )
+    return reference_error_state(y0[:4], IDENTITY, y0[4:], np.zeros(3))
+
+
 def rand_error_state(rng, rate_scale=3.0):
     return ErrorState(q_err=rand_unit_quat(rng), w_err=rng.normal(size=3) * rate_scale)
 
@@ -82,7 +90,7 @@ class TestLyapunovValue:
     @pytest.mark.parametrize("ic,expected", sorted(TABLE_EXPECTED.items()))
     def test_benchmark_ic_values(self, ic, expected):
         sigma = TABLE_SIGMA[ic]
-        err = initial_error_state(*ic)
+        err = ic_error_state(*ic)
         v = lyapunov_value(err, sigma, SWITCHING_GAINS)
         assert v == pytest.approx(expected, abs=0.005)
         assert v == pytest.approx(table_oracle_V(*ic, sigma), abs=1e-12)
@@ -260,13 +268,15 @@ class TestExactRate:
         sigma = +1
 
         def torque_of(q, w):
-            err = attitude_error(q, IDENTITY, w, np.zeros(3))
+            err = reference_error_state(q, IDENTITY, w, np.zeros(3))
             return law_torque("switching", err, w, g, J, sigma)
 
         q0 = from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.8)
         dt, n_steps = 1e-4, 400
         _, q, w = integrate_feedback(q0, np.array([0.2, -0.3, 0.1]), torque_of, J, dt, n_steps)
-        errs = [attitude_error(q[i], IDENTITY, w[i], np.zeros(3)) for i in range(n_steps + 1)]
+        errs = [
+            reference_error_state(q[i], IDENTITY, w[i], np.zeros(3)) for i in range(n_steps + 1)
+        ]
         V = np.array([lyapunov_value(e, sigma, g) for e in errs])
         fd = (V[2:] - V[:-2]) / (2.0 * dt)
         for i in range(1, n_steps):
@@ -301,7 +311,7 @@ class TestSwitchFunctionIdentity:
 class TestRegions:
     def test_all_benchmark_ics_inside_roa(self):
         for ic, sigma in TABLE_SIGMA.items():
-            err = initial_error_state(*ic)
+            err = ic_error_state(*ic)
             assert roa_contains(err, sigma, SWITCHING_GAINS)
 
     def test_antipodal_point_excluded(self):
