@@ -210,6 +210,15 @@ def _cmd_sweep(args) -> int:
     horizon = args.horizon if args.horizon is not None else 3.0
     harness.check_run_count(grids[0][2] * grids[1][2])
     wz_grid, psi_grid = (np.linspace(*grid) for grid in grids)
+    # refused before the first run: a yaw off (0, 360) deg, then whatever the
+    # scenario at a corner of the grid refuses (the grid lies between them)
+    for psi in (psi_grid[0], psi_grid[-1]):
+        if not 0.0 < psi < 360.0:
+            raise ValueError(f"--psi values must lie in (0, 360) deg, got {psi:g}")
+        for wz in (wz_grid[0], wz_grid[-1]):
+            harness.make_ic_scenario(
+                float(wz), float(psi), args.controller, gains, dt=dt, horizon=horizon
+            )
     lines = ["wz,psi0_deg,sigma_t0,V_t0,in_roa,switches,gamma_tau,final_yaw_error_deg"]
     for wz in wz_grid:
         for psi in psi_grid:

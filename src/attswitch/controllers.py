@@ -27,15 +27,16 @@ reference sample it writes q^-1 q_d, w_d - w, Lambda, nu, n_e_dot and the
 torque J a + w x Jw once each, and calls only ``quat.renorm_if_drifted`` and
 the law's sigma rule.  A stage-3 control step thus opens four Python frames
 (continuous) or five: ``__call__``, ``ManeuverTracker.sample``, the law,
-``renorm_if_drifted`` and the rule.  ``_lam``, which ``switch_function``
-uses, writes Lambda again; delegating to it would cost the law a frame
+``renorm_if_drifted`` and the rule.  ``switch_function`` writes Lambda
+again, on an ``ErrorState``; delegating to it would cost the law a frame
 (ROADMAP item 2).  A controller returns ``(tau, row)``, tuples of floats,
 the row of the fixed width ``simulate`` needs for its (N, 9) telemetry
 array, laid out as ``_bind_law`` documents; a run's first row is also its
 starting error state, sign and Lambda (``harness.lyapunov_ic_table``).  An
 ``ErrorState`` holds seven entries (m, nx, ny, nz, ex, ey, ez): floats read
 once, or a run's columns (``ErrorState.of_columns``); ``_read`` unpacks
-them, nu included, for ``nu_sigma`` and the certificates in ``stability``.
+them, nu included, for ``nu_sigma`` and ``stability.error_jacobian``, and
+is the reference form of nu that the hot certificates write out.
 """
 
 import math
@@ -64,7 +65,9 @@ class GainSet:
 
     Frozen; the constants derived from the gains are formed once, as
     attributes: Lambda's coefficients ``lam_slope`` = -2 kn/kq and
-    ``roa_radius`` = 4c (also the certified-region radius), P's diagonal
+    ``roa_radius`` = 4c (also the certified-region radius), V's
+    coefficients ``nu_weight`` = 0.5/kq and ``m_weight`` = 2c, the exact
+    rate's cross coefficient ``cross_weight`` = c - 1, P's diagonal
     ``c_kn`` = c kn, ``kw_kq`` = kw/kq and its second leading minor
     ``p_minor_2``.  Gains that make one of these, or ``c_max()``, non-finite
     raise ValueError.
@@ -84,7 +87,9 @@ class GainSet:
             object.__setattr__(self, name, v)
         c_kn, kw_kq = self.c * self.kn, self.kw / self.kq
         derived = dict(
-            lam_slope=-2.0 * self.kn / self.kq, roa_radius=4.0 * self.c, c_kn=c_kn, kw_kq=kw_kq,
+            lam_slope=-2.0 * self.kn / self.kq, roa_radius=4.0 * self.c,
+            nu_weight=0.5 / self.kq, m_weight=2.0 * self.c, cross_weight=self.c - 1.0,
+            c_kn=c_kn, kw_kq=kw_kq,
             p_minor_2=c_kn * kw_kq - (-0.5 * self.c) * (-0.5 * self.c),
         )
         for name, v in derived.items():
@@ -180,16 +185,11 @@ def _shorter_path_sign(m_e) -> int:
     return +1 if m_e >= 0.0 else -1
 
 
-def _lam(q_err, w_err, a, b):
-    """Lambda = a (w_err . n_e) + b m_e, with a = -2 kn/kq and b = 4c."""
-    dot = w_err[0] * q_err[1] + w_err[1] * q_err[2] + w_err[2] * q_err[3]
-    return a * dot + b * q_err[0]
-
-
 def switch_function(err: ErrorState, gains: GainSet) -> float:
-    """Lyapunov difference Lambda = V(-1) - V(+1) in closed form."""
-    f = err._f  # _lam reads q_err from its first four entries
-    return _lam(f, f[4:], gains.lam_slope, gains.roa_radius)
+    """Lyapunov difference Lambda = V(-1) - V(+1) = -2 kn/kq (w_err . n_e)
+    + 4c m_e in closed form."""
+    m, nx, ny, nz, ex, ey, ez = err._f
+    return gains.lam_slope * (ex * nx + ey * ny + ez * nz) + gains.roa_radius * m
 
 
 def update_sigma(sigma: int, lam: float, delta: float) -> int:

@@ -370,7 +370,9 @@ def effort_comparison(
 
     Each repeat perturbs the IC (same draw for both controllers, so the
     comparison is paired) and runs both laws from the stage-3 state, once
-    every IC's perturbed yaw is known to stay inside (0, 360) deg.
+    every IC's perturbed yaw is known to stay inside (0, 360) deg.  A
+    repeat builds both laws' scenarios before it runs either, so a step or
+    horizon that one law refuses stops the comparison before its first run.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -391,8 +393,9 @@ def effort_comparison(
             rng = np.random.default_rng([seed, i, r])
             wz_r = wz + rng.uniform(-pert.wz, pert.wz)
             psi_r = psi0_deg + rng.uniform(-pert.psi0_deg, pert.psi0_deg)
-            run_b = run_scenario(make_ic_scenario(wz_r, psi_r, "benchmark", dt=dt, horizon=horizon))
-            run_s = run_scenario(make_ic_scenario(wz_r, psi_r, "switching", dt=dt, horizon=horizon))
+            sc_b = make_ic_scenario(wz_r, psi_r, "benchmark", dt=dt, horizon=horizon)
+            sc_s = make_ic_scenario(wz_r, psi_r, "switching", dt=dt, horizon=horizon)
+            run_b, run_s = run_scenario(sc_b), run_scenario(sc_s)
             g_b[r] = run_b.gamma_tau
             g_s[r] = run_s.gamma_tau
             switches = max(switches, len(run_s.switch_times))

@@ -12,9 +12,12 @@ x = (|n_e|, |nu|).  The antipodal equilibrium is a saddle whose spectrum has
 a closed form; both facts are exposed here together with the region and
 rate certificates built from them.
 
-Each certificate unpacks the seven entries of its ``ErrorState``, nu added,
-with ``controllers._read``, as ``nu_sigma`` does, and reads the constants
-derived from the gains from the ``GainSet``.  The entries are floats, or on
+``lyapunov_value``, ``lyapunov_rate`` and ``lyapunov_decay_bound`` unpack
+the seven entries of their ``ErrorState`` and form nu in their own body, in
+the operand order of ``controllers._read``, so that each call is one Python
+frame; ``error_jacobian`` reads them with ``_read``, as ``nu_sigma`` does.
+Every certificate reads the constants derived from the gains from the
+``GainSet``, formed there once.  The entries are floats, or on
 ``ErrorState.of_columns`` a run's telemetry columns, one result per sample;
 ``lyapunov_series`` is ``lyapunov_value`` on those columns.
 """
@@ -29,8 +32,10 @@ from .controllers import ErrorState, GainSet, _read, switch_function
 
 def lyapunov_value(err: ErrorState, sigma: int, gains: GainSet) -> float:
     """V_sigma at the given error state (nu recomputed for sigma)."""
-    m, _, _, _, ux, uy, uz = _read(err, sigma, gains.kn)
-    return 0.5 / gains.kq * (ux * ux + uy * uy + uz * uz) + 2.0 * gains.c * (1.0 - sigma * m)
+    m, nx, ny, nz, ex, ey, ez = err._f
+    g = sigma * gains.kn
+    ux, uy, uz = ex + g * nx, ey + g * ny, ez + g * nz
+    return gains.nu_weight * (ux * ux + uy * uy + uz * uz) + gains.m_weight * (1.0 - sigma * m)
 
 
 def lyapunov_series(
@@ -47,7 +52,9 @@ def lyapunov_decay_bound(err: ErrorState, sigma: int, gains: GainSet) -> float:
     |c-1| <= c); see p_matrix_certificate for the positive-definiteness
     condition that makes it strictly negative away from the equilibria.
     """
-    _, nx, ny, nz, ux, uy, uz = _read(err, sigma, gains.kn)
+    _, nx, ny, nz, ex, ey, ez = err._f
+    g = sigma * gains.kn
+    ux, uy, uz = ex + g * nx, ey + g * ny, ez + g * nz
     xn = math.sqrt(nx * nx + ny * ny + nz * nz)
     xv = math.sqrt(ux * ux + uy * uy + uz * uz)
     return gains.c * xn * xv - gains.kw_kq * xv * xv - gains.c_kn * xn * xn
@@ -55,9 +62,11 @@ def lyapunov_decay_bound(err: ErrorState, sigma: int, gains: GainSet) -> float:
 
 def lyapunov_rate(err: ErrorState, sigma: int, gains: GainSet) -> float:
     """Exact closed-loop rate of V_sigma along the switching dynamics."""
-    _, nx, ny, nz, ux, uy, uz = _read(err, sigma, gains.kn)
+    _, nx, ny, nz, ex, ey, ez = err._f
+    g = sigma * gains.kn
+    ux, uy, uz = ex + g * nx, ey + g * ny, ez + g * nz
     return (
-        (gains.c - 1.0) * sigma * (ux * nx + uy * ny + uz * nz)
+        gains.cross_weight * sigma * (ux * nx + uy * ny + uz * nz)
         - gains.kw_kq * (ux * ux + uy * uy + uz * uz)
         - gains.c_kn * (nx * nx + ny * ny + nz * nz)
     )

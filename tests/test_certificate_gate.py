@@ -109,6 +109,14 @@ def test_certificate_types():
     assert nu.shape == (3,) and nu.dtype == np.float64
 
 
+@pytest.mark.parametrize("gains", _gain_sets(), ids=lambda g: f"kq={g.kq:.6g}")
+def test_gain_set_constants_are_their_expressions(gains):
+    # the certificates read these in place of the expressions, so each keeps their bits
+    want = (0.5 / gains.kq, 2.0 * gains.c, gains.c - 1.0)
+    got = (gains.nu_weight, gains.m_weight, gains.cross_weight)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("args", sorted(CLI_DIGESTS), ids=" ".join)
 def test_report_output_byte_identical(args, tmp_path):
     want = CLI_DIGESTS[args]

@@ -14,6 +14,18 @@ TABLE_TARGETS = {
 }
 
 
+def _counted_runs(monkeypatch):
+    """A list that gets one entry per ``harness.run_scenario`` call."""
+    runs, run = [], harness.run_scenario
+
+    def counted(scenario):
+        runs.append(scenario.name)
+        return run(scenario)
+
+    monkeypatch.setattr(harness, "run_scenario", counted)
+    return runs
+
+
 def _key_values(path):
     """The ``key = value`` lines of a params.txt or report header, as text."""
     lines = (line.partition(" = ") for line in path.read_text().splitlines())
@@ -165,6 +177,16 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "dt * (kw + kn/2) = 2.0475 must be below 2" in err and "switching law" in err
         assert not out.exists()
+
+    def test_overflowing_derived_gain_constant_usage_error(self, tmp_path, capsys, monkeypatch):
+        # 0.5/kq overflows: the run used to finish and then exit 2 on a
+        # non-finite V; GainSet now refuses it before the run
+        runs = _counted_runs(monkeypatch)
+        out = tmp_path / "run"
+        args = ["simulate", "--ic", "2,150", "--kq", "1e-309", "--kw", "1e-300", "--kn", "1e-300"]
+        assert main(args + ["--c", "1", "--out", str(out)]) == 1
+        assert "non-finite nu_weight = inf" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
 
     @pytest.mark.parametrize("controller", ["benchmark", "continuous"])
     def test_step_within_the_rate_loop_limit_of_a_law_without_kn_runs(self, tmp_path, controller):
@@ -351,6 +373,14 @@ class TestCompareCommand:
         assert "dt * (kw + kn/2) = 2.0475 must be below 2" in err and "switching law" in err
         assert not out.exists()
 
+    def test_switching_step_refused_before_the_first_run(self, tmp_path, monkeypatch):
+        # the first IC's benchmark run used to run before the switching
+        # scenario of its repeat was built and refused
+        runs = _counted_runs(monkeypatch)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--repeats", "1", "--dt", "0.0195", "--out", str(out)]) == 1
+        assert runs == [] and not (out / "report.txt").exists()
+
     def test_negative_seed_usage_error(self, tmp_path, capsys):
         # numpy's own message named neither the flag nor the value
         out = tmp_path / "cmp"
@@ -427,6 +457,25 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "dt * (kw + kn/2) = 2.0475 must be below 2" in err and "switching law" in err
         assert not out.exists()
+
+    def test_yaw_off_range_refused_before_the_first_run(self, tmp_path, capsys, monkeypatch):
+        # 420 deg used to be refused in radians, as psi0 = 7.33..., after the
+        # grid's first three yaws had run
+        runs = _counted_runs(monkeypatch)
+        out = tmp_path / "sweep"
+        args = ["sweep", "--wz", "2,2,1", "--psi", "60,420,4", "--horizon", "0.2"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "--psi values must lie in (0, 360) deg, got 420" in capsys.readouterr().err
+        assert runs == [] and not (out / "sweep.csv").exists()
+
+    def test_last_rate_refused_before_the_first_run(self, tmp_path, capsys, monkeypatch):
+        # |w0|^2 overflows only at the grid's last rate
+        runs = _counted_runs(monkeypatch)
+        out = tmp_path / "sweep"
+        args = ["sweep", "--wz", "2,1e160,2", "--psi", "150,150,1", "--horizon", "0.2"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "finite squared norm" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
 
     def test_bad_grid_usage_error(self, capsys):
         assert main(["sweep", "--wz", "2,3"]) == 1

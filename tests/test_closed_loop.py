@@ -25,7 +25,13 @@ from conftest import general_derivative, general_torque, reference_closed_loop
 from hypothesis import example, given, settings, strategies as st
 
 from attswitch.cli import main
-from attswitch.controllers import GainSet, _bind_law, _lam, _shorter_path_sign
+from attswitch.controllers import (
+    ErrorState,
+    GainSet,
+    _bind_law,
+    _shorter_path_sign,
+    switch_function,
+)
 from attswitch.harness import (
     DEFAULT_GAINS,
     REFERENCE_ICS,
@@ -500,7 +506,7 @@ def test_nondiagonal_forms_match_general_forms(seed, y, tau, gains, s, q_d, w_d,
 def test_kn_zero_laws_match_the_general_form(name, diagonal, seed, gains, y, q_d, w_d, wdot_d):
     # the continuous and benchmark laws bind kn = 0; the general form forms
     # every product of J, the error comes from quat.hamilton_product and
-    # Lambda from _lam
+    # Lambda from switch_function
     J = _random_spd(np.random.default_rng(seed))
     rows = (np.diag(np.diag(J)) if diagonal else J).tolist()
     g = _law_gains(*gains)
@@ -509,4 +515,4 @@ def test_kn_zero_laws_match_the_general_form(name, diagonal, seed, gains, y, q_d
     s = _shorter_path_sign(q_err[0]) if name == "benchmark" else +1
     want = general_torque(g.kq, g.kw, 0.0, rows, s, q_err, w_err, y[4:], wdot_d)
     assert _bytes(tau) == _bytes(want)
-    assert _bytes(row) == _bytes((*q_err, *w_err, s, _lam(q_err, w_err, g.lam_slope, g.roa_radius)))
+    assert _bytes(row) == _bytes((*q_err, *w_err, s, switch_function(ErrorState(q_err, w_err), g)))

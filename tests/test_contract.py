@@ -32,17 +32,20 @@ GAIN = ("10", "100", "2", "0.1", "1e-3", "1e200")
 # wz stays away from 0, so a full-mode spin-up (1.5 psi0/wz s) stays short
 WZ = ("4", "10", "1e150")
 PSI = ("150", "100", "210", "359.9")
-DT = ("0.001", "0.005", "0.0199", "0.02")
+# 0.019 runs the switching law just inside its limit of 2/105 s, which
+# refuses 0.0199 and 0.02 for it
+DT = ("0.001", "0.005", "0.019", "0.0199", "0.02")
 HORIZON = ("0.01", "0.05", "0.0001")
 STAGE1 = ("0", "0.01")
 J = ("1,1,1", "0.1,0.2,0.3")
 # grid counts stay small: a count is an allocation
 COUNT, BAD_COUNT = ("1", "2"), ("0", "-1", "1.5", "x")
 # compare runs ten 3 s runs a repeat: one or two repeats, and steps of 5 ms
-# and more, past the switching law's dt (kw + kn/2) = 2 limit (0.019048 s),
-# which refuses 0.0199 too, up to and past the benchmark law's dt kw = 2
+# and more, just inside (0.019) and past the switching law's dt (kw + kn/2)
+# = 2 limit (0.019048 s), which refuses 0.0199 too, up to and past the
+# benchmark law's dt kw = 2
 REPEATS, BAD_REPEATS = ("1", "2"), (*ODD, "1000000000000")
-COMPARE_DT = ("0.005", "0.01", "0.0199", "0.02", "0.05")
+COMPARE_DT = ("0.005", "0.01", "0.019", "0.0199", "0.02", "0.05")
 SEED, BAD_SEED = ("0", "7", "4294967295"), ("-1", "1e3", "x")
 PERTURB_PSI = ("0", "1", "29", "100")
 PERTURB_WZ = ("0", "0.05", "1.9", "3")

@@ -9,13 +9,20 @@ benchmark.  A stage-3 control step is the controller's ``__call__``,
 ``ManeuverTracker.sample``, the bound law and ``renorm_if_drifted``, plus the
 sigma rule of the benchmark and switching laws; an integration step is the
 RK4 step, its four derivative calls and ``renorm_if_drifted``.
+
+The per-state certificates are held to the same rule: each of
+``lyapunov_value``, ``lyapunov_rate``, ``lyapunov_decay_bound`` and
+``switch_function`` is one frame, and ``roa_contains`` two, itself and the
+``lyapunov_value`` that gives V its one form.
 """
 
 import sys
 
 import pytest
 
-from attswitch.harness import make_controller, make_ic_scenario
+from attswitch import stability
+from attswitch.controllers import ErrorState, switch_function
+from attswitch.harness import SWITCHING_GAINS, make_controller, make_ic_scenario
 from attswitch.reference import stage3_initial_state
 from attswitch.rigid_body import simulate
 
@@ -66,3 +73,23 @@ def test_simulate_step_frames():
         extra.remove(name)
     assert extra == ["controller", "derivative", "derivative", "derivative", "derivative",
                      "renorm_if_drifted", "step"]
+
+
+CERTIFICATE_FRAMES = {
+    stability.lyapunov_value: ["lyapunov_value"],
+    stability.lyapunov_rate: ["lyapunov_rate"],
+    stability.lyapunov_decay_bound: ["lyapunov_decay_bound"],
+    stability.roa_contains: ["roa_contains", "lyapunov_value"],
+}
+
+
+@pytest.mark.parametrize("fn", list(CERTIFICATE_FRAMES), ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("sigma", (+1, -1))
+def test_certificate_frames(fn, sigma):
+    err = ErrorState((0.5, 0.5, -0.5, 0.5), (1.0, -2.0, 3.0))
+    assert _frames(fn, err, sigma, SWITCHING_GAINS) == CERTIFICATE_FRAMES[fn]
+
+
+def test_switch_function_frames():
+    err = ErrorState((0.5, 0.5, -0.5, 0.5), (1.0, -2.0, 3.0))
+    assert _frames(switch_function, err, SWITCHING_GAINS) == ["switch_function"]
