@@ -600,6 +600,9 @@ def scenario_from_text(text: str, overrides=None, source: str = "scenario") -> S
     v = {key: SCENARIO_KEYS[key][0](value) for key, value in raw.items()}
     if "wz" not in v or "psi0_deg" not in v:
         raise ValueError("an initial condition is required (wz and psi0_deg, or --ic)")
+    # refused here in the unit it was given; ManeuverSpec refuses it in rad
+    if not 0.0 < v["psi0_deg"] < 2.0 * math.pi:
+        raise ValueError(f"psi0_deg must lie in (0, 360) deg, got {raw['psi0_deg']}")
     controller = v.get("controller", "switching")
     return Scenario(
         name=v.get("name", f"ic_{float(raw['wz']):g}_{float(raw['psi0_deg']):g}"),

@@ -26,6 +26,10 @@ from a packed y0, hands its controller the packed state y itself, so
 nothing is built per step, and refuses a bad y0 or a run longer than
 ``MAX_STEPS`` steps before it allocates the run.  Besides the controller's,
 a step opens six Python frames: the RK4 step, four derivatives, one renorm.
+A step on the yaw plane (qx, qy, wx, wy and the torque's x and y zero, as
+in every manoeuvre the paper flies) opens two: the RK4 step integrates qw,
+qz and wz in its own body, with the general body's bits (the argument is in
+``bind_rk4``'s docstring), and calls the renorm.
 """
 
 import math
@@ -75,6 +79,14 @@ def _check_step(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
+def _off_diagonal(J, Jinv) -> bool:
+    """Whether an off-diagonal entry of the inertia rows J or of their
+    inverse is nonzero (or NaN)."""
+    (_, j01, j02), (j10, _, j12), (j20, j21, _) = J
+    (_, i01, i02), (i10, _, i12), (i20, i21, _) = Jinv
+    return any((j01, j02, j10, j12, j20, j21, i01, i02, i10, i12, i20, i21))
+
+
 def _bind_derivative(J, Jinv):
     """Derivative ``f(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz)`` of the packed
     state for a held torque, bound to the inertia rows J and their inverse.
@@ -91,7 +103,7 @@ def _bind_derivative(J, Jinv):
     """
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = Jinv
-    off = any((j01, j02, j10, j12, j20, j21, i01, i02, i10, i12, i20, i21))
+    off = _off_diagonal(J, Jinv)
 
     def derivative(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz):
         jx, jy, jz = j00 * wx, j11 * wy, j22 * wz
@@ -131,15 +143,72 @@ def bind_rk4(J, dt: float):
     y is the packed state (qw, qx, qy, qz, wx, wy, wz) and tau the torque
     held over the step, both float sequences; the result is a 7-tuple with
     the quaternion lazily renormalized.
+
+    A manoeuvre about a principal yaw axis never leaves the yaw plane: with
+    qx, qy, wx and wy at +0.0 and a torque whose x and y are zero, only qw,
+    qz and wz move.  Such a step takes the plane branch, which integrates
+    those three through the same four stages and returns x and y as +0.0,
+    with the bits of the general body.  The argument: the stage sums
+    y + h k of a +0.0 entry and a zero derivative stay +0.0, so every stage
+    is on the plane, where the general derivative reduces term by term to
+
+        qw_dot = 0.5 (-0.0 - qz wz)         (-qx wx - qy wy is -0.0)
+        qz_dot = 0.5 (qw wz + 0.0)          (v + 0.0 - 0.0 is v + 0.0)
+        wz_dot = Jinv_22 tz                 (rz = tz - (+0.0) = tz)
+
+    the last the same at all four stages.  That needs every entry of the
+    general body finite, so the branch binds only for a diagonal inertia
+    (``off`` false) whose J_00 and J_11 are positive and finite, whose
+    Jinv_00 and Jinv_11 are finite and whose J_22 lies in (0, 1] kg m^2, so
+    that J_22 wz cannot overflow; a step whose qw + qz + wz comes out
+    non-finite is redone by the general body, whose x and y then carry the
+    NaN; and a state with a -0.0 in x or y takes the general body, whose
+    stage sums turn it into +0.0.  The renorm's squared norm is qw^2 + qz^2
+    plus two +0.0 terms, the same sum.  Besides the controller's, a general
+    step opens six Python frames (the step, four derivatives, one renorm)
+    and a plane step two (the step, one renorm).
     """
     _check_step(dt)
-    f = _bind_derivative(*_inertia_rows(J))
+    J, Jinv = _inertia_rows(J)
+    f = _bind_derivative(J, Jinv)
+    (j00, _, _), (_, j11, _), (_, _, j22) = J
+    (i00, _, _), (_, i11, _), (_, _, i22) = Jinv
+    planar = (
+        not _off_diagonal(J, Jinv)
+        and 0.0 < j00 < math.inf
+        and 0.0 < j11 < math.inf
+        and 0.0 < j22 <= 1.0
+        and math.isfinite(i00)
+        and math.isfinite(i11)
+    )
+    copysign, isfinite = math.copysign, math.isfinite
     h = 0.5 * dt
     s = dt / 6.0
 
     def step(y, tau):
         y0, y1, y2, y3, y4, y5, y6 = y
         tx, ty, tz = tau
+        # on the plane: x and y zeros, and -y1 - y2 - y4 - y5 is -0.0 only
+        # when all four are +0.0
+        if (
+            planar
+            and not (y1 or y2 or y4 or y5 or tx or ty)
+            and copysign(1.0, -y1 - y2 - y4 - y5) < 0.0
+        ):
+            a6 = i22 * tz
+            w = y6 + h * a6
+            a0, a3 = 0.5 * (-0.0 - y3 * y6), 0.5 * (y0 * y6 + 0.0)
+            qw, qz = y0 + h * a0, y3 + h * a3
+            b0, b3 = 0.5 * (-0.0 - qz * w), 0.5 * (qw * w + 0.0)
+            qw, qz = y0 + h * b0, y3 + h * b3
+            c0, c3 = 0.5 * (-0.0 - qz * w), 0.5 * (qw * w + 0.0)
+            qw, qz, w = y0 + dt * c0, y3 + dt * c3, y6 + dt * a6
+            d0, d3 = 0.5 * (-0.0 - qz * w), 0.5 * (qw * w + 0.0)
+            qw = y0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+            qz = y3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+            w = y6 + s * (a6 + 2.0 * a6 + 2.0 * a6 + a6)
+            if isfinite(qw + qz + w):
+                return (*renorm_if_drifted(qw, 0.0, 0.0, qz), 0.0, 0.0, w)
         a0, a1, a2, a3, a4, a5, a6 = f(y0, y1, y2, y3, y4, y5, y6, tx, ty, tz)
         b0, b1, b2, b3, b4, b5, b6 = f(
             y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4, y5 + h * a5,

@@ -26,8 +26,8 @@ STATES_PER_GAIN_SET = 500
 CERTIFICATE_DIGEST = "e407866ab77f0e8a20ca11f4462d5bd9f74e01f2104c3a8d6aca10a547dac8fd"
 
 # CLI arguments -> SHA-256 of the stdout, or of the stdout and of files the
-# command writes to its --out directory.  The sweep, compare and
-# ``table1 --kw 5000`` digests were taken before the IC table and the t0
+# command writes to its --out directory.  The sweep, ``compare --repeats 2``
+# and ``table1 --kw 5000`` digests were taken before the IC table and the t0
 # report fields were read from the switching law's own first row.
 CLI_DIGESTS = {
     ("table1",): "4e1942e1c3a1476f017fd46c95dd4f59ca20d6e91a7f988138830a6bcbbdc229",
@@ -46,6 +46,8 @@ CLI_DIGESTS = {
     ("compare", "--repeats", "2"): (
         "2d06daf10d27f8ebae67d93072680f78432d287ba90ae533c1bc9ef2b01a9287"
     ),
+    # the default 10 repeats, taken before the RK4 step's yaw-plane branch
+    ("compare",): "9d34d1c2891eab93900c7cd094baddd4acb0ac0ed9be44d39212ddce5cc76b3b",
 }
 
 

@@ -205,6 +205,35 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args, shown",
+        [(["--ic", "2,420"], "420.0"), (["--mode", "full", "--ic", "2,360"], "360.0"),
+         (["--ic", "2,0"], "0.0"), (["--ic", "2,nan"], "nan")],
+    )
+    def test_ic_yaw_off_range_refused_in_degrees(self, tmp_path, capsys, monkeypatch, args, shown):
+        # 420 deg used to be refused in radians, as "psi0 must lie in
+        # (0, 2*pi), got 7.33...", naming neither the key nor the degrees
+        runs = _counted_runs(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["simulate", *args, "--out", str(out)]) == 1
+        assert f"psi0_deg must lie in (0, 360) deg, got {shown}\n" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
+    def test_scenario_file_yaw_off_range_refused_in_degrees(self, tmp_path, capsys, monkeypatch):
+        runs = _counted_runs(monkeypatch)
+        scenario = tmp_path / "case.txt"
+        scenario.write_text("wz = 2\npsi0_deg = 400\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert "psi0_deg must lie in (0, 360) deg, got 400\n" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
+    def test_yaw_just_below_360_degrees_runs_and_echoes(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["simulate", "--ic", "2,359.9999999999999", "--horizon", "0.01"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert "psi0_deg = 359.9999999999999\n" in (out / "scenario.txt").read_text()
+
+    @pytest.mark.parametrize(
         "args",
         [
             # stage 2 sized from a 1e-13 rad/s yaw rate: a 1.91 EiB state array

@@ -8,7 +8,8 @@ a per-step wrapper in ``simulate``) fails here and not only in the
 benchmark.  A stage-3 control step is the controller's ``__call__``,
 ``ManeuverTracker.sample``, the bound law and ``renorm_if_drifted``, plus the
 sigma rule of the benchmark and switching laws; an integration step is the
-RK4 step, its four derivative calls and ``renorm_if_drifted``.
+RK4 step, its four derivative calls and ``renorm_if_drifted``, and on the
+yaw plane the RK4 step and ``renorm_if_drifted`` alone.
 
 The per-state certificates are held to the same rule: each of
 ``lyapunov_value``, ``lyapunov_rate``, ``lyapunov_decay_bound`` and
@@ -59,10 +60,9 @@ def test_stage3_control_step_frames(law):
     assert _frames(controller, 0.001, y) == LAW_FRAMES[law]
 
 
-def test_simulate_step_frames():
-    # one step more opens the controller's one frame and six of simulate's
+def _simulate_step_frames(y0):
+    """Sorted names of the frames that one step more of a run from y0 opens."""
     sc = make_ic_scenario(2.0, 150.0, "continuous")
-    y0 = stage3_initial_state(sc.maneuver)
 
     def controller(t, y):
         return (0.0, 0.0, 0.0), ()
@@ -71,8 +71,25 @@ def test_simulate_step_frames():
     extra = sorted(runs[1])
     for name in runs[0]:
         extra.remove(name)
-    assert extra == ["controller", "derivative", "derivative", "derivative", "derivative",
-                     "renorm_if_drifted", "step"]
+    return extra
+
+
+def test_simulate_step_frames():
+    # off the yaw plane (wx != 0), one step more opens the controller's one
+    # frame and six of simulate's
+    qw, qx, qy, qz, _, wy, wz = stage3_initial_state(make_ic_scenario(2.0, 150.0).maneuver)
+    y0 = (qw, qx, qy, qz, 0.1, wy, wz)
+    assert _simulate_step_frames(y0) == [
+        "controller", "derivative", "derivative", "derivative", "derivative",
+        "renorm_if_drifted", "step",
+    ]
+
+
+def test_simulate_plane_step_frames():
+    # on the yaw plane, the stage-3 state, the step integrates qw, qz and wz
+    # in its own body
+    y0 = stage3_initial_state(make_ic_scenario(2.0, 150.0).maneuver)
+    assert _simulate_step_frames(y0) == ["controller", "renorm_if_drifted", "step"]
 
 
 CERTIFICATE_FRAMES = {

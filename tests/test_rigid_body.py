@@ -1,12 +1,14 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from attswitch.quat import IDENTITY, from_axis_angle, rotate_vector, yaw_of
+from attswitch.quat import IDENTITY, from_axis_angle, renorm_if_drifted, rotate_vector, yaw_of
 from attswitch.rigid_body import (
     CHUNK,
+    DEFAULT_INERTIA,
     SimulationError,
     _all_finite,
     _bind_derivative,
@@ -121,6 +123,99 @@ class TestRk4Step:
         # exact rotation angle: 785 steps x 1e-3 s x 2 rad/s = 1.57 rad
         y = rk4_steps((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0), np.diag([1.0, 1.0, 2.0]), 1e-3, 785)
         assert yaw_of(y[:4]) == pytest.approx(1.5700, abs=1e-6)
+
+
+def general_rk4(J, dt):
+    """bind_rk4's general body, in its operation order, on the bound
+    derivative: the reference its yaw-plane branch must match bit for bit."""
+    J = np.asarray(J, dtype=float)
+    f = _bind_derivative(J.tolist(), np.linalg.inv(J).tolist())
+    h, s = 0.5 * dt, dt / 6.0
+
+    def step(y, tau):
+        a = f(*y, *tau)
+        b = f(*(v + h * k for v, k in zip(y, a)), *tau)
+        c = f(*(v + h * k for v, k in zip(y, b)), *tau)
+        d = f(*(v + dt * k for v, k in zip(y, c)), *tau)
+        out = [v + s * (p + 2.0 * q + 2.0 * r + u) for v, p, q, r, u in zip(y, a, b, c, d)]
+        return (*renorm_if_drifted(*out[:4]), *out[4:])
+
+    return step
+
+
+def _outcome(step, y, tau):
+    """The step's result as bytes, signed zeros told apart, or the type of
+    the exception it raised.  A NaN's sign and payload are not compared: the
+    interpreter's float addition returns either NaN operand, depending on
+    whether the instruction has been specialised."""
+    try:
+        out = step(y, tau)
+    except ArithmeticError as exc:
+        return type(exc)
+    assert len(out) == 7 and all(type(v) is float for v in out)
+    out = np.array(out)
+    return np.where(np.isnan(out), math.nan, out).tobytes()
+
+
+SIGNED_ZEROS = list(itertools.product((0.0, -0.0), repeat=6))
+# tiny (subnormal, or whose products underflow), ordinary and non-finite
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.6, -0.8, 150.0, math.inf,
+               -math.inf, math.nan)
+
+
+class TestYawPlaneStep:
+    """The step's yaw-plane branch against the general body it replaces."""
+
+    def _assert_matches_general(self, J, dt, patterns, values):
+        step, ref = bind_rk4(J, dt), general_rk4(J, dt)
+        for qx, qy, wx, wy, tx, ty in patterns:
+            for qw, qz, wz, tz in itertools.product(values, repeat=4):
+                y, tau = (qw, qx, qy, qz, wx, wy, wz), (tx, ty, tz)
+                assert _outcome(step, y, tau) == _outcome(ref, y, tau), (y, tau)
+
+    def test_every_zero_sign_pattern(self):
+        # a -0.0 in the state must take the general body: its stage sums
+        # turn the -0.0 into +0.0, which the plane branch would not
+        values = (0.0, -0.0, 1e-300, -0.8, math.nan)
+        self._assert_matches_general(DEFAULT_INERTIA, 1e-3, SIGNED_ZEROS, values)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.019])
+    def test_every_edge_value_on_the_plane(self, dt):
+        # +0.0 state zeros and torque zeros of either sign: the branch runs,
+        # unless a non-finite result sends the step to the general body
+        patterns = [(0.0, 0.0, 0.0, 0.0, 0.0, -0.0), (0.0, 0.0, 0.0, 0.0, -0.0, 0.0)]
+        self._assert_matches_general(DEFAULT_INERTIA, dt, patterns, EDGE_VALUES)
+
+    def test_yaw_inertia_above_one_takes_the_general_body(self):
+        # J_22 wz overflows, so the general body's x and y turn NaN, while
+        # the plane branch's qw, qz and wz would stay finite; at J_22 <= 1 it
+        # cannot overflow
+        J, y, tau = np.diag([1.0, 1.0, 1e300]), (0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 1e10), (0.0,) * 3
+        assert math.isnan(bind_rk4(J, 1e-3)(y, tau)[4])
+        assert _outcome(bind_rk4(J, 1e-3), y, tau) == _outcome(general_rk4(J, 1e-3), y, tau)
+
+    def test_negative_principal_inertia_takes_the_general_body(self):
+        # bind_rk4 takes J unchecked: a negative J_11 turns the z entry of
+        # w x Jw into -0.0, which turns a -0.0 yaw torque into +0.0
+        patterns = [(0.0,) * 6]
+        self._assert_matches_general(np.diag([1.0, -1.0, 0.5]), 1e-3, patterns, (-0.0, 0.6))
+
+    def test_run_leaving_and_off_the_plane(self):
+        # tx turns on at step 40 and off again at step 90: the run leaves
+        # the plane and stays off it, on the general body
+        def controller(t, y):
+            k = round(t / 1e-3)
+            return (2e-7 if 40 <= k < 90 else 0.0, 0.0, -1e-4 * y[6]), ()
+
+        y0 = (math.cos(1.2), 0.0, 0.0, math.sin(1.2), 0.0, 0.0, 2.0)
+        traj = simulate(y0, controller, DEFAULT_INERTIA, 1e-3, 0.2)
+        ref, y, rows = general_rk4(DEFAULT_INERTIA, 1e-3), y0, []
+        for k in range(200):
+            rows.append(y)
+            y = ref(y, controller(k * 1e-3, y)[0])
+        got = np.column_stack([traj.q, traj.w])
+        assert got.tobytes() == np.array([*rows, y]).tobytes()
+        assert not got[:41, [1, 2, 4, 5]].any() and got[41:, 4].all()
 
 
 class TestSimulate:
