@@ -23,15 +23,20 @@ switching law keeps nothing but its current sigma.
 
 Each controller binds one closure, ``_bind_law(gains, J, name)``, on plain
 floats: from the packed state y = (qw, qx, qy, qz, wx, wy, wz) and the
-reference sample it writes q^-1 q_d, w_d - w, Lambda, nu, n_e_dot and the
-torque J a + w x Jw once each, and calls only ``quat.renorm_if_drifted`` and
-the law's sigma rule.  A stage-3 control step thus opens four Python frames
-(continuous) or five: ``__call__``, ``ManeuverTracker.sample``, the law,
-``renorm_if_drifted`` and the rule.  ``switch_function`` writes Lambda
-again, on an ``ErrorState``; delegating to it would cost the law a frame
-(ROADMAP item 2).  A controller returns ``(tau, row)``, tuples of floats,
-the row of the fixed width ``simulate`` needs for its (N, 9) telemetry
-array, laid out as ``_bind_law`` documents; a run's first row is also its
+reference sample its general body writes q^-1 q_d, w_d - w, Lambda, nu,
+n_e_dot and the torque J a + w x Jw once each, and calls only
+``quat.renorm_if_drifted`` and the law's sigma rule.  A stage-3 control
+step thus opens four Python frames (continuous) or five: ``__call__``,
+``ManeuverTracker.sample``, the law, ``renorm_if_drifted`` and the rule.
+A call with the hold sample ``reference.HOLD`` itself (every stage-1 and
+stage-3 step) on the yaw plane (qx, qy, wx and wy +0.0, a diagonal
+inertia) takes the plane branch: it forms only m, nz, the yaw rate error,
+the sign, Lambda and tau_z, with the general body's bits and frames (the
+argument is in ``_bind_law``'s docstring).  ``switch_function`` writes
+Lambda again, on an ``ErrorState``; delegating to it would cost the law a
+frame (ROADMAP item 2).  A controller returns ``(tau, row)``, tuples of
+floats, the row of the fixed width ``simulate`` needs for its (N, 9)
+telemetry array, laid out as ``_bind_law`` documents; a run's first row is also its
 starting error state, sign and Lambda (``harness.lyapunov_ic_table``).  An
 ``ErrorState`` holds seven entries (m, nx, ny, nz, ex, ey, ez): floats read
 once, or a run's columns (``ErrorState.of_columns``); ``_read`` unpacks
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quat import renorm_if_drifted
-from .reference import ManeuverTracker
+from .reference import HOLD, ManeuverTracker
 
 # the GainSet fields, in order: the scenario.txt keys and command-line flags
 GAIN_KEYS = ("kq", "kw", "kn", "c", "delta")
@@ -234,6 +239,38 @@ def _bind_law(gains: GainSet, J, name: str):
     added to it, so neither J_ii a_i (unless it underflows to zero) nor a
     torque entry is.  A sign change of a zero J w entry changes w x Jw only
     in the sign of a zero, which the sum J_ii a_i + (w x Jw)_i does not keep.
+
+    Every stage-1 and stage-3 step samples ``reference.HOLD`` itself, and a
+    yaw manoeuvre keeps qx, qy, wx and wy at +0.0, so such a call takes the
+    plane branch, which forms only the yaw rows, with the general body's
+    bits.  The argument: with ref = HOLD = ((1, 0, 0, 0), 0, 0) and those
+    four entries +0.0, the general body reduces term by term to
+
+        q_err = renorm(qw + 0.0, qw 0.0 + qz 0.0, 0.0, 0.0 - qz)
+                    (qw 1.0 + 0.0 + 0.0 + qz 0.0; a +-0.0 minus +0.0 is
+                     itself; +0.0 + -0.0 and +0.0 - -0.0 are +0.0)
+        w_err = (0.0, 0.0, 0.0 - wz)
+        Lambda = slope (0.0 + ez nz) + radius m   (0.0 nx + 0.0 ny is +0.0)
+        a_z = kp nz + kw (ez + kd nz) + 0.0 + kd (0.5 (m ez + 0.0))
+                    (ex ny is +0.0, and x - ey nx is x for an x that is
+                     not -0.0)
+        tau = (0.0, 0.0, J_22 a_z + 0.0)
+
+    the renorm handed the same four floats, so it returns the same four.
+    tau_x and tau_y are +0.0: nu_x = 0.0 + kd nx and nu_y are +0.0, so a_x
+    and a_y, each a +0.0 plus zeros, are +0.0; J_00 a_x and J_11 a_y are
+    +0.0 for a positive J_00 and J_11; and +0.0 plus the zero (w x Jw)_x or
+    (w x Jw)_y is +0.0.  (w x Jw)_z = wx (J_11 wy) - wy (J_00 wx) is
+    +0.0 - +0.0.  That needs every entry of the general body finite, so the
+    branch binds only for a diagonal inertia (``off`` false) whose J_00 and
+    J_11 are positive and finite; a call whose Lambda + tau_z + J_22 wz
+    comes out non-finite is redone by the general body, whose x and y then
+    carry the NaN (an overflowing J_22 wz reaches only (w x Jw)_x and _y);
+    and a state with a -0.0 in x or y takes the general body.  A stage-2
+    spin sample is a new ReferenceSample, never HOLD, and takes the general
+    body too.  A plane call opens the general body's frames: the law,
+    ``renorm_if_drifted`` and the sign rule (pure, so a redone call may run
+    it twice).
     """
     kn = law_kn(gains, name)
     switching, benchmark = name == "switching", name == "benchmark"
@@ -241,9 +278,29 @@ def _bind_law(gains: GainSet, J, name: str):
     slope, radius = gains.lam_slope, gains.roa_radius
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
     off = any((j01, j02, j10, j12, j20, j21))
+    planar = not off and 0.0 < j00 < math.inf and 0.0 < j11 < math.inf
+    copysign, isfinite = math.copysign, math.isfinite
 
     def law(sigma, y, ref):
         qw, qx, qy, qz, wx, wy, wz = y
+        # on the plane: x and y zeros, and -qx - qy - wx - wy is -0.0 only
+        # when all four are +0.0
+        if (
+            ref is HOLD
+            and planar
+            and not (qx or qy or wx or wy)
+            and copysign(1.0, -qx - qy - wx - wy) < 0.0
+        ):
+            m, nx, ny, nz = renorm_if_drifted(qw + 0.0, qw * 0.0 + qz * 0.0, 0.0, 0.0 - qz)
+            ez = 0.0 - wz
+            lam = slope * (0.0 + ez * nz) + radius * m
+            s = update_sigma(sigma, lam, delta) if switching else (
+                _shorter_path_sign(m) if benchmark else sigma
+            )
+            kd = s * kn
+            tz = j22 * (s * kq * nz + kw * (ez + kd * nz) + 0.0 + kd * (0.5 * (m * ez + 0.0))) + 0.0
+            if isfinite(lam + tz + j22 * wz):
+                return (0.0, 0.0, tz), (m, nx, ny, nz, 0.0, 0.0, ez, s, lam)
         (pw, px, py, pz), (vx, vy, vz), (fx, fy, fz) = ref
         m, nx, ny, nz = renorm_if_drifted(
             qw * pw + qx * px + qy * py + qz * pz,

@@ -177,7 +177,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             duration = (n_steps + 1) * scenario.dt
     else:
         state = (*IDENTITY.tolist(), 0.0, 0.0, 0.0)
-        stage2_allowance = 1.5 * spec.psi0 / math.sqrt(float(spec.w0 @ spec.w0)) + 0.5
+        stage2_allowance = 1.5 * spec.psi0 / spec.rate + 0.5
         duration = spec.stage1_duration + stage2_allowance + scenario.horizon_after_t0
     traj = simulate(state, controller, scenario.inertia, scenario.dt, duration)
 

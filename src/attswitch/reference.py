@@ -36,7 +36,8 @@ class ManeuverSpec:
     w0 is the stage-2 angular-velocity reference (rad/s, nominally along the
     yaw axis), psi0 the stage-2 terminal yaw in rad, and mode selects either
     the full three-stage profile or a direct start at the stage-3 initial
-    condition.  Full mode needs w0[2] > 0, or the yaw never grows to psi0.
+    condition.  Full mode needs w0[2] > 0, or the yaw never grows to psi0,
+    and a rate ``rate`` = |w0| whose square w0 . w0 does not underflow to 0.
     """
 
     w0: np.ndarray
@@ -59,6 +60,18 @@ class ManeuverSpec:
             raise ValueError(f"unknown maneuver mode {self.mode!r}")
         if self.mode == MODE_FULL and not self.w0[2] > 0.0:
             raise ValueError(f"full mode needs a positive yaw rate w0[2], got {self.w0[2]}")
+        # a positive wz whose square underflows: no run length can be planned
+        if self.mode == MODE_FULL and not self.rate > 0.0:
+            raise ValueError(
+                f"full mode needs a stage-2 rate |w0| > 0, got wz = {float(self.w0[2])!r},"
+                " whose square underflows to 0"
+            )
+
+    @property
+    def rate(self) -> float:
+        """The stage-2 rate |w0| in rad/s: the spin's rate, and what a
+        full-mode run's stage-2 time allowance is planned from."""
+        return math.sqrt(float(self.w0 @ self.w0))
 
 
 class ReferenceSample(NamedTuple):
@@ -79,7 +92,7 @@ def _bind_reference(spec: ManeuverSpec):
     the rate |w0| since the end of stage 1 (held at identity if w0 is
     zero).  Which stage a time lies in is ``ManeuverTracker.sample``'s test.
     """
-    rate = math.sqrt(float(spec.w0 @ spec.w0))
+    rate = spec.rate
     if rate < 1e-15:
         return lambda t: HOLD
     t1 = spec.stage1_duration

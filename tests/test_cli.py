@@ -204,6 +204,14 @@ class TestSimulateCommand:
         assert "positive yaw rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_full_mode_yaw_rate_whose_square_underflows_usage_error(self, tmp_path, capsys):
+        # 1e-200 squares to 0, and the stage-2 allowance 1.5 psi0/|w0| used
+        # to raise ZeroDivisionError with a traceback
+        out = tmp_path / "run"
+        assert main(["simulate", "--mode", "full", "--ic", "1e-200,150", "--out", str(out)]) == 1
+        assert "wz = 1e-200, whose square underflows to 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args, shown",
         [(["--ic", "2,420"], "420.0"), (["--mode", "full", "--ic", "2,360"], "360.0"),

@@ -42,7 +42,7 @@ from attswitch.harness import (
     scenario_from_text,
 )
 from attswitch.quat import hamilton_product
-from attswitch.reference import ManeuverSpec, stage3_initial_state
+from attswitch.reference import HOLD, ManeuverSpec, ReferenceSample, stage3_initial_state
 from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, _bind_derivative, simulate
 
 LAWS = ("benchmark", "switching", "continuous")
@@ -516,3 +516,77 @@ def test_kn_zero_laws_match_the_general_form(name, diagonal, seed, gains, y, q_d
     want = general_torque(g.kq, g.kw, 0.0, rows, s, q_err, w_err, y[4:], wdot_d)
     assert _bytes(tau) == _bytes(want)
     assert _bytes(row) == _bytes((*q_err, *w_err, s, switch_function(ErrorState(q_err, w_err), g)))
+
+
+# --- The hold sample on the yaw plane ---------------------------------------
+# law(sigma, y, HOLD) takes the plane branch for a diagonal inertia and qx,
+# qy, wx, wy at +0.0; an equal sample that is not HOLD itself takes the
+# general body, which must give the same bits.
+
+
+def _outcome(law, sigma, y, ref):
+    """The law's torque and row as bytes, any NaN as one token (CPython may
+    return either NaN operand of a sum), or the type of what it raised."""
+    try:
+        tau, row = law(sigma, y, ref)
+    except Exception as exc:
+        return type(exc)
+    return [b"nan" if math.isnan(x) else _bytes([x]) for x in (*tau, *row)]
+
+
+# yaw entries: zeros of both signs, unit and drifted quaternion entries,
+# rates, and extremes (overflow, subnormals, inf and NaN)
+_YAW = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-1.5, 1.5), st.floats(-1e3, 1e3), st.floats()
+)
+_EXAMPLE = dict(
+    name="switching", sigma=+1, jd=(1.66e-5, 1.66e-5, 2.93e-5), gains=(10.0, 100.0, 10.0),
+    qw=0.6, qz=0.8, wz=2.0, xy=(0.0, 0.0, 0.0, 0.0),
+)
+
+
+def _example(**changes):
+    return example(**{**_EXAMPLE, **changes})
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    name=st.sampled_from(LAWS),
+    sigma=st.sampled_from((1, -1)),
+    # inertias too, and the diagonals the branch refuses: zero, negative, inf
+    jd=st.one_of(
+        _vector(st.floats(1e-6, 10.0), 3),
+        _vector(st.sampled_from((-1.0, 0.0, 1e-200, 1.0, 2.0, math.inf)), 3),
+    ),
+    gains=st.tuples(st.floats(0.1, 1e3), st.floats(0.01, 1e3), st.floats(0.1, 1e2)),
+    qw=_YAW,
+    qz=_YAW,
+    wz=_YAW,
+    # mostly on the plane; a -0.0 or a nonzero entry takes the general body
+    xy=st.one_of(st.just((0.0,) * 4), _vector(st.sampled_from((0.0, -0.0, 1e-3)), 4)),
+)
+@_example(qw=-0.0, qz=1.0)
+@_example(qw=0.0, qz=-1.0)
+@_example(qw=1.0, qz=-0.0)
+@_example(qw=-1.0, qz=0.0)
+@_example(wz=-0.0)
+@_example(wz=0.0, sigma=-1)
+@_example(qz=0.8 * (1.0 + 1e-9))  # |q|^2 drifted: the renorm rescales
+# J_22 wz overflows, tau_z does not: the fallback, whose tau_x and tau_y are NaN
+@_example(wz=1e308, jd=(1.0, 1.0, 2.0), gains=(10.0, 0.1, 0.1))
+@_example(wz=1e308, jd=(1.0, 1.0, 2.0))
+@_example(qw=-5e-324, qz=1.0, wz=0.0)  # 4c m_e underflows to -0.0 in Lambda
+@_example(qz=0.0, wz=0.0, jd=(1.0, 1.0, -1.0))  # J_22 a_z is -0.0, tau_z +0.0
+@_example(jd=(-1.0, 1.0, -1.0))  # tau_x is -0.0 in the general body
+@_example(jd=(1.0, -1.0, -1.0), wz=-2.0)  # and tau_y here
+@_example(xy=(-0.0, 0.0, 0.0, 0.0))  # the general body
+@_example(name="continuous", sigma=-1)
+@_example(name="benchmark", qw=-0.6)
+@_example(name="switching", sigma=-1, qw=-0.6, wz=-30.0)
+def test_hold_sample_law_matches_the_general_body(name, sigma, jd, gains, qw, qz, wz, xy):
+    law = _bind_law(_law_gains(*gains), np.diag(jd).tolist(), name)
+    qx, qy, wx, wy = xy
+    y = (qw, qx, qy, qz, wx, wy, wz)
+    general = ReferenceSample(*HOLD)
+    assert general == HOLD and general is not HOLD
+    assert _outcome(law, sigma, y, HOLD) == _outcome(law, sigma, y, general)

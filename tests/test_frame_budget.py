@@ -17,6 +17,7 @@ The per-state certificates are held to the same rule: each of
 ``lyapunov_value`` that gives V its one form.
 """
 
+import gc
 import sys
 
 import pytest
@@ -29,19 +30,38 @@ from attswitch.rigid_body import simulate
 
 
 def _frames(fn, *args):
-    """Names of the Python frames that ``fn(*args)`` opens, itself first."""
+    """Names of the Python frames that ``fn(*args)`` opens, itself first.
+
+    The garbage collector is off meanwhile (and then back as it was): a
+    collection inside the call would add the frames of whatever gc callback
+    is installed, such as hypothesis's."""
     names = []
 
     def profile(frame, event, arg):
         if event == "call":
             names.append(frame.f_code.co_name)
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return names
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+def test_frames_restores_the_collector(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _frames(len, ()) == []
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 LAW_FRAMES = {

@@ -174,6 +174,12 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="positive yaw rate"):
             ManeuverSpec(w0=np.zeros(3), psi0=1.0)
 
+    def test_full_mode_needs_a_rate_whose_square_does_not_underflow(self):
+        with pytest.raises(ValueError, match="wz = 1e-200, whose square underflows"):
+            ManeuverSpec(w0=np.array([0.0, 0.0, 1e-200]), psi0=1.0)
+        # stage3 mode never plans a stage 2, so it keeps such a rate
+        assert ManeuverSpec(w0=np.array([0.0, 0.0, 1e-200]), psi0=1.0, mode="stage3").rate == 0.0
+
     @pytest.mark.parametrize("controller", ["continuous", "benchmark", "switching"])
     def test_step_limit_is_where_one_closed_loop_step_turns_unstable(self, controller):
         # one control step (the law, then the RK4 step) linearised by central
