@@ -3,8 +3,12 @@
 A Scenario pins everything a run needs (maneuver, controller, gains,
 inertia, step size, seed); run_scenario wires the reference generator, the
 chosen control law, and the integrator together and returns the full
-telemetry as flat arrays.  The performance figure of merit is the RMS of
-the torque 2-norm over the evaluation window [t0, t0 + horizon].
+telemetry as flat arrays.  It picks the loop once per run: a run that
+starts on the yaw plane, as every manoeuvre the paper flies does, goes
+through ``run_on_plane``, which writes only the yaw rows of the law and of
+the RK4 step; any other run, or one the plane cannot finish, goes through
+``rigid_body.simulate`` from the start.  The performance figure of merit
+is the RMS of the torque 2-norm over the evaluation window [t0, t0 + horizon].
 
 A run's inputs each have one form.  A run starts from the packed state
 tuple (identity at rest in full mode, ``stage3_initial_state`` in stage3
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import stability
+from . import rigid_body, stability
 from .controllers import (
     GAIN_KEYS,
     BenchmarkController,
@@ -35,8 +39,9 @@ from .controllers import (
     _bind_law,
     _shorter_path_sign,
     law_kn,
+    update_sigma,
 )
-from .quat import IDENTITY, yaw_of
+from .quat import IDENTITY, renorm_if_drifted, yaw_of
 from .reference import HOLD, MODE_STAGE3, ManeuverSpec, ManeuverTracker, stage3_initial_state
 from .rigid_body import (
     CHUNK,
@@ -163,6 +168,122 @@ def make_controller(scenario: Scenario):
     return CONTROLLERS[scenario.controller](scenario.gains, scenario.inertia, tracker)
 
 
+def run_on_plane(y0, controller, dt: float, duration: float):
+    """``simulate(y0, controller, controller.J, dt, duration)`` on the yaw
+    plane, with its bits, or None for a run it does not take or cannot
+    finish; its refusals are ``rigid_body.checked_run``'s.
+
+    It takes a run that starts with qx, qy, wx and wy at +0.0 on a diagonal
+    inertia (validated, so J_00 and J_11 are positive and finite) with
+    finite Jinv_00 and Jinv_11 and J_22 in (0, 1] kg m^2, which keeps J_22 wz
+    finite for a finite wz.  Only qw, qz and wz then move.  While the
+    tracker's t0 is pending, each step samples it with the packed state,
+    and a stage-2 spin sample goes through the controller's law, whose
+    torque x and y must be zeros (of either sign), stored as returned.  For
+    the hold sample HOLD = ((1, 0, 0, 0), 0, 0) and x and y at +0.0,
+    ``_bind_law``'s general body reduces term by term to
+
+        q_err = renorm(qw + 0.0, qw 0.0 + qz 0.0, 0.0, 0.0 - qz)
+                    (qw 1.0 + 0.0 + 0.0 + qz 0.0; a +-0.0 minus +0.0 is
+                     itself; +0.0 + -0.0 and +0.0 - -0.0 are +0.0)
+        w_err = (0.0, 0.0, 0.0 - wz)
+        Lambda = slope (0.0 + ez nz) + radius m   (0.0 nx + 0.0 ny is +0.0)
+        a_z = kp nz + kw (ez + kd nz) + 0.0 + kd (0.5 (m ez + 0.0))
+                    (ex ny is +0.0; x - ey nx is x for an x not -0.0)
+        tau = (0.0, 0.0, J_22 a_z + 0.0)
+
+    as nu_x, nu_y, a_x, a_y, J_00 a_x and J_11 a_y are +0.0, and so are
+    their sums with the zero (w x Jw)_x and _y; (w x Jw)_z is +0.0 - +0.0.
+    ``bind_rk4``'s step with such a torque keeps every stage on the plane
+    (y + h k of a +0.0 entry and a zero derivative is +0.0), where the
+    derivative reduces to
+
+        qw_dot = 0.5 (-0.0 - qz wz)         (-qx wx - qy wy is -0.0)
+        qz_dot = 0.5 (qw wz + 0.0)          (v + 0.0 - 0.0 is v + 0.0)
+        wz_dot = Jinv_22 tz                 (rz = tz - (+0.0) = tz)
+
+    and the renorm's |q|^2 is qw^2 + qz^2 plus two +0.0 terms.  Both need
+    every entry finite.  A state that a step makes non-finite makes the
+    next law call's Lambda + tau_z, or spin torque x, non-finite; a run whose
+    Lambda + tau_z is not finite, whose spin torque leaves the plane, or
+    whose renorm divides by zero returns None, for its caller to run again
+    from the start through ``simulate``.  A hold step opens three frames:
+    the law's ``renorm_if_drifted`` and sign rule, and the step's renorm.
+    """
+    y, J, n_steps = rigid_body.checked_run(y0, controller.J, dt, duration)
+    J, Jinv = rigid_body._inertia_rows(J)
+    j22, i00, i11, i22 = J[2][2], Jinv[0][0], Jinv[1][1], Jinv[2][2]
+    qw, qx, qy, qz, wx, wy, wz = y
+    # -qx - qy - wx - wy is -0.0 only when all four are +0.0
+    if (qx or qy or wx or wy or math.copysign(1.0, -qx - qy - wx - wy) > 0.0
+            or rigid_body._off_diagonal(J, Jinv) or not 0.0 < j22 <= 1.0
+            or not (math.isfinite(i00) and math.isfinite(i11))):
+        return None
+    gains, name, tracker = controller.gains, controller._name, controller.tracker
+    kn, kq, kw, delta = law_kn(gains, name), gains.kq, gains.kw, gains.delta
+    slope, radius = gains.lam_slope, gains.roa_radius
+    switching, benchmark = name == "switching", name == "benchmark"
+    sigma = controller.sigma if switching else +1  # the sign the controller hands its law
+    isfinite, h, third, n = math.isfinite, 0.5 * dt, dt / 6.0, n_steps + 1
+    # x and y stay +0.0; the (qw, qz, wz) rows fill columns 0, 3 and 6
+    ys_out, taus_out, tel = np.zeros((n, 7)), np.empty((n, 3)), np.empty((n, 9))
+    ys, taus, rows = [None] * CHUNK, [None] * CHUNK, [None] * CHUNK
+    try:
+        for start in range(0, n, CHUNK):
+            stop = min(start + CHUNK, n)
+            for k in range(start, stop):
+                ref = HOLD if tracker.t0 is not None else tracker.sample(
+                    k * dt, (qw, 0.0, 0.0, qz, 0.0, 0.0, wz)
+                )
+                if ref is HOLD:
+                    m, nx, ny, nz = renorm_if_drifted(qw + 0.0, qw * 0.0 + qz * 0.0, 0.0, 0.0 - qz)
+                    ez = 0.0 - wz
+                    lam = slope * (0.0 + ez * nz) + radius * m
+                    sigma = update_sigma(sigma, lam, delta) if switching else (
+                        _shorter_path_sign(m) if benchmark else sigma
+                    )
+                    kd = sigma * kn
+                    tz = j22 * (
+                        sigma * kq * nz + kw * (ez + kd * nz) + 0.0 + kd * (0.5 * (m * ez + 0.0))
+                    ) + 0.0
+                    if not isfinite(lam + tz):
+                        return None
+                    tau, row = (0.0, 0.0, tz), (m, nx, ny, nz, 0.0, 0.0, ez, sigma, lam)
+                else:
+                    tau, row = controller._law(sigma, (qw, 0.0, 0.0, qz, 0.0, 0.0, wz), ref)
+                    tx, ty, tz = tau
+                    if tx or ty:
+                        return None
+                    sigma = row[7]
+                i = k - start
+                ys[i] = (qw, qz, wz)
+                taus[i] = tau
+                rows[i] = row
+                if k == n_steps:
+                    break
+                a6 = i22 * tz
+                w = wz + h * a6
+                a0, a3 = 0.5 * (-0.0 - qz * wz), 0.5 * (qw * wz + 0.0)
+                pw, pz = qw + h * a0, qz + h * a3
+                b0, b3 = 0.5 * (-0.0 - pz * w), 0.5 * (pw * w + 0.0)
+                pw, pz = qw + h * b0, qz + h * b3
+                c0, c3 = 0.5 * (-0.0 - pz * w), 0.5 * (pw * w + 0.0)
+                pw, pz, w = qw + dt * c0, qz + dt * c3, wz + dt * a6
+                d0, d3 = 0.5 * (-0.0 - pz * w), 0.5 * (pw * w + 0.0)
+                pw = qw + third * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+                pz = qz + third * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+                wz = wz + third * (a6 + 2.0 * a6 + 2.0 * a6 + a6)
+                qw, _, _, qz = renorm_if_drifted(pw, 0.0, 0.0, pz)
+            ys_out[start:stop, ::3] = rigid_body.float_rows(ys[: stop - start], 3)
+            taus_out[start:stop] = rigid_body.float_rows(taus[: stop - start], 3)
+            tel[start:stop] = rigid_body.float_rows(rows[: stop - start], 9)
+    except ZeroDivisionError:  # the renorm of a zero quaternion
+        return None
+    return rigid_body.Trajectory(
+        t=np.arange(n) * dt, q=ys_out[:, :4], w=ys_out[:, 4:], tau=taus_out, telemetry=tel
+    )
+
+
 def run_scenario(scenario: Scenario) -> RunResult:
     """Simulate a scenario and assemble the full telemetry."""
     controller = make_controller(scenario)
@@ -179,7 +300,18 @@ def run_scenario(scenario: Scenario) -> RunResult:
         state = (*IDENTITY.tolist(), 0.0, 0.0, 0.0)
         stage2_allowance = 1.5 * spec.psi0 / spec.rate + 0.5
         duration = spec.stage1_duration + stage2_allowance + scenario.horizon_after_t0
-    traj = simulate(state, controller, scenario.inertia, scenario.dt, duration)
+        # refused here, where the allowance that made the run so long is known
+        steps = duration / scenario.dt
+        if steps >= MAX_STEPS + 0.5:
+            raise ValueError(
+                f"full mode at wz = {float(spec.w0[2])!r} rad/s allows stage 2"
+                f" 1.5 psi0/|w0| + 0.5 s = {stage2_allowance:.3g} s, so the run takes"
+                f" {steps:.3g} steps, more than the {MAX_STEPS} a run may take"
+            )
+    traj = run_on_plane(state, controller, scenario.dt, duration)
+    if traj is None:  # off the plane, or a run it cannot finish: from the start
+        controller = make_controller(scenario)
+        traj = simulate(state, controller, scenario.inertia, scenario.dt, duration)
 
     t0 = controller.tracker.t0
     if t0 is None:

@@ -24,12 +24,11 @@ scenario.txt can hold) skips 24 float operations of each derivative call,
 The packed state is also the only form of a state: ``simulate`` starts
 from a packed y0, hands its controller the packed state y itself, so
 nothing is built per step, and refuses a bad y0 or a run longer than
-``MAX_STEPS`` steps before it allocates the run.  Besides the controller's,
-a step opens six Python frames: the RK4 step, four derivatives, one renorm.
-A step on the yaw plane (qx, qy, wx, wy and the torque's x and y zero, as
-in every manoeuvre the paper flies) opens two: the RK4 step integrates qw,
-qz and wz in its own body, with the general body's bits (the argument is in
-``bind_rk4``'s docstring), and calls the renorm.
+``MAX_STEPS`` steps before it allocates the run (``checked_run``, which
+``harness.run_on_plane`` shares).  Besides the controller's, a step opens
+six Python frames: the RK4 step, four derivatives, one renorm.  A run on
+the yaw plane, as every manoeuvre the paper flies, is integrated by
+``harness.run_on_plane`` instead, with these bits.
 """
 
 import math
@@ -144,71 +143,18 @@ def bind_rk4(J, dt: float):
     held over the step, both float sequences; the result is a 7-tuple with
     the quaternion lazily renormalized.
 
-    A manoeuvre about a principal yaw axis never leaves the yaw plane: with
-    qx, qy, wx and wy at +0.0 and a torque whose x and y are zero, only qw,
-    qz and wz move.  Such a step takes the plane branch, which integrates
-    those three through the same four stages and returns x and y as +0.0,
-    with the bits of the general body.  The argument: the stage sums
-    y + h k of a +0.0 entry and a zero derivative stay +0.0, so every stage
-    is on the plane, where the general derivative reduces term by term to
-
-        qw_dot = 0.5 (-0.0 - qz wz)         (-qx wx - qy wy is -0.0)
-        qz_dot = 0.5 (qw wz + 0.0)          (v + 0.0 - 0.0 is v + 0.0)
-        wz_dot = Jinv_22 tz                 (rz = tz - (+0.0) = tz)
-
-    the last the same at all four stages.  That needs every entry of the
-    general body finite, so the branch binds only for a diagonal inertia
-    (``off`` false) whose J_00 and J_11 are positive and finite, whose
-    Jinv_00 and Jinv_11 are finite and whose J_22 lies in (0, 1] kg m^2, so
-    that J_22 wz cannot overflow; a step whose qw + qz + wz comes out
-    non-finite is redone by the general body, whose x and y then carry the
-    NaN; and a state with a -0.0 in x or y takes the general body, whose
-    stage sums turn it into +0.0.  The renorm's squared norm is qw^2 + qz^2
-    plus two +0.0 terms, the same sum.  Besides the controller's, a general
-    step opens six Python frames (the step, four derivatives, one renorm)
-    and a plane step two (the step, one renorm).
+    Besides the controller's, a step opens six Python frames: the step,
+    four derivatives and one renorm.
     """
     _check_step(dt)
     J, Jinv = _inertia_rows(J)
     f = _bind_derivative(J, Jinv)
-    (j00, _, _), (_, j11, _), (_, _, j22) = J
-    (i00, _, _), (_, i11, _), (_, _, i22) = Jinv
-    planar = (
-        not _off_diagonal(J, Jinv)
-        and 0.0 < j00 < math.inf
-        and 0.0 < j11 < math.inf
-        and 0.0 < j22 <= 1.0
-        and math.isfinite(i00)
-        and math.isfinite(i11)
-    )
-    copysign, isfinite = math.copysign, math.isfinite
     h = 0.5 * dt
     s = dt / 6.0
 
     def step(y, tau):
         y0, y1, y2, y3, y4, y5, y6 = y
         tx, ty, tz = tau
-        # on the plane: x and y zeros, and -y1 - y2 - y4 - y5 is -0.0 only
-        # when all four are +0.0
-        if (
-            planar
-            and not (y1 or y2 or y4 or y5 or tx or ty)
-            and copysign(1.0, -y1 - y2 - y4 - y5) < 0.0
-        ):
-            a6 = i22 * tz
-            w = y6 + h * a6
-            a0, a3 = 0.5 * (-0.0 - y3 * y6), 0.5 * (y0 * y6 + 0.0)
-            qw, qz = y0 + h * a0, y3 + h * a3
-            b0, b3 = 0.5 * (-0.0 - qz * w), 0.5 * (qw * w + 0.0)
-            qw, qz = y0 + h * b0, y3 + h * b3
-            c0, c3 = 0.5 * (-0.0 - qz * w), 0.5 * (qw * w + 0.0)
-            qw, qz, w = y0 + dt * c0, y3 + dt * c3, y6 + dt * a6
-            d0, d3 = 0.5 * (-0.0 - qz * w), 0.5 * (qw * w + 0.0)
-            qw = y0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-            qz = y3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-            w = y6 + s * (a6 + 2.0 * a6 + 2.0 * a6 + a6)
-            if isfinite(qw + qz + w):
-                return (*renorm_if_drifted(qw, 0.0, 0.0, qz), 0.0, 0.0, w)
         a0, a1, a2, a3, a4, a5, a6 = f(y0, y1, y2, y3, y4, y5, y6, tx, ty, tz)
         b0, b1, b2, b3, b4, b5, b6 = f(
             y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4, y5 + h * a5,
@@ -244,16 +190,29 @@ def _all_finite(y) -> bool:
     return math.isfinite(sum(y)) or all(map(math.isfinite, y))
 
 
-def _initial_state(y0) -> tuple:
-    """y0 as a 7-tuple of floats, or ValueError unless it is 7 finite numbers
-    with a unit quaternion (|q|^2 within 1e-9 of 1)."""
+def checked_run(y0, J, dt: float, duration: float) -> tuple:
+    """``(y, J, n_steps)`` of a run: y0 as a 7-tuple of floats, the
+    validated inertia and round(duration / dt).  A bad duration, inertia or
+    dt, a run of more than MAX_STEPS steps, or a y0 that is not 7 finite
+    numbers with a unit quaternion (|q|^2 within 1e-9 of 1) raises
+    ValueError, before anything is allocated."""
+    if not (math.isfinite(duration) and duration >= 0.0):
+        raise ValueError(f"duration must be non-negative and finite, got {duration}")
+    J = validate_inertia(J)
+    _check_step(dt)
+    steps = duration / dt
+    if steps >= MAX_STEPS + 0.5:
+        raise ValueError(
+            f"a run of {duration:g} s at dt = {dt:g} s takes {steps:.3g} steps,"
+            f" more than the {MAX_STEPS} a run may take"
+        )
     y = tuple(map(float, y0))
     if len(y) != 7 or not _all_finite(y):
         raise ValueError(f"the initial state must be 7 finite numbers (q, w), got {y}")
     qq = y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
     if abs(qq - 1.0) > 1e-9:
         raise ValueError(f"the initial quaternion {y[:4]} is not a unit quaternion: |q|^2 = {qq!r}")
-    return y
+    return y, J, int(round(steps))
 
 
 @dataclass
@@ -290,9 +249,8 @@ def simulate(
     """Integrate the closed loop from the packed state y0 and record the
     sampled trajectory.
 
-    y0 = (qw, qx, qy, qz, wx, wy, wz) is any 7-sequence of finite numbers:
-    the scalar-first attitude quaternion (body w.r.t. inertial), whose
-    squared norm must lie within 1e-9 of 1, and the body rate in rad/s.
+    y0 = (qw, qx, qy, qz, wx, wy, wz) is the scalar-first attitude
+    quaternion (body w.r.t. inertial) and the body rate in rad/s.
     ``controller`` is a callable ``(t, y) -> (tau, row)`` invoked once per
     physics step with the packed state y = (qw, qx, qy, qz, wx, wy, wz), a
     tuple of floats; the returned torque (any 3-sequence) is converted to
@@ -302,21 +260,12 @@ def simulate(
     steps at a time, each chunk converted into its slice of the preallocated
     arrays, so at most one chunk of per-step tuples is alive at any time.
     Returns a Trajectory with one row per physics step plus the final state.
-    A run of more than MAX_STEPS steps, or a bad y0, raises ValueError
-    before anything is allocated.  Controller and integration failures are
-    re-raised as SimulationError tagged with the failure time.
+    ``checked_run`` refuses bad input before anything is allocated.
+    Controller and integration failures are re-raised as SimulationError
+    tagged with the failure time.
     """
-    if not (math.isfinite(duration) and duration >= 0.0):
-        raise ValueError(f"duration must be non-negative and finite, got {duration}")
-    step = bind_rk4(validate_inertia(J), dt)
-    steps = duration / dt
-    if steps >= MAX_STEPS + 0.5:
-        raise ValueError(
-            f"a run of {duration:g} s at dt = {dt:g} s takes {steps:.3g} steps,"
-            f" more than the {MAX_STEPS} a run may take"
-        )
-    n_steps = int(round(steps))
-    y = _initial_state(y0)
+    y, J, n_steps = checked_run(y0, J, dt, duration)
+    step = bind_rk4(J, dt)
     n = n_steps + 1
     ys_out, taus_out, tel, width = np.empty((n, 7)), np.empty((n, 3)), None, -1
     # filled by index: a store costs less than an append call per step

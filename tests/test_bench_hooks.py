@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+LAWS = ("benchmark", "switching", "continuous")
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,8 @@ def test_replacements_build(bench_modules, workload):
 
 
 def test_traced_closed_loop_reaches_every_simulation_span(bench_modules):
+    # the paper's runs stay on the yaw plane, so harness.run_on_plane runs
+    # them inside the run_scenario span: no simulate, controller or sample
     layers, spans, _ = bench_modules
     from attswitch import harness
 
@@ -50,13 +53,35 @@ def test_traced_closed_loop_reaches_every_simulation_span(bench_modules):
     with spans.patched(layers.replacements(tracer, "compare")):
         harness.effort_comparison(repeats=1, ics=((2.0, 210.0),), horizon=0.01)
     calls = tracer.snapshot()
-    steps = 11  # horizon / dt + 1 samples per run
     assert calls["harness.run_scenario"] == 2
-    assert calls["rigid_body.simulate"] == 2
-    assert calls["controllers.benchmark"] == steps
-    assert calls["controllers.switching"] == steps
-    assert calls["reference.sample"] == 2 * steps
+    assert calls["rigid_body.simulate"] == 0
+    for law in LAWS:
+        assert calls[f"controllers.{law}"] == 0
+    assert calls["reference.sample"] == 0
     assert calls["quat.calls"] > 0
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_traced_off_plane_closed_loop_reaches_simulate(bench_modules, law):
+    # a non-diagonal inertia takes the run off the plane driver, to simulate,
+    # which calls the controller and the tracker once a step
+    layers, spans, _ = bench_modules
+    from attswitch import harness
+
+    J = np.diag([1.66e-5, 1.66e-5, 2.93e-5])
+    J[0, 1] = J[1, 0] = 1e-7
+    sc = harness.make_ic_scenario(2.0, 210.0, law, inertia=J, horizon=0.01)
+    tracer = spans.Tracer()
+    with spans.patched(layers.replacements(tracer, "compare")):
+        harness.run_scenario(sc)
+    calls = tracer.snapshot()
+    steps = 11  # horizon / dt + 1 samples
+    assert calls["harness.run_scenario"] == 1
+    assert calls["rigid_body.simulate"] == 1
+    assert calls["rigid_body.steps"] == steps - 1
+    for name in LAWS:
+        assert calls[f"controllers.{name}"] == (steps if name == law else 0)
+    assert calls["reference.sample"] == steps
 
 
 def test_traced_simulate_counts_each_output_once(bench_modules, tmp_path):

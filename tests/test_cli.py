@@ -212,6 +212,16 @@ class TestSimulateCommand:
         assert "wz = 1e-200, whose square underflows to 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_full_mode_allowance_past_step_limit_names_wz(self, tmp_path, capsys):
+        # 1e-160 squares to a subnormal, so ManeuverSpec takes it; its stage-2
+        # allowance 1.5 psi0/|w0| + 0.5 s is what makes the run too long
+        out = tmp_path / "run"
+        assert main(["simulate", "--mode", "full", "--ic", "1e-160,150", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "wz = 1e-160 rad/s allows stage 2 1.5 psi0/|w0| + 0.5 s = 3.93e+160 s" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args, shown",
         [(["--ic", "2,420"], "420.0"), (["--mode", "full", "--ic", "2,360"], "360.0"),

@@ -32,18 +32,21 @@ from attswitch.controllers import (
     _shorter_path_sign,
     switch_function,
 )
+from attswitch import harness
 from attswitch.harness import (
+    CONTROLLERS,
     DEFAULT_GAINS,
     REFERENCE_ICS,
     Scenario,
     make_controller,
     make_ic_scenario,
+    run_on_plane,
     run_scenario,
     scenario_from_text,
 )
 from attswitch.quat import hamilton_product
-from attswitch.reference import HOLD, ManeuverSpec, ReferenceSample, stage3_initial_state
-from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, _bind_derivative, simulate
+from attswitch.reference import ManeuverSpec, ManeuverTracker, stage3_initial_state
+from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, SimulationError, _bind_derivative, simulate
 
 LAWS = ("benchmark", "switching", "continuous")
 
@@ -518,30 +521,34 @@ def test_kn_zero_laws_match_the_general_form(name, diagonal, seed, gains, y, q_d
     assert _bytes(row) == _bytes((*q_err, *w_err, s, switch_function(ErrorState(q_err, w_err), g)))
 
 
-# --- The hold sample on the yaw plane ---------------------------------------
-# law(sigma, y, HOLD) takes the plane branch for a diagonal inertia and qx,
-# qy, wx, wy at +0.0; an equal sample that is not HOLD itself takes the
-# general body, which must give the same bits.
+# --- The yaw-plane driver against simulate ----------------------------------
+# run_scenario runs a run that starts on the yaw plane through
+# harness.run_on_plane, and one that it refuses (None) through simulate, from
+# the start.  What the driver returns must be simulate's run, bit for bit.
 
 
-def _outcome(law, sigma, y, ref):
-    """The law's torque and row as bytes, any NaN as one token (CPython may
-    return either NaN operand of a sum), or the type of what it raised."""
+def _run_outcome(run, make):
+    """``run(controller)``'s trajectory and the tracker's t0, the arrays as
+    bytes with any NaN as one NaN (CPython may return either NaN operand of
+    a sum), None for None, or the type and text of what it raised."""
+    controller = make()
     try:
-        tau, row = law(sigma, y, ref)
+        traj = run(controller)
     except Exception as exc:
-        return type(exc)
-    return [b"nan" if math.isnan(x) else _bytes([x]) for x in (*tau, *row)]
+        return f"{type(exc).__name__}: {exc}"
+    if traj is None:
+        return None
+    a = np.concatenate([traj.t, *(x.ravel() for x in (traj.q, traj.w, traj.tau, traj.telemetry))])
+    return np.where(np.isnan(a), math.nan, a).tobytes(), controller.tracker.t0
 
 
-# yaw entries: zeros of both signs, unit and drifted quaternion entries,
-# rates, and extremes (overflow, subnormals, inf and NaN)
-_YAW = st.one_of(
-    st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-1.5, 1.5), st.floats(-1e3, 1e3), st.floats()
+_UNIT = st.one_of(
+    st.sampled_from(((-0.0, 1.0), (0.0, -1.0), (1.0, -0.0), (-1.0, 0.0), (1.0, 0.0))),
+    st.floats(-4.0, 4.0).map(lambda a: (math.cos(a), math.sin(a))),
 )
 _EXAMPLE = dict(
-    name="switching", sigma=+1, jd=(1.66e-5, 1.66e-5, 2.93e-5), gains=(10.0, 100.0, 10.0),
-    qw=0.6, qz=0.8, wz=2.0, xy=(0.0, 0.0, 0.0, 0.0),
+    name="switching", sigma=+1, mode="stage3", jd=(1.66e-5, 1.66e-5, 2.93e-5), gains=(10.0, 100.0, 10.0),
+    q=(0.6, 0.8), drift=1.0, wz=2.0, xy=(0.0, 0.0, 0.0, 0.0), tilt=0.0, dt=1e-3, steps=40,
 )
 
 
@@ -552,41 +559,97 @@ def _example(**changes):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(
     name=st.sampled_from(LAWS),
+    # the switching controller's sign at the start, as a run leaves it
     sigma=st.sampled_from((1, -1)),
-    # inertias too, and the diagonals the branch refuses: zero, negative, inf
-    jd=st.one_of(
-        _vector(st.floats(1e-6, 10.0), 3),
-        _vector(st.sampled_from((-1.0, 0.0, 1e-200, 1.0, 2.0, math.inf)), 3),
-    ),
+    mode=st.sampled_from(("stage3", "full")),
+    # inertias, and J_22 > 1; the examples add those validate_inertia refuses
+    jd=st.one_of(*[_vector(st.floats(1e-6, 1e-3), 3)] * 3, _vector(st.floats(1e-6, 2.0), 3)),
     gains=st.tuples(st.floats(0.1, 1e3), st.floats(0.01, 1e3), st.floats(0.1, 1e2)),
-    qw=_YAW,
-    qz=_YAW,
-    wz=_YAW,
-    # mostly on the plane; a -0.0 or a nonzero entry takes the general body
-    xy=st.one_of(st.just((0.0,) * 4), _vector(st.sampled_from((0.0, -0.0, 1e-3)), 4)),
+    q=_UNIT,
+    # |q|^2 drifted past the renorm's tolerance, and past the start's
+    drift=st.sampled_from((1.0, 1.0, 1.0, 1.0 + 1e-10, 1.0 - 3e-10, 1.0 + 1e-8)),
+    wz=st.one_of(
+        *[st.floats(-100.0, 100.0)] * 3,
+        st.sampled_from((0.0, -0.0, 1e150, 1e308, -1e308, math.nan)),
+    ),
+    # (qx, qy, wx, wy): mostly on the plane; a -0.0 or a nonzero rate starts off it
+    xy=st.sampled_from(
+        [(0.0,) * 4] * 16
+        + [(-0.0, 0.0, 0.0, 0.0), (0.0, -0.0, 0.0, 0.0), (0.0, 0.0, -0.0, 0.0)]
+        + [(0.0, 0.0, 0.0, -0.0), (-0.0,) * 4, (0.0, 0.0, 1e-3, 0.0), (0.0, 0.0, 0.0, -1e-3)]
+    ),
+    # a stage-2 spin axis off the yaw axis takes the torque off the plane
+    tilt=st.sampled_from((0.0,) * 5 + (1e-3,)),
+    dt=st.sampled_from((1e-3, 0.019)),
+    steps=st.integers(0, 60),
 )
-@_example(qw=-0.0, qz=1.0)
-@_example(qw=0.0, qz=-1.0)
-@_example(qw=1.0, qz=-0.0)
-@_example(qw=-1.0, qz=0.0)
-@_example(wz=-0.0)
-@_example(wz=0.0, sigma=-1)
-@_example(qz=0.8 * (1.0 + 1e-9))  # |q|^2 drifted: the renorm rescales
-# J_22 wz overflows, tau_z does not: the fallback, whose tau_x and tau_y are NaN
-@_example(wz=1e308, jd=(1.0, 1.0, 2.0), gains=(10.0, 0.1, 0.1))
-@_example(wz=1e308, jd=(1.0, 1.0, 2.0))
-@_example(qw=-5e-324, qz=1.0, wz=0.0)  # 4c m_e underflows to -0.0 in Lambda
-@_example(qz=0.0, wz=0.0, jd=(1.0, 1.0, -1.0))  # J_22 a_z is -0.0, tau_z +0.0
-@_example(jd=(-1.0, 1.0, -1.0))  # tau_x is -0.0 in the general body
-@_example(jd=(1.0, -1.0, -1.0), wz=-2.0)  # and tau_y here
-@_example(xy=(-0.0, 0.0, 0.0, 0.0))  # the general body
-@_example(name="continuous", sigma=-1)
-@_example(name="benchmark", qw=-0.6)
-@_example(name="switching", sigma=-1, qw=-0.6, wz=-30.0)
-def test_hold_sample_law_matches_the_general_body(name, sigma, jd, gains, qw, qz, wz, xy):
-    law = _bind_law(_law_gains(*gains), np.diag(jd).tolist(), name)
-    qx, qy, wx, wy = xy
-    y = (qw, qx, qy, qz, wx, wy, wz)
-    general = ReferenceSample(*HOLD)
-    assert general == HOLD and general is not HOLD
-    assert _outcome(law, sigma, y, HOLD) == _outcome(law, sigma, y, general)
+@_example(q=(-0.0, 1.0))
+@_example(q=(1.0, -0.0), wz=-0.0)
+@_example(wz=0.0, mode="full")
+@_example(drift=1.0 + 1e-10)  # the first law call rescales the quaternion
+@_example(xy=(-0.0, 0.0, 0.0, 0.0))  # off the plane
+@_example(xy=(0.0, 0.0, 0.0, -0.0))
+@_example(jd=(1.0, 1.0, 2.0))  # J_22 > 1: simulate
+@_example(jd=(1.0, 1.0, 2.0), wz=1e308)  # J_22 wz overflows: x and y turn NaN
+@_example(jd=(1.0, 1.0, 2.0), wz=1e308, gains=(10.0, 0.1, 0.1), steps=0)  # tau_z does not
+@_example(jd=(1.0, 1.0, 1e300), wz=1e10)
+@_example(jd=(1.0, -1.0, 0.5))  # refused by validate_inertia
+@_example(jd=(-1.0, 1.0, -1.0))
+@_example(jd=(1.0, 1.0, 0.0))
+@_example(jd=(1e-200, 1e-200, 1e-200))  # J_00 J_11 underflows to 0
+@_example(jd=(1.0, math.inf, 1.0))
+@_example(jd=(1e-309, 1.0, 1.0))  # Jinv_00 is inf: x and y turn NaN
+@_example(wz=1e150)  # the state blows up in the first step
+@_example(q=(1.0, 5e-324), wz=0.0)  # J_22 a_z underflows to -0.0, tau_z is +0.0
+@_example(q=(-5e-324, 1.0), wz=0.0)  # 4c m_e underflows to -0.0 in Lambda
+@_example(name="benchmark", q=(-0.6, 0.8), wz=-30.0)
+@_example(name="continuous", mode="full", steps=60)
+@_example(name="benchmark", mode="full", steps=60, dt=0.019)
+@_example(name="switching", mode="full", steps=60, dt=0.019)
+@_example(sigma=-1, q=(0.6, -0.8), wz=-3.0)
+@_example(mode="full", tilt=1e-3, steps=60)  # the spin torque leaves the plane
+def test_plane_driver_matches_simulate(
+    name, sigma, mode, jd, gains, q, drift, wz, xy, tilt, dt, steps
+):
+    J, g = np.diag(jd), _law_gains(*gains)
+    spec = ManeuverSpec(
+        w0=np.array([tilt, 0.0, 20.0]), psi0=0.5, stage1_duration=5 * dt, mode=mode
+    )
+    (qw, qz), (qx, qy, wx, wy) = q, xy
+    y0 = (qw * drift, qx, qy, qz * drift, wx, wy, wz)
+    duration = steps * dt
+
+    def make():
+        controller = CONTROLLERS[name](g, J, ManeuverTracker(spec))
+        controller.sigma = sigma  # read by the switching law only
+        return controller
+
+    got = _run_outcome(lambda c: run_on_plane(y0, c, dt, duration), make)
+    want = _run_outcome(lambda c: simulate(y0, c, J, dt, duration), make)
+    if got is not None:
+        assert got == want
+    # the driver refuses only a run off the plane or one that leaves it or
+    # blows up: a finite run of moderate size that starts on it is its own
+    on_plane = not np.signbit(xy).any() and not any(xy) and (tilt == 0.0 or mode == "stage3")
+    if on_plane and jd[2] <= 1.0 and not isinstance(want, str):
+        values = np.frombuffer(want[0])
+        if np.isfinite(values).all() and np.abs(values).max() < 1e100:
+            assert got is not None
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize(
+    "wz, dt, horizon",
+    [(1e150, 1e-3, 1.0), (2.0, 0.05, 60.0)],  # a non-finite state; a zero quaternion
+)
+def test_plane_run_that_blows_up_raises_the_general_error(monkeypatch, law, wz, dt, horizon):
+    sc = make_ic_scenario(wz, 150.0, law, horizon=horizon)
+    sc.dt = dt  # past the step limit that Scenario refuses
+    y0 = stage3_initial_state(sc.maneuver)
+    assert run_on_plane(y0, make_controller(sc), dt, horizon) is None
+    with pytest.raises(SimulationError) as plane:
+        run_scenario(sc)
+    monkeypatch.setattr(harness, "run_on_plane", lambda *args: None)
+    with pytest.raises(SimulationError) as general:
+        run_scenario(sc)
+    assert str(plane.value) == str(general.value)

@@ -8,8 +8,9 @@ a per-step wrapper in ``simulate``) fails here and not only in the
 benchmark.  A stage-3 control step is the controller's ``__call__``,
 ``ManeuverTracker.sample``, the bound law and ``renorm_if_drifted``, plus the
 sigma rule of the benchmark and switching laws; an integration step is the
-RK4 step, its four derivative calls and ``renorm_if_drifted``, and on the
-yaw plane the RK4 step and ``renorm_if_drifted`` alone.
+RK4 step, its four derivative calls and ``renorm_if_drifted``.  A step of
+a run on the yaw plane, in ``harness.run_on_plane``, is the law's
+``renorm_if_drifted`` and sigma rule and the step's ``renorm_if_drifted``.
 
 The per-state certificates are held to the same rule: each of
 ``lyapunov_value``, ``lyapunov_rate``, ``lyapunov_decay_bound`` and
@@ -24,7 +25,7 @@ import pytest
 
 from attswitch import stability
 from attswitch.controllers import ErrorState, switch_function
-from attswitch.harness import SWITCHING_GAINS, make_controller, make_ic_scenario
+from attswitch.harness import SWITCHING_GAINS, make_controller, make_ic_scenario, run_on_plane
 from attswitch.reference import stage3_initial_state
 from attswitch.rigid_body import simulate
 
@@ -105,11 +106,26 @@ def test_simulate_step_frames():
     ]
 
 
-def test_simulate_plane_step_frames():
-    # on the yaw plane, the stage-3 state, the step integrates qw, qz and wz
-    # in its own body
-    y0 = stage3_initial_state(make_ic_scenario(2.0, 150.0).maneuver)
-    assert _simulate_step_frames(y0) == ["controller", "renorm_if_drifted", "step"]
+# sorted, as _simulate_step_frames gives them
+PLANE_STEP_FRAMES = {
+    "continuous": ["renorm_if_drifted", "renorm_if_drifted"],
+    "benchmark": ["_shorter_path_sign", "renorm_if_drifted", "renorm_if_drifted"],
+    "switching": ["renorm_if_drifted", "renorm_if_drifted", "update_sigma"],
+}
+
+
+@pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
+def test_plane_driver_step_frames(law):
+    # on the yaw plane, from the stage-3 state, run_on_plane writes the law's
+    # and the step's yaw rows itself: one step more opens the law's renorm
+    # and sign rule and the step's renorm, and no controller, sample or step
+    sc = make_ic_scenario(2.0, 150.0, law)
+    y0 = stage3_initial_state(sc.maneuver)
+    runs = [_frames(run_on_plane, y0, make_controller(sc), sc.dt, n * sc.dt) for n in (3, 4)]
+    extra = sorted(runs[1])
+    for name in runs[0]:
+        extra.remove(name)
+    assert extra == PLANE_STEP_FRAMES[law]
 
 
 CERTIFICATE_FRAMES = {

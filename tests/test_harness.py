@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,35 @@ class TestRunScenario:
             ManeuverSpec(w0=np.array([0.0, 0.0, 1e-200]), psi0=1.0)
         # stage3 mode never plans a stage 2, so it keeps such a rate
         assert ManeuverSpec(w0=np.array([0.0, 0.0, 1e-200]), psi0=1.0, mode="stage3").rate == 0.0
+
+    def test_full_mode_allowance_past_the_step_limit_names_wz(self, monkeypatch):
+        # 1e-160 squares to a subnormal, not to 0, and the stage-2 allowance
+        # makes the run 3.9e160 s long: refused before either loop takes a step
+        steps = []
+        monkeypatch.setattr(harness, "run_on_plane", lambda *args: steps.append(args))
+        monkeypatch.setattr(harness, "simulate", lambda *args: steps.append(args))
+        sc = harness.scenario_from_text("", {"mode": "full", "wz": "1e-160", "psi0_deg": "150"})
+        with pytest.raises(ValueError) as refused:
+            run_scenario(sc)
+        assert str(refused.value) == (
+            "full mode at wz = 1e-160 rad/s allows stage 2 1.5 psi0/|w0| + 0.5 s = 3.93e+160 s,"
+            " so the run takes 3.93e+163 steps, more than the 10000000 a run may take"
+        )
+        assert steps == []
+
+    def test_full_mode_run_memory_peak(self):
+        # the plane driver gathers its rows CHUNK at a time, as simulate does:
+        # 12329 rows, 2.8 MB traced at its peak; holding every row's tuples
+        # until the end would need about 8 MB
+        sc = harness.scenario_from_text("", {"mode": "full", "wz": "1", "psi0_deg": "299"})
+        tracemalloc.start()
+        try:
+            run = run_scenario(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.t) == 12329
+        assert peak <= 4e6
 
     @pytest.mark.parametrize("controller", ["continuous", "benchmark", "switching"])
     def test_step_limit_is_where_one_closed_loop_step_turns_unstable(self, controller):

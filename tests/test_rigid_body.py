@@ -126,8 +126,8 @@ class TestRk4Step:
 
 
 def general_rk4(J, dt):
-    """bind_rk4's general body, in its operation order, on the bound
-    derivative: the reference its yaw-plane branch must match bit for bit."""
+    """bind_rk4's body, in its operation order, on the bound derivative:
+    the reference it must match bit for bit, yaw-plane inputs included."""
     J = np.asarray(J, dtype=float)
     f = _bind_derivative(J.tolist(), np.linalg.inv(J).tolist())
     h, s = 0.5 * dt, dt / 6.0
@@ -164,7 +164,10 @@ EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.6, -0.8, 150.0, ma
 
 
 class TestYawPlaneStep:
-    """The step's yaw-plane branch against the general body it replaces."""
+    """The step on yaw-plane inputs and their signed-zero and non-finite
+    neighbours against the reference body.  ``harness.run_on_plane``, which
+    writes the plane rows itself, is checked against ``simulate`` in
+    tests/test_closed_loop.py with these cases."""
 
     def _assert_matches_general(self, J, dt, patterns, values):
         step, ref = bind_rk4(J, dt), general_rk4(J, dt)
@@ -174,22 +177,19 @@ class TestYawPlaneStep:
                 assert _outcome(step, y, tau) == _outcome(ref, y, tau), (y, tau)
 
     def test_every_zero_sign_pattern(self):
-        # a -0.0 in the state must take the general body: its stage sums
-        # turn the -0.0 into +0.0, which the plane branch would not
+        # a -0.0 in the state: the stage sums turn it into +0.0
         values = (0.0, -0.0, 1e-300, -0.8, math.nan)
         self._assert_matches_general(DEFAULT_INERTIA, 1e-3, SIGNED_ZEROS, values)
 
     @pytest.mark.parametrize("dt", [1e-3, 0.019])
     def test_every_edge_value_on_the_plane(self, dt):
-        # +0.0 state zeros and torque zeros of either sign: the branch runs,
-        # unless a non-finite result sends the step to the general body
+        # +0.0 state zeros and torque zeros of either sign
         patterns = [(0.0, 0.0, 0.0, 0.0, 0.0, -0.0), (0.0, 0.0, 0.0, 0.0, -0.0, 0.0)]
         self._assert_matches_general(DEFAULT_INERTIA, dt, patterns, EDGE_VALUES)
 
     def test_yaw_inertia_above_one_takes_the_general_body(self):
-        # J_22 wz overflows, so the general body's x and y turn NaN, while
-        # the plane branch's qw, qz and wz would stay finite; at J_22 <= 1 it
-        # cannot overflow
+        # J_22 wz overflows, so x and y turn NaN, while qw, qz and wz alone
+        # would stay finite; at J_22 <= 1 it cannot overflow
         J, y, tau = np.diag([1.0, 1.0, 1e300]), (0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 1e10), (0.0,) * 3
         assert math.isnan(bind_rk4(J, 1e-3)(y, tau)[4])
         assert _outcome(bind_rk4(J, 1e-3), y, tau) == _outcome(general_rk4(J, 1e-3), y, tau)
@@ -202,7 +202,7 @@ class TestYawPlaneStep:
 
     def test_run_leaving_and_off_the_plane(self):
         # tx turns on at step 40 and off again at step 90: the run leaves
-        # the plane and stays off it, on the general body
+        # the plane and stays off it
         def controller(t, y):
             k = round(t / 1e-3)
             return (2e-7 if 40 <= k < 90 else 0.0, 0.0, -1e-4 * y[6]), ()
