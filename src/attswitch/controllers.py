@@ -227,23 +227,13 @@ def _bind_law(gains: GainSet, J, name: str):
     sgn(m_e) ("benchmark") or the sigma passed in ("continuous"), these two
     with kn = 0, whose zero terms are formed all the same (left out, they can
     flip the sign of a zero torque for a -0.0 feedforward and a non-diagonal J).
-
-    The products with the off-diagonal entries of J are formed only when one
-    of them is nonzero (``off``), and then added in the order of the full
-    sums J a and J w, so a non-diagonal inertia keeps its bits.  A diagonal
-    one keeps them too, for finite inputs and a feedforward wdot_d with no
-    -0.0 entry (the reference's is +0.0): each dropped product is +-0.0, and
-    x + (+-0.0) = x unless x = -0.0, while a is never -0.0 because wdot_d is
-    added to it, so neither J_ii a_i (unless it underflows to zero) nor a
-    torque entry is.  A sign change of a zero J w entry changes w x Jw only
-    in the sign of a zero, which the sum J_ii a_i + (w x Jw)_i does not keep.
+    J a and J w are full sums of all nine products, whatever the form of J.
     """
     kn = law_kn(gains, name)
     switching, benchmark = name == "switching", name == "benchmark"
     kq, kw, delta = gains.kq, gains.kw, gains.delta
     slope, radius = gains.lam_slope, gains.roa_radius
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
-    off = any((j01, j02, j10, j12, j20, j21))
 
     def law(sigma, y, ref):
         qw, qx, qy, qz, wx, wy, wz = y
@@ -267,16 +257,14 @@ def _bind_law(gains: GainSet, J, name: str):
         ax = kp * nx + kw * ux + fx + kd * (0.5 * (m * ex + ey * nz - ez * ny))
         ay = kp * ny + kw * uy + fy + kd * (0.5 * (m * ey + ez * nx - ex * nz))
         az = kp * nz + kw * uz + fz + kd * (0.5 * (m * ez + ex * ny - ey * nx))
-        jx, jy, jz = j00 * wx, j11 * wy, j22 * wz
-        tx, ty, tz = j00 * ax, j11 * ay, j22 * az
-        if off:
-            jx, jy, jz = (
-                jx + j01 * wy + j02 * wz, j10 * wx + jy + j12 * wz, j20 * wx + j21 * wy + jz
-            )
-            tx, ty, tz = (
-                tx + j01 * ay + j02 * az, j10 * ax + ty + j12 * az, j20 * ax + j21 * ay + tz
-            )
-        tau = (tx + (wy * jz - wz * jy), ty + (wz * jx - wx * jz), tz + (wx * jy - wy * jx))
+        jx = j00 * wx + j01 * wy + j02 * wz
+        jy = j10 * wx + j11 * wy + j12 * wz
+        jz = j20 * wx + j21 * wy + j22 * wz
+        tau = (
+            j00 * ax + j01 * ay + j02 * az + (wy * jz - wz * jy),
+            j10 * ax + j11 * ay + j12 * az + (wz * jx - wx * jz),
+            j20 * ax + j21 * ay + j22 * az + (wx * jy - wy * jx),
+        )
         return tau, (m, nx, ny, nz, ex, ey, ez, s, lam)
 
     return law

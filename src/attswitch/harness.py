@@ -174,14 +174,14 @@ def run_on_plane(y0, controller, dt: float, duration: float):
     finish; its refusals are ``rigid_body.checked_run``'s.
 
     It takes a run that starts with qx, qy, wx and wy at +0.0 on a diagonal
-    inertia (validated, so J_00 and J_11 are positive and finite) with
-    finite Jinv_00 and Jinv_11 and J_22 in (0, 1] kg m^2, which keeps J_22 wz
-    finite for a finite wz.  Only qw, qz and wz then move.  While the
-    tracker's t0 is pending, each step samples it with the packed state,
-    and a stage-2 spin sample goes through the controller's law, whose
-    torque x and y must be zeros (of either sign), stored as returned.  For
-    the hold sample HOLD = ((1, 0, 0, 0), 0, 0) and x and y at +0.0,
-    ``_bind_law``'s general body reduces term by term to
+    inertia (validated, so it and its inverse, diagonal too, are finite) with
+    J_22 <= 1 kg m^2, which keeps J_22 wz finite for a finite wz and makes
+    Jinv_22 >= 1.  Only qw, qz and wz then move.  While the tracker's t0 is
+    pending, each step samples it with the packed state, and a stage-2 spin
+    sample goes through the controller's law, whose torque x and y must be
+    zeros (of either sign), stored as returned.  For the hold sample
+    HOLD = ((1, 0, 0, 0), 0, 0) and x and y at +0.0, ``_bind_law``'s general
+    body reduces term by term to
 
         q_err = renorm(qw + 0.0, qw 0.0 + qz 0.0, 0.0, 0.0 - qz)
                     (qw 1.0 + 0.0 + 0.0 + qz 0.0; a +-0.0 minus +0.0 is
@@ -193,7 +193,8 @@ def run_on_plane(y0, controller, dt: float, duration: float):
         tau = (0.0, 0.0, J_22 a_z + 0.0)
 
     as nu_x, nu_y, a_x, a_y, J_00 a_x and J_11 a_y are +0.0, and so are
-    their sums with the zero (w x Jw)_x and _y; (w x Jw)_z is +0.0 - +0.0.
+    their sums with the zero off-diagonal products and (w x Jw)_x and _y;
+    (w x Jw)_z is +0.0 - +0.0, which turns a zero (J a)_z into +0.0.
     ``bind_rk4``'s step with such a torque keeps every stage on the plane
     (y + h k of a +0.0 entry and a zero derivative is +0.0), where the
     derivative reduces to
@@ -202,6 +203,8 @@ def run_on_plane(y0, controller, dt: float, duration: float):
         qz_dot = 0.5 (qw wz + 0.0)          (v + 0.0 - 0.0 is v + 0.0)
         wz_dot = Jinv_22 tz                 (rz = tz - (+0.0) = tz)
 
+    (Jinv_20 rx + Jinv_21 ry is a zero, and Jinv_22 tz is one only for
+    tz = +0.0, as Jinv_22 >= 1; wx_dot and wy_dot are zeros of either sign),
     and the renorm's |q|^2 is qw^2 + qz^2 plus two +0.0 terms.  Both need
     every entry finite.  A state that a step makes non-finite makes the
     next law call's Lambda + tau_z, or spin torque x, non-finite; a run whose
@@ -212,12 +215,12 @@ def run_on_plane(y0, controller, dt: float, duration: float):
     """
     y, J, n_steps = rigid_body.checked_run(y0, controller.J, dt, duration)
     J, Jinv = rigid_body._inertia_rows(J)
-    j22, i00, i11, i22 = J[2][2], Jinv[0][0], Jinv[1][1], Jinv[2][2]
+    (_, j01, j02), (j10, _, j12), (j20, j21, j22) = J
+    i22 = Jinv[2][2]
     qw, qx, qy, qz, wx, wy, wz = y
     # -qx - qy - wx - wy is -0.0 only when all four are +0.0
     if (qx or qy or wx or wy or math.copysign(1.0, -qx - qy - wx - wy) > 0.0
-            or rigid_body._off_diagonal(J, Jinv) or not 0.0 < j22 <= 1.0
-            or not (math.isfinite(i00) and math.isfinite(i11))):
+            or j01 or j02 or j10 or j12 or j20 or j21 or j22 > 1.0):
         return None
     gains, name, tracker = controller.gains, controller._name, controller.tracker
     kn, kq, kw, delta = law_kn(gains, name), gains.kq, gains.kw, gains.delta

@@ -16,11 +16,8 @@ closure over the inertia rows, their inverse and the step size, and every
 step after that passes only float tuples: the packed state
 y = (qw, qx, qy, qz, wx, wy, wz) and the held torque tau.
 ``_bind_derivative`` is the only form of the state derivative, with the
-gyroscopic term w x Jw written in its body.  It forms the products with the
-off-diagonal entries of J and of its inverse only when one of them is
-nonzero, so a diagonal inertia (``DEFAULT_INERTIA``, and every inertia a
-scenario.txt can hold) skips 24 float operations of each derivative call,
-96 per RK4 step, with the same bits (the argument is in its docstring).
+gyroscopic term w x Jw written in its body and J w and Jinv r as full sums
+of all nine products, whatever the form of J.
 The packed state is also the only form of a state: ``simulate`` starts
 from a packed y0, hands its controller the packed state y itself, so
 nothing is built per step, and refuses a bad y0 or a run longer than
@@ -53,10 +50,12 @@ class SimulationError(RuntimeError):
 
 
 def validate_inertia(J: np.ndarray) -> np.ndarray:
-    """Check that J is a finite, symmetric, positive-definite 3x3 matrix.
+    """Check that J is a finite, symmetric, positive-definite 3x3 matrix
+    whose inverse is finite.
 
     Positive definiteness is established through the leading principal
-    minors (Sylvester's criterion).  Returns J as a float array.
+    minors (Sylvester's criterion); a minor that overflows is +inf, and
+    counts as positive.  Returns J as a float array.
     """
     J = np.asarray(J, dtype=float)
     if J.shape != (3, 3):
@@ -65,11 +64,15 @@ def validate_inertia(J: np.ndarray) -> np.ndarray:
         raise ValueError("inertia matrix must be finite")
     if not np.allclose(J, J.T, rtol=0.0, atol=1e-12):
         raise ValueError("inertia matrix must be symmetric (tol 1e-12)")
-    m1 = J[0, 0]
-    m2 = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    m3 = np.linalg.det(J)
+    with np.errstate(over="ignore"):
+        m1 = J[0, 0]
+        m2 = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        m3 = np.linalg.det(J)
     if not (m1 > 0.0 and m2 > 0.0 and m3 > 0.0):
         raise ValueError(f"inertia matrix must be positive definite, minors = ({m1}, {m2}, {m3})")
+    Jinv = np.linalg.inv(J)
+    if not np.all(np.isfinite(Jinv)):
+        raise ValueError(f"inertia matrix must have a finite inverse, got {Jinv.tolist()}")
     return J
 
 
@@ -78,54 +81,27 @@ def _check_step(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
-def _off_diagonal(J, Jinv) -> bool:
-    """Whether an off-diagonal entry of the inertia rows J or of their
-    inverse is nonzero (or NaN)."""
-    (_, j01, j02), (j10, _, j12), (j20, j21, _) = J
-    (_, i01, i02), (i10, _, i12), (i20, i21, _) = Jinv
-    return any((j01, j02, j10, j12, j20, j21, i01, i02, i10, i12, i20, i21))
-
-
 def _bind_derivative(J, Jinv):
     """Derivative ``f(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz)`` of the packed
-    state for a held torque, bound to the inertia rows J and their inverse.
-
-    The products with the off-diagonal entries of J and Jinv are formed only
-    when one of them is nonzero (``off``), and then added in the order of the
-    full sums J w and Jinv r, so a non-diagonal inertia keeps its bits.  A
-    diagonal one keeps them too, for finite states and a torque with no -0.0
-    entry: each dropped product is +-0.0, and x + (+-0.0) = x unless
-    x = -0.0, while a diagonal product Jinv_ii r_i is -0.0 only if r_i is
-    (or the product underflows to zero), and r = tau - w x Jw is -0.0 only if
-    tau is.  A sign change of a zero J w entry changes w x Jw only in the
-    sign of a zero, which r does not keep.
-    """
+    state for a held torque, bound to the inertia rows J and their inverse."""
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = Jinv
-    off = _off_diagonal(J, Jinv)
 
     def derivative(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz):
-        jx, jy, jz = j00 * wx, j11 * wy, j22 * wz
-        if off:
-            jx, jy, jz = (
-                jx + j01 * wy + j02 * wz, j10 * wx + jy + j12 * wz, j20 * wx + j21 * wy + jz
-            )
+        jx = j00 * wx + j01 * wy + j02 * wz
+        jy = j10 * wx + j11 * wy + j12 * wz
+        jz = j20 * wx + j21 * wy + j22 * wz
         rx = tx - (wy * jz - wz * jy)
         ry = ty - (wz * jx - wx * jz)
         rz = tz - (wx * jy - wy * jx)
-        ax, ay, az = i00 * rx, i11 * ry, i22 * rz
-        if off:
-            ax, ay, az = (
-                ax + i01 * ry + i02 * rz, i10 * rx + ay + i12 * rz, i20 * rx + i21 * ry + az
-            )
         return (
             0.5 * (-qx * wx - qy * wy - qz * wz),
             0.5 * (qw * wx + qy * wz - qz * wy),
             0.5 * (qw * wy - qx * wz + qz * wx),
             0.5 * (qw * wz + qx * wy - qy * wx),
-            ax,
-            ay,
-            az,
+            i00 * rx + i01 * ry + i02 * rz,
+            i10 * rx + i11 * ry + i12 * rz,
+            i20 * rx + i21 * ry + i22 * rz,
         )
 
     return derivative

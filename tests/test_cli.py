@@ -222,6 +222,14 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_inertia_whose_inverse_is_not_finite_usage_error(self, tmp_path, capsys):
+        # a subnormal principal moment has an inf inverse entry; the run used
+        # to fail at its first step with exit 2
+        out = tmp_path / "run"
+        assert main(["simulate", "--ic", "2,150", "--j", "1e-309,1,1", "--out", str(out)]) == 1
+        assert "inverse" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     @pytest.mark.parametrize(
         "args, shown",
         [(["--ic", "2,420"], "420.0"), (["--mode", "full", "--ic", "2,360"], "360.0"),

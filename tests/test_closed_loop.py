@@ -7,7 +7,8 @@ equivalence tests compare the production loop with the reference loop in
 conftest: bit for bit on the default (diagonal) inertia, signed zeros
 included, and to a relative 1e-12 on non-diagonal inertias, where the
 production path sums J @ v in Python while the reference sums it in numpy.
-Non-diagonal runs are pinned to the bit by their own digests, and the bound
+Non-diagonal runs, and diagonal ones that the yaw-plane driver refuses, are
+pinned to the bit by their own digests, and the bound
 derivative and law are compared with the general forms in conftest,
 which form every product of the inertia.
 """
@@ -46,7 +47,7 @@ from attswitch.harness import (
 )
 from attswitch.quat import hamilton_product
 from attswitch.reference import ManeuverSpec, ManeuverTracker, stage3_initial_state
-from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, SimulationError, _bind_derivative, simulate
+from attswitch.rigid_body import CHUNK, SimulationError, _bind_derivative, simulate
 
 LAWS = ("benchmark", "switching", "continuous")
 
@@ -343,26 +344,74 @@ def test_nondiagonal_inertia_runs_pinned_to_the_bit(key):
     assert _run_digest(run_scenario(_nondiagonal_scenario(i, mode, law))) == NONDIAGONAL_DIGESTS[key]
 
 
-# --- Signed zeros on the diagonal path --------------------------------------
-# The bound derivative and torque skip the products with a zero off-diagonal
-# inertia entry; that keeps the bits only while no -0.0 reaches the sums
-# those products were added to (see their docstrings).
+# --- Diagonal inertias off the yaw-plane driver ------------------------------
+# run_on_plane refuses J_22 > 1 kg m^2 and a start off the plane, so these
+# runs of a diagonal inertia go through simulate's general step and law.
+
+# J_22 = 2 kg m^2: run_on_plane refuses it, run_scenario runs simulate
+GENERAL_DIAGONAL_INERTIA = np.diag([1e-5, 1e-5, 2.0])
+# (qx, wx, wy) of the stage-3 start at REFERENCE_ICS[0], off the yaw plane
+OFF_PLANE_STARTS = {
+    "wx": (0.0, 0.1, 0.0),
+    "tilted": (0.1, 0.0, -0.3),  # the quaternion renormalised
+    "qx=-0.0": (-0.0, 0.0, 0.0),
+}
 
 
-def _bound_flag(f):
-    """The ``off`` flag a bound derivative or torque closes over."""
-    return dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))["off"]
+def _diagonal_general_run(key):
+    if key[0] == "run_scenario":
+        _, mode, law = key
+        sc = _nondiagonal_scenario(0, mode, law)
+        sc.inertia = GENERAL_DIAGONAL_INERTIA
+        return _run_digest(run_scenario(sc))
+    _, start, law = key
+    steps = 300
+    sc = make_ic_scenario(*REFERENCE_ICS[0], law, horizon=steps * 1e-3)
+    qw, _, _, qz, _, _, wz = stage3_initial_state(sc.maneuver)
+    qx, wx, wy = OFF_PLANE_STARTS[start]
+    norm = math.sqrt(qw * qw + qx * qx + qz * qz)
+    y0 = (qw / norm, qx / norm, 0.0, qz / norm, wx, wy, wz)
+    assert run_on_plane(y0, make_controller(sc), sc.dt, steps * sc.dt) is None
+    traj = simulate(y0, make_controller(sc), sc.inertia, sc.dt, steps * sc.dt)
+    h = hashlib.sha256()
+    for a in (traj.t, traj.q, traj.w, traj.tau, traj.telemetry):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
-def test_default_inertia_takes_the_diagonal_path():
-    Jinv = np.linalg.inv(DEFAULT_INERTIA)
-    assert np.count_nonzero(Jinv - np.diag(np.diag(Jinv))) == 0
-    assert not _bound_flag(_bind_derivative(DEFAULT_INERTIA.tolist(), Jinv.tolist()))
-    gains = DEFAULT_GAINS["switching"]
-    assert not _bound_flag(_bind_law(gains, DEFAULT_INERTIA.tolist(), "switching"))
-    J = _ldl_inertia(*LDL_INERTIAS[-1])
-    assert _bound_flag(_bind_derivative(J.tolist(), np.linalg.inv(J).tolist()))
-    assert _bound_flag(_bind_law(gains, J.tolist(), "switching"))
+# ("run_scenario", mode, law) -> the digest of a 0.5 s run from
+# REFERENCE_ICS[0] on GENERAL_DIAGONAL_INERTIA, hashed as NONDIAGONAL_DIGESTS;
+# ("simulate", start, law) -> SHA-256 of the t, q, w, tau and telemetry bytes
+# of a 300-step simulate run on DEFAULT_INERTIA from that start
+DIAGONAL_GENERAL_DIGESTS = {
+    ("run_scenario", "stage3", "benchmark"): "c5397d66cea0074657a04a026755f506e19ba9df8858c6c3c3785e4c8a2da69b",
+    ("run_scenario", "stage3", "switching"): "dd0e1134402f2ebaf21343226a6cc0a37b21d86c391dcf621fb1e1f65a6d2c65",
+    ("run_scenario", "stage3", "continuous"): "926b542609bf0b4fadbde47cbeadc5c640373b37398bf94b90f1ce2f6b6c19ee",
+    ("run_scenario", "full", "benchmark"): "aac74230a2e50c6a5caddcb4468de8dbf000ae23bbaea63e0bfa535dfedb3d53",
+    ("run_scenario", "full", "switching"): "9ccd64aec00d2d839b80a8d1513c7ba625be12f3c5d358bc5252fbb81da98fc6",
+    ("run_scenario", "full", "continuous"): "02889027a25ac1f0a2a4b0ebec105bfad0b5425cc3d23c51b4fa90a909f0bd25",
+    ("simulate", "wx", "benchmark"): "975b10c9ec39d5cc16ba6f44a10e57936bcbe1ca688c0a868a67076a68deb91a",
+    ("simulate", "wx", "switching"): "dbf45a58eb6854a9a9831ea0fd419d006c4a6cfb53816fcfbbc27753669c3e1a",
+    ("simulate", "wx", "continuous"): "25d675bb0a6e5fac5f63a5ac84b0db227b6e9998084648b20939429883a0feb7",
+    ("simulate", "tilted", "benchmark"): "b42283979f78423c29128e7da6f8178da05c335a20c25ba2e3be6ca76c70f888",
+    ("simulate", "tilted", "switching"): "8ca76496ecd2a0315f5b478c67536cb41325f1ba53349ef2eced777f05cfa229",
+    ("simulate", "tilted", "continuous"): "f5d690e5757c2d6559abcee1e74a69a523e9d1cbd95a21f0086a0e6a749c6399",
+    ("simulate", "qx=-0.0", "benchmark"): "2ee8dd32943fd18763e7e3fbd44d8f1405764daddf23bdf7906d53ee47a184d8",
+    ("simulate", "qx=-0.0", "switching"): "9531fcf52daac2a41b78e1de4a6d2ad0e37d2e8714ed62bf7cd4db5056ebe3a0",
+    ("simulate", "qx=-0.0", "continuous"): "13512ede2e052bfe4274b93d8023b3f1832335dcc4fc4cee0606acf1d1cc0c5b",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(DIAGONAL_GENERAL_DIGESTS), ids=lambda k: "-".join(map(str, k))
+)
+def test_diagonal_general_runs_pinned_to_the_bit(key):
+    assert _diagonal_general_run(key) == DIAGONAL_GENERAL_DIGESTS[key]
+
+
+# --- Signed zeros in the start state ----------------------------------------
+# J w and Jinv r are full sums, so a zero of either sign in the state reaches
+# the same sums as in the reference loop.
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -598,7 +647,7 @@ def _example(**changes):
 @_example(jd=(1.0, 1.0, 0.0))
 @_example(jd=(1e-200, 1e-200, 1e-200))  # J_00 J_11 underflows to 0
 @_example(jd=(1.0, math.inf, 1.0))
-@_example(jd=(1e-309, 1.0, 1.0))  # Jinv_00 is inf: x and y turn NaN
+@_example(jd=(1e-309, 1.0, 1.0))  # refused by validate_inertia
 @_example(wz=1e150)  # the state blows up in the first step
 @_example(q=(1.0, 5e-324), wz=0.0)  # J_22 a_z underflows to -0.0, tau_z is +0.0
 @_example(q=(-5e-324, 1.0), wz=0.0)  # 4c m_e underflows to -0.0 in Lambda

@@ -61,6 +61,16 @@ class TestValidateInertia:
         with pytest.raises(ValueError):
             validate_inertia(np.eye(2))
 
+    @pytest.mark.parametrize("jd", [(1e-309, 1.0, 1.0), (1e-5, 1e-5, 1e-309)])
+    def test_rejects_inverse_that_is_not_finite(self, jd):
+        # positive definite, but 1/1e-309 overflows to inf
+        with pytest.raises(ValueError, match="inverse"):
+            validate_inertia(np.diag(jd))
+
+    def test_accepts_large_inertia_with_finite_inverse(self):
+        J = validate_inertia(np.diag([1e300, 1e300, 1e300]))
+        assert np.isfinite(np.linalg.inv(J)).all()
+
 
 class TestOpenLoopDerivative:
     def test_equilibrium(self):
