@@ -121,7 +121,14 @@ def _build_scenario(args) -> harness.Scenario:
     overrides = {k: v for k, v in keys.items() if k in harness.SCENARIO_KEYS}
     if args.ic is not None:
         overrides["wz"], overrides["psi0_deg"] = _parse_pair(args.ic, "--ic")
-    text = Path(args.scenario).read_text() if args.scenario else ""
+    text = ""
+    if args.scenario:
+        # a file that cannot be read is a configuration error, whatever the errno
+        try:
+            text = Path(args.scenario).read_text()
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ValueError(f"cannot read the scenario file {args.scenario}: {reason}") from exc
     return harness.scenario_from_text(text, overrides, args.scenario)
 
 
@@ -261,9 +268,6 @@ def dispatch(config: argparse.Namespace) -> int:
     try:
         return _DISPATCH[config.command](config)
     except ValueError as exc:
-        print(f"attswitch: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
         print(f"attswitch: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (SimulationError, OSError) as exc:

@@ -39,9 +39,8 @@ from .controllers import (
     _bind_law,
     _shorter_path_sign,
     law_kn,
-    update_sigma,
 )
-from .quat import IDENTITY, renorm_if_drifted, yaw_of
+from .quat import IDENTITY, NORM_DRIFT_TOL, yaw_of
 from .reference import HOLD, MODE_STAGE3, ManeuverSpec, ManeuverTracker, stage3_initial_state
 from .rigid_body import (
     CHUNK,
@@ -204,14 +203,28 @@ def run_on_plane(y0, controller, dt: float, duration: float):
         wz_dot = Jinv_22 tz                 (rz = tz - (+0.0) = tz)
 
     (Jinv_20 rx + Jinv_21 ry is a zero, and Jinv_22 tz is one only for
-    tz = +0.0, as Jinv_22 >= 1; wx_dot and wy_dot are zeros of either sign),
-    and the renorm's |q|^2 is qw^2 + qz^2 plus two +0.0 terms.  Both need
-    every entry finite.  A state that a step makes non-finite makes the
-    next law call's Lambda + tau_z, or spin torque x, non-finite; a run whose
-    Lambda + tau_z is not finite, whose spin torque leaves the plane, or
-    whose renorm divides by zero returns None, for its caller to run again
-    from the start through ``simulate``.  A hold step opens three frames:
-    the law's ``renorm_if_drifted`` and sign rule, and the step's renorm.
+    tz = +0.0, as Jinv_22 >= 1; wx_dot and wy_dot are zeros of either sign).
+    Both need every entry finite.  A state that a step makes non-finite makes
+    the next law call's Lambda + tau_z, or spin torque x, non-finite; a run
+    whose Lambda + tau_z is not finite, whose spin torque leaves the plane,
+    or whose renorm divides by zero returns None, for its caller to run
+    again from the start through ``simulate``.
+
+    A hold step opens no Python frame.  The two calls of
+    ``renorm_if_drifted`` are written out with their bits: the step's |q|^2
+    is pw^2 + pz^2 plus two +0.0 terms, and the law's is qw^2 + qz^2 for a
+    finite qw and qz, as (qw + 0.0)^2 is qw^2, (0.0 - qz)^2 is qz^2 and
+    (qw 0.0 + qz 0.0)^2 and 0.0^2 are +0.0 (a non-finite qw or qz leaves m
+    or nz non-finite in both forms, and so Lambda + tau_z).  The sign rules
+    are ``update_sigma``'s, whose delta > 0 ``GainSet`` guarantees, and
+    ``_shorter_path_sign``'s.  A step stores only what it forms: qw, qz, wz,
+    tau_z, m, nz, sigma and Lambda, into lists of a chunk.  At the chunk's
+    end numpy forms nx = qw 0.0 + qz 0.0 and ez = 0.0 - wz on the stored
+    columns, the same IEEE operations on the same operands; the law's
+    renorm scales nx by 1/sqrt(|q|^2), finite and positive or +0.0, which
+    leaves a zero as it is, sign included.  ny, the rates' and the torque's
+    x and y stay the +0.0 of ``np.zeros``.  The chunk's stage-2 spin rows
+    are then written over their slots, as the law returned them.
     """
     y, J, n_steps = rigid_body.checked_run(y0, controller.J, dt, duration)
     J, Jinv = rigid_body._inertia_rows(J)
@@ -227,42 +240,55 @@ def run_on_plane(y0, controller, dt: float, duration: float):
     slope, radius = gains.lam_slope, gains.roa_radius
     switching, benchmark = name == "switching", name == "benchmark"
     sigma = controller.sigma if switching else +1  # the sign the controller hands its law
-    isfinite, h, third, n = math.isfinite, 0.5 * dt, dt / 6.0, n_steps + 1
-    # x and y stay +0.0; the (qw, qz, wz) rows fill columns 0, 3 and 6
-    ys_out, taus_out, tel = np.zeros((n, 7)), np.empty((n, 3)), np.empty((n, 9))
-    ys, taus, rows = [None] * CHUNK, [None] * CHUNK, [None] * CHUNK
+    isfinite, sqrt, h, third, n = math.isfinite, math.sqrt, 0.5 * dt, dt / 6.0, n_steps + 1
+    # ny, the torque's and the rates' x and y stay +0.0; nx and ez are formed
+    # per chunk from the stored qw, qz and wz
+    ys_out, taus_out, tel = np.zeros((n, 7)), np.zeros((n, 3)), np.zeros((n, 9))
+    qws, qzs, wzs, tzs, ms, nzs, sigmas, lams = ([0.0] * CHUNK for _ in range(8))
     try:
         for start in range(0, n, CHUNK):
-            stop = min(start + CHUNK, n)
-            for k in range(start, stop):
+            c, last = min(CHUNK, n - start), n_steps - start
+            spin = []  # (row index, tau, telemetry row) of the chunk's stage-2 spin samples
+            for i in range(c):
                 ref = HOLD if tracker.t0 is not None else tracker.sample(
-                    k * dt, (qw, 0.0, 0.0, qz, 0.0, 0.0, wz)
+                    (start + i) * dt, (qw, 0.0, 0.0, qz, 0.0, 0.0, wz)
                 )
                 if ref is HOLD:
-                    m, nx, ny, nz = renorm_if_drifted(qw + 0.0, qw * 0.0 + qz * 0.0, 0.0, 0.0 - qz)
+                    m, nz, nn = qw + 0.0, 0.0 - qz, qw * qw + qz * qz
+                    if abs(nn - 1.0) > NORM_DRIFT_TOL:
+                        s = 1.0 / sqrt(nn)
+                        m, nz = m * s, nz * s
                     ez = 0.0 - wz
                     lam = slope * (0.0 + ez * nz) + radius * m
-                    sigma = update_sigma(sigma, lam, delta) if switching else (
-                        _shorter_path_sign(m) if benchmark else sigma
-                    )
+                    if switching:
+                        if lam >= delta:
+                            sigma = +1
+                        elif lam <= -delta:
+                            sigma = -1
+                    elif benchmark:
+                        sigma = +1 if m >= 0.0 else -1
                     kd = sigma * kn
                     tz = j22 * (
                         sigma * kq * nz + kw * (ez + kd * nz) + 0.0 + kd * (0.5 * (m * ez + 0.0))
                     ) + 0.0
                     if not isfinite(lam + tz):
                         return None
-                    tau, row = (0.0, 0.0, tz), (m, nx, ny, nz, 0.0, 0.0, ez, sigma, lam)
+                    tzs[i] = tz
+                    ms[i] = m
+                    nzs[i] = nz
+                    sigmas[i] = sigma
+                    lams[i] = lam
                 else:
                     tau, row = controller._law(sigma, (qw, 0.0, 0.0, qz, 0.0, 0.0, wz), ref)
                     tx, ty, tz = tau
                     if tx or ty:
                         return None
                     sigma = row[7]
-                i = k - start
-                ys[i] = (qw, qz, wz)
-                taus[i] = tau
-                rows[i] = row
-                if k == n_steps:
+                    spin.append((start + i, tau, row))
+                qws[i] = qw
+                qzs[i] = qz
+                wzs[i] = wz
+                if i == last:
                     break
                 a6 = i22 * tz
                 w = wz + h * a6
@@ -276,10 +302,19 @@ def run_on_plane(y0, controller, dt: float, duration: float):
                 pw = qw + third * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
                 pz = qz + third * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
                 wz = wz + third * (a6 + 2.0 * a6 + 2.0 * a6 + a6)
-                qw, _, _, qz = renorm_if_drifted(pw, 0.0, 0.0, pz)
-            ys_out[start:stop, ::3] = rigid_body.float_rows(ys[: stop - start], 3)
-            taus_out[start:stop] = rigid_body.float_rows(taus[: stop - start], 3)
-            tel[start:stop] = rigid_body.float_rows(rows[: stop - start], 9)
+                qw, qz, nn = pw, pz, pw * pw + pz * pz
+                if abs(nn - 1.0) > NORM_DRIFT_TOL:
+                    s = 1.0 / sqrt(nn)
+                    qw, qz = pw * s, pz * s
+            rows = slice(start, start + c)
+            ys_out[rows, 0], ys_out[rows, 3], ys_out[rows, 6] = qws[:c], qzs[:c], wzs[:c]
+            taus_out[rows, 2], tel[rows, 0], tel[rows, 3] = tzs[:c], ms[:c], nzs[:c]
+            tel[rows, 7], tel[rows, 8] = sigmas[:c], lams[:c]
+            tel[rows, 1] = ys_out[rows, 0] * 0.0 + ys_out[rows, 3] * 0.0
+            tel[rows, 6] = 0.0 - ys_out[rows, 6]
+            if spin:
+                ks, taus, law_rows = zip(*spin)
+                taus_out[list(ks)], tel[list(ks)] = taus, law_rows
     except ZeroDivisionError:  # the renorm of a zero quaternion
         return None
     return rigid_body.Trajectory(

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,27 @@ class TestSimulateCommand:
 
     def test_missing_scenario_file_usage_error(self, capsys):
         assert main(["simulate", "--scenario", "nope.txt"]) == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_scenario_file_usage_error(self, tmp_path, capsys, monkeypatch, kind):
+        # the --scenario path's role decides the exit code, not the errno:
+        # a directory (IsADirectoryError) exits 1 as a missing file does
+        runs = _counted_runs(monkeypatch)
+        scenario = tmp_path if kind == "directory" else tmp_path / "nope.txt"
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert f"cannot read the scenario file {scenario}" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
+    def test_out_missing_parent_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # a write that fails with FileNotFoundError is a runtime error too
+        def mkdir(self, *args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", str(self))
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        out = tmp_path / "run"
+        assert main(["simulate", "--ic", "2,100", "--horizon", "0.1", "--out", str(out)]) == 2
+        assert "attswitch: runtime error: " in capsys.readouterr().err
 
 
 class TestStabilityReportCommand:

@@ -47,7 +47,7 @@ from attswitch.harness import (
 )
 from attswitch.quat import hamilton_product
 from attswitch.reference import ManeuverSpec, ManeuverTracker, stage3_initial_state
-from attswitch.rigid_body import CHUNK, SimulationError, _bind_derivative, simulate
+from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, SimulationError, _bind_derivative, simulate
 
 LAWS = ("benchmark", "switching", "continuous")
 
@@ -702,3 +702,54 @@ def test_plane_run_that_blows_up_raises_the_general_error(monkeypatch, law, wz, 
     with pytest.raises(SimulationError) as general:
         run_scenario(sc)
     assert str(plane.value) == str(general.value)
+
+
+# --- The yaw-plane driver across its chunk flushes ---------------------------
+# The draws above take at most 60 steps, all inside the driver's first chunk.
+# These runs take 2 CHUNK + 37 steps, so they reach the flushes where the
+# driver forms the derived telemetry columns and writes the stage-2 spin rows
+# back over their slots.  Each case's own expectation is read from simulate's
+# run, so it holds of the input whatever the driver does.
+
+_FLUSH_STEPS = 2 * CHUNK + 37
+
+
+def _flush_run(case):
+    """(spec, y0) of a flush case, at dt = 1 ms."""
+    if case.startswith("full"):
+        # stage 1 for 50 ms (200 ms: the spin rows run past row CHUNK), then
+        # a spin at 20 rad/s until the yaw reaches psi0
+        stage1, psi0 = (0.2, 2.0) if case == "full_straddle" else (0.05, 1.0)
+        spec = ManeuverSpec(w0=np.array([0.0, 0.0, 20.0]), psi0=psi0, stage1_duration=stage1)
+        return spec, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    spec = ManeuverSpec(w0=np.array([0.0, 0.0, 2.0]), psi0=math.radians(150.0), mode="stage3")
+    qw, _, _, qz, _, _, wz = stage3_initial_state(spec)
+    scale = {"stage3": 1.0, "drifted": 1.0 + 1e-10, "negated": -1.0}[case]
+    return spec, (qw * scale, 0.0, 0.0, qz * scale, 0.0, 0.0, wz)
+
+
+@pytest.mark.parametrize("case", ["stage3", "full", "full_straddle", "drifted", "negated"])
+@pytest.mark.parametrize("name", LAWS)
+def test_plane_driver_matches_simulate_across_flushes(name, case):
+    spec, y0 = _flush_run(case)
+    J, dt = DEFAULT_INERTIA, 1e-3
+
+    def make():
+        return CONTROLLERS[name](DEFAULT_GAINS[name], J, ManeuverTracker(spec))
+
+    duration = _FLUSH_STEPS * dt
+    got = _run_outcome(lambda c: run_on_plane(y0, c, dt, duration), make)
+    assert got is not None
+    assert got == _run_outcome(lambda c: simulate(y0, c, J, dt, duration), make)
+    controller = make()
+    traj = simulate(y0, controller, J, dt, duration)
+    t0, nx = controller.tracker.t0, traj.telemetry[:, 1]
+    qq = (traj.q * traj.q).sum(axis=1)
+    if case == "full":  # the spin ends inside the first chunk
+        assert spec.stage1_duration < t0 < CHUNK * dt
+    elif case == "full_straddle":  # the spin rows run past the first flush
+        assert spec.stage1_duration < (CHUNK - 1) * dt and t0 > CHUNK * dt
+    elif case == "drifted":  # the law rescales row 0, the step rescales row 1
+        assert abs(qq[0] - 1.0) > 1e-12 > abs(qq[1] - 1.0)
+    elif case == "negated":  # qw 0.0 + qz 0.0 is -0.0 for a negative qw and qz
+        assert (np.signbit(nx) & (nx == 0.0)).any()

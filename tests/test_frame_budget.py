@@ -8,9 +8,9 @@ a per-step wrapper in ``simulate``) fails here and not only in the
 benchmark.  A stage-3 control step is the controller's ``__call__``,
 ``ManeuverTracker.sample``, the bound law and ``renorm_if_drifted``, plus the
 sigma rule of the benchmark and switching laws; an integration step is the
-RK4 step, its four derivative calls and ``renorm_if_drifted``.  A step of
-a run on the yaw plane, in ``harness.run_on_plane``, is the law's
-``renorm_if_drifted`` and sigma rule and the step's ``renorm_if_drifted``.
+RK4 step, its four derivative calls and ``renorm_if_drifted``.  A hold
+step of a run on the yaw plane, in ``harness.run_on_plane``, opens none: it
+writes the law's renorm and sigma rule and the step's renorm itself.
 
 The per-state certificates are held to the same rule: each of
 ``lyapunov_value``, ``lyapunov_rate``, ``lyapunov_decay_bound`` and
@@ -107,18 +107,14 @@ def test_simulate_step_frames():
 
 
 # sorted, as _simulate_step_frames gives them
-PLANE_STEP_FRAMES = {
-    "continuous": ["renorm_if_drifted", "renorm_if_drifted"],
-    "benchmark": ["_shorter_path_sign", "renorm_if_drifted", "renorm_if_drifted"],
-    "switching": ["renorm_if_drifted", "renorm_if_drifted", "update_sigma"],
-}
+PLANE_STEP_FRAMES = {"continuous": [], "benchmark": [], "switching": []}
 
 
 @pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
 def test_plane_driver_step_frames(law):
     # on the yaw plane, from the stage-3 state, run_on_plane writes the law's
-    # and the step's yaw rows itself: one step more opens the law's renorm
-    # and sign rule and the step's renorm, and no controller, sample or step
+    # and the step's yaw rows, their renorms and the sign rule itself: one
+    # hold step more opens no frame, no controller, sample, law or step
     sc = make_ic_scenario(2.0, 150.0, law)
     y0 = stage3_initial_state(sc.maneuver)
     runs = [_frames(run_on_plane, y0, make_controller(sc), sc.dt, n * sc.dt) for n in (3, 4)]
