@@ -39,7 +39,6 @@ from .quat import (
 from .reference import (
     ManeuverSpec,
     ManeuverTracker,
-    ReferenceSample,
     stage3_initial_state,
 )
 from .rigid_body import (

@@ -9,14 +9,16 @@ radians internally.  Exit codes: 0 success, 1 usage/configuration error,
 """
 
 import argparse
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import harness, stability
-from .controllers import GAIN_KEYS, GainSet
+from .controllers import GAIN_KEYS
 from .reference import MODE_FULL, MODE_STAGE3
 from .rigid_body import DEFAULT_DT, SimulationError
 from .stability import report_number
@@ -132,6 +134,14 @@ def _build_scenario(args) -> harness.Scenario:
     return harness.scenario_from_text(text, overrides, args.scenario)
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` whose nearest existing path is not a directory,
+    before any run and creating nothing, with the error mkdir would raise."""
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -141,8 +151,9 @@ def _cmd_simulate(args) -> int:
     scenario = _build_scenario(args)
     # formed first: a scenario its file cannot hold is refused before the run
     echo = harness.scenario_to_text(scenario)
-    run = harness.run_scenario(scenario)
     out = Path(args.out)
+    _check_out(out)
+    run = harness.run_scenario(scenario)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "scenario.txt", echo)
     harness.export_run(run, out / "telemetry.csv")
@@ -164,11 +175,12 @@ def _params_text(**values) -> str:
 def _cmd_compare(args) -> int:
     pert = harness.PerturbationSpec(psi0_deg=args.perturb_psi, wz=args.perturb_wz)
     dt = args.dt if args.dt is not None else DEFAULT_DT
+    out = Path(args.out)
+    _check_out(out)
     report = harness.effort_comparison(
         repeats=args.repeats, perturbation=pert, dt=dt, seed=args.seed
     )
     text = harness.format_comparison_report(report)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # the report header's names, so one input has one name in the run directory
     params = _params_text(
@@ -181,8 +193,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _table_text(gains: GainSet) -> str:
-    rows = harness.lyapunov_ic_table(gains)
+def _table_text(rows) -> str:
     lines = ["wz,psi0_deg,sigma,lambda,V,in_roa"]
     for r in rows:
         lines.append(
@@ -192,21 +203,17 @@ def _table_text(gains: GainSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_table(args) -> int:
+def _cmd_report(args) -> int:
+    """table1 and stability-report; report.txt is written before the print."""
     gains = harness.gains_with(harness.SWITCHING_GAINS, vars(args))
-    text = _table_text(gains)
-    print(text, end="")
+    rows = harness.lyapunov_ic_table(gains)
+    if args.command == "table1":
+        text = _table_text(rows)
+    else:
+        text = stability.format_stability_report(gains, rows)
     if args.out:
         _write(Path(args.out) / "report.txt", text)
-    return 0
-
-
-def _cmd_stability_report(args) -> int:
-    gains = harness.gains_with(harness.SWITCHING_GAINS, vars(args))
-    text = stability.format_stability_report(gains, harness.lyapunov_ic_table(gains))
     print(text, end="")
-    if args.out:
-        _write(Path(args.out) / "report.txt", text)
     return 0
 
 
@@ -226,6 +233,8 @@ def _cmd_sweep(args) -> int:
             harness.make_ic_scenario(
                 float(wz), float(psi), args.controller, gains, dt=dt, horizon=horizon
             )
+    out = Path(args.out)
+    _check_out(out)
     lines = ["wz,psi0_deg,sigma_t0,V_t0,in_roa,switches,gamma_tau,final_yaw_error_deg"]
     for wz in wz_grid:
         for psi in psi_grid:
@@ -242,7 +251,6 @@ def _cmd_sweep(args) -> int:
                 f"{report_number(math.degrees(run.final_yaw_error))}"
             )
     text = "\n".join(lines) + "\n"
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = _params_text(
         wz=args.wz, psi=args.psi, controller=args.controller, dt=dt, horizon=horizon,
@@ -257,8 +265,8 @@ def _cmd_sweep(args) -> int:
 _DISPATCH = {
     "simulate": _cmd_simulate,
     "compare": _cmd_compare,
-    "table1": _cmd_table,
-    "stability-report": _cmd_stability_report,
+    "table1": _cmd_report,
+    "stability-report": _cmd_report,
     "sweep": _cmd_sweep,
 }
 

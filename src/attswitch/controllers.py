@@ -28,7 +28,9 @@ n_e_dot and the torque J a + w x Jw once each, and calls only
 ``quat.renorm_if_drifted`` and the law's sigma rule.  A stage-3 control
 step thus opens four Python frames (continuous) or five: ``__call__``,
 ``ManeuverTracker.sample``, the law, ``renorm_if_drifted`` and the rule.
-A run on the yaw plane forms the law's yaw rows in
+A stage-2 control step opens one more, the tracker's ``quat.yaw_of``
+while t0 is pending, so five or six; the tracker forms the spin sample in
+its own frame.  A run on the yaw plane forms the law's yaw rows in
 ``harness.run_on_plane`` instead, with these bits; stage-2 spin samples
 there still go through the controller's law.  ``switch_function`` writes
 Lambda again, on an ``ErrorState``; delegating to it would cost the law a

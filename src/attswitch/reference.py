@@ -7,19 +7,17 @@ step.  The stage-2 quaternion is obtained by integrating the constant rate
 from identity, which keeps it kinematically consistent and lets its scalar
 part go negative for targets beyond pi (no shortest-path flip).
 
-The stage-2 spin has one form, ``_bind_reference(spec)``, a closure over
-the maneuver's constants.  ``ManeuverTracker`` binds it once per run, and
-its ``sample(t, y)`` owns the stage test and the stage-3 trigger: it
-unwraps the yaw of the measured packed state y until the trigger fires, and
-returns the hold sample of stages 1 and 3 itself, so a stage-3 sample is
-one Python frame.  ``stage3_initial_state`` gives the stage-3 start as the
-packed state tuple that ``rigid_body.simulate`` takes, so this module needs
-nothing from ``rigid_body``.
+``ManeuverTracker`` alone owns the stage schedule.  Its ``sample(t, y)``
+unwraps the yaw of the measured packed state y until the stage-3 trigger
+fires, and returns the hold sample ``HOLD`` or forms the stage-2 spin in its
+own body: one Python frame, and ``quat.yaw_of`` while t0 is pending.
+``stage3_initial_state`` gives the stage-3 start as the packed state tuple
+that ``rigid_body.simulate`` takes, so this module needs nothing from
+``rigid_body``.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,37 +72,11 @@ class ManeuverSpec:
         return math.sqrt(float(self.w0 @ self.w0))
 
 
-class ReferenceSample(NamedTuple):
-    """One reference sample, float tuples from ``ManeuverTracker.sample``."""
-
-    q_d: tuple     # (4,) desired attitude
-    w_d: tuple     # (3,) rad/s, desired body rate
-    wdot_d: tuple  # (3,) rad/s^2, feedforward
-
-
-# the identity hold of stages 1 and 3, a stage-3 run's reference from t0 on
-HOLD = ReferenceSample((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-
-
-def _bind_reference(spec: ManeuverSpec):
-    """Stage-2 reference ``spin(t) -> ReferenceSample`` of float tuples,
-    bound to the maneuver: the desired frame turned about the w0 axis at
-    the rate |w0| since the end of stage 1 (held at identity if w0 is
-    zero).  Which stage a time lies in is ``ManeuverTracker.sample``'s test.
-    """
-    rate = spec.rate
-    if rate < 1e-15:
-        return lambda t: HOLD
-    t1 = spec.stage1_duration
-    w0 = tuple(spec.w0.tolist())
-    ax, ay, az = (spec.w0 / rate).tolist()
-
-    def spin(t: float) -> ReferenceSample:
-        h = 0.5 * (rate * (t - t1))
-        s = math.sin(h)
-        return ReferenceSample((math.cos(h), ax * s, ay * s, az * s), w0, HOLD.wdot_d)
-
-    return spin
+# A reference sample is three float tuples (q_d, w_d, wdot_d): the desired
+# attitude (4,), the desired body rate (3,) in rad/s and its feedforward (3,)
+# in rad/s^2.  HOLD is the identity hold of stages 1 and 3, a stage-3 run's
+# reference from t0 on.
+HOLD = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def stage3_initial_state(spec: ManeuverSpec) -> tuple:
@@ -120,28 +92,33 @@ def stage3_initial_state(spec: ManeuverSpec) -> tuple:
 
 @dataclass
 class ManeuverTracker:
-    """Stateful wrapper that pins the stage-3 transition during a run.
+    """Stateful wrapper that owns the stage schedule of a run.
 
     ``sample(t, y)`` takes the measured packed state y and returns the
     identity hold in stage 1 and from t0 on (a zero feedforward at the step:
-    an ideal discontinuity), else the stage-2 spin.  Full mode: while t0 is
-    pending, each sample unwraps the measured yaw across +-pi and arms the
-    transition the first time that yaw reaches psi0 in stage 2.  Stage3 mode
-    starts with t0 = 0, so the yaw is never read.
+    an ideal discontinuity), else the stage-2 spin: the frame turned about w0
+    at |w0| since stage 1 ended, w_d = w0 (the hold if |w0| < 1e-15).  Full
+    mode: while t0 is pending, each sample unwraps the measured yaw across
+    +-pi and arms the transition the first time that yaw reaches psi0 in
+    stage 2.  Stage3 mode starts with t0 = 0, so the yaw is never read.
     """
 
     spec: ManeuverSpec
     t0: float | None = field(init=False)
 
     def __post_init__(self):
-        self.t0 = 0.0 if self.spec.mode == MODE_STAGE3 else None
-        self._spin = _bind_reference(self.spec)
+        spec = self.spec
+        self.t0 = 0.0 if spec.mode == MODE_STAGE3 else None
+        # the spin's rate, w_d and unit axis, bound once
+        self._rate = rate = spec.rate
+        self._w0 = tuple(spec.w0.tolist())
+        self._axis = None if rate < 1e-15 else tuple((spec.w0 / rate).tolist())
         # the last measured yaw, in [-pi, pi], and its unwrapped sum; from 0,
         # the first yaw is its own sum (up to the sign of a zero)
         self._prev_yaw = self._yaw = 0.0
 
-    def sample(self, t: float, y) -> ReferenceSample:
-        t0 = self.t0
+    def sample(self, t: float, y) -> tuple:
+        t0, t1 = self.t0, self.spec.stage1_duration
         if t0 is None:
             yaw = yaw_of(y[:4])
             d = yaw - self._prev_yaw
@@ -151,8 +128,12 @@ class ManeuverTracker:
                 d += 2.0 * math.pi
             self._yaw += d
             self._prev_yaw = yaw
-            if t >= self.spec.stage1_duration and self._yaw >= self.spec.psi0:
+            if t >= t1 and self._yaw >= self.spec.psi0:
                 self.t0 = t0 = t
-        if (t0 is not None and t >= t0) or t < self.spec.stage1_duration:
+        axis = self._axis
+        if (t0 is not None and t >= t0) or t < t1 or axis is None:
             return HOLD
-        return self._spin(t)
+        h = 0.5 * (self._rate * (t - t1))
+        s = math.sin(h)
+        ax, ay, az = axis
+        return (math.cos(h), ax * s, ay * s, az * s), self._w0, HOLD[2]

@@ -28,10 +28,36 @@ def _counted_runs(monkeypatch):
     return runs
 
 
+def _below_a_file(tmp_path):
+    """An --out path whose nearest existing path is a regular file."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a directory")
+    return blocker / "run"
+
+
 def _key_values(path):
     """The ``key = value`` lines of a params.txt or report header, as text."""
     lines = (line.partition(" = ") for line in path.read_text().splitlines())
     return {key: value for key, sep, value in lines if sep}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--ic", "2,150"],
+        ["compare", "--repeats", "2"],
+        ["sweep", "--wz", "2,2,1", "--psi", "150,150,1", "--horizon", "0.2"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_below_a_file_refused_before_the_first_run(tmp_path, capsys, monkeypatch, args):
+    # compare --repeats 2 used to make all 20 runs before the exit 2; the
+    # refusal creates nothing
+    runs = _counted_runs(monkeypatch)
+    out = _below_a_file(tmp_path)
+    assert main(args + ["--out", str(out)]) == 2
+    assert runs == [] and out.parent.is_file()
+    assert f"Not a directory: '{out}'" in capsys.readouterr().err
 
 
 class TestParseArgs:
@@ -80,6 +106,15 @@ class TestTableCommand:
         out = tmp_path / "table"
         assert main(["table1", "--out", str(out)]) == 0
         assert (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("command", ["table1", "stability-report"])
+    def test_out_below_a_file_prints_nothing(self, tmp_path, capsys, command):
+        # report.txt is written before the text is printed: the whole table
+        # used to be printed before the exit 2
+        out = _below_a_file(tmp_path)
+        assert main([command, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Not a directory" in captured.err
 
 
 class TestSimulateCommand:

@@ -7,7 +7,9 @@ refactor that puts a layer back on the per-step path (a helper the law calls,
 a per-step wrapper in ``simulate``) fails here and not only in the
 benchmark.  A stage-3 control step is the controller's ``__call__``,
 ``ManeuverTracker.sample``, the bound law and ``renorm_if_drifted``, plus the
-sigma rule of the benchmark and switching laws; an integration step is the
+sigma rule of the benchmark and switching laws; a stage-2 control step adds
+``quat.yaw_of``, which the tracker calls while t0 is pending, and its spin
+sample is formed in ``sample``'s own body; an integration step is the
 RK4 step, its four derivative calls and ``renorm_if_drifted``.  A hold
 step of a run on the yaw plane, in ``harness.run_on_plane``, opens none: it
 writes the law's renorm and sigma rule and the step's renorm itself.
@@ -19,14 +21,16 @@ The per-state certificates are held to the same rule: each of
 """
 
 import gc
+import math
 import sys
+from dataclasses import replace
 
 import pytest
 
 from attswitch import stability
 from attswitch.controllers import ErrorState, switch_function
 from attswitch.harness import SWITCHING_GAINS, make_controller, make_ic_scenario, run_on_plane
-from attswitch.reference import stage3_initial_state
+from attswitch.reference import HOLD, MODE_FULL, ManeuverSpec, ManeuverTracker, stage3_initial_state
 from attswitch.rigid_body import simulate
 
 
@@ -79,6 +83,34 @@ def test_stage3_control_step_frames(law):
     y = stage3_initial_state(sc.maneuver)
     controller(0.0, y)
     assert _frames(controller, 0.001, y) == LAW_FRAMES[law]
+
+
+def _full_mode_scenario(law):
+    """The {2 rad/s, 150 deg} scenario of ``law`` flown in full mode."""
+    sc = make_ic_scenario(2.0, 150.0, law)
+    return replace(sc, maneuver=ManeuverSpec(w0=(0.0, 0.0, 2.0), psi0=math.radians(150.0)))
+
+
+# at rest at yaw 0, a state that never arms t0 (psi0 > 0)
+AT_REST = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_stage2_sample_frames():
+    # with t0 pending, a stage-2 sample unwraps the measured yaw and forms
+    # the spin in its own body: it opens itself and yaw_of only
+    tracker = ManeuverTracker(_full_mode_scenario("continuous").maneuver)
+    t = tracker.spec.stage1_duration + 0.5
+    assert _frames(tracker.sample, t, AT_REST) == ["sample", "yaw_of"]
+    assert tracker.t0 is None and tracker.sample(t, AT_REST) is not HOLD
+
+
+@pytest.mark.parametrize("law", sorted(LAW_FRAMES))
+def test_stage2_control_step_frames(law):
+    # a stage-2 control step is a stage-3 one plus the tracker's yaw_of
+    controller = make_controller(_full_mode_scenario(law))
+    controller(0.0, AT_REST)
+    expected = LAW_FRAMES[law][:2] + ["yaw_of"] + LAW_FRAMES[law][2:]
+    assert _frames(controller, 1.5, AT_REST) == expected
 
 
 def _simulate_step_frames(y0):
