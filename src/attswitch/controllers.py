@@ -30,11 +30,11 @@ step thus opens four Python frames (continuous) or five: ``__call__``,
 ``ManeuverTracker.sample``, the law, ``renorm_if_drifted`` and the rule.
 A stage-2 control step opens one more, the tracker's ``quat.yaw_of``
 while t0 is pending, so five or six; the tracker forms the spin sample in
-its own frame.  A run on the yaw plane forms the law's yaw rows in
-``harness.run_on_plane`` instead, with these bits; stage-2 spin samples
-there still go through the controller's law.  ``switch_function`` writes
-Lambda again, on an ``ErrorState``; delegating to it would cost the law a
-frame (ROADMAP item 2).  A controller returns ``(tau, row)``, tuples of
+its own frame.  A run on the yaw plane forms the law's yaw rows, the
+hold's and the stage-2 spin's, in ``harness.run_on_plane`` instead, with
+these bits, and calls neither the controller nor its law.
+``switch_function`` writes Lambda again, on an ``ErrorState``; delegating
+to it would cost the law a frame (ROADMAP item 2).  A controller returns ``(tau, row)``, tuples of
 floats, the row of the fixed width ``simulate`` needs for its (N, 9)
 telemetry array, laid out as ``_bind_law`` documents; a run's first row is also its
 starting error state, sign and Lambda (``harness.lyapunov_ic_table``).  An

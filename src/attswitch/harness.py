@@ -152,14 +152,15 @@ class RunResult:
 
 
 def control_effort(run: RunResult, t0: float, tf: float) -> float:
-    """RMS torque norm over [t0, tf] by trapezoidal quadrature."""
+    """RMS torque norm over [t0, tf] by trapezoidal quadrature, on the rows
+    with t0 - 1e-12 <= t <= tf + 1e-12: one slice, as t is sorted."""
     t = run.t
     if t0 < t[0] - 1e-9 or tf > t[-1] + 1e-9 or tf <= t0:
         raise ValueError(f"window [{t0}, {tf}] not covered by run [{t[0]}, {t[-1]}]")
-    mask = (t >= t0 - 1e-12) & (t <= tf + 1e-12)
-    tw = t[mask]
-    sq = np.einsum("ij,ij->i", run.tau[mask], run.tau[mask])
-    return math.sqrt(float(np.trapezoid(sq, tw)) / (tf - t0))
+    rows = slice(np.searchsorted(t, t0 - 1e-12), np.searchsorted(t, tf + 1e-12, side="right"))
+    tau = run.tau[rows]
+    sq = np.einsum("ij,ij->i", tau, tau)
+    return math.sqrt(float(np.trapezoid(sq, t[rows])) / (tf - t0))
 
 
 def make_controller(scenario: Scenario):
@@ -175,10 +176,19 @@ def run_on_plane(y0, controller, dt: float, duration: float):
     It takes a run that starts with qx, qy, wx and wy at +0.0 on a diagonal
     inertia (validated, so it and its inverse, diagonal too, are finite) with
     J_22 <= 1 kg m^2, which keeps J_22 wz finite for a finite wz and makes
-    Jinv_22 >= 1.  Only qw, qz and wz then move.  While the tracker's t0 is
-    pending, each step samples it with the packed state, and a stage-2 spin
-    sample goes through the controller's law, whose torque x and y must be
-    zeros (of either sign), stored as returned.  For the hold sample
+    Jinv_22 >= 1; while the tracker's t0 is pending and it binds a spin
+    axis, the spin's w0 and axis must have x and y at +0.0 too, as every
+    full-mode run of the command line has.  Only qw, qz and wz then move.
+
+    While t0 is pending, each step reads the tracker as
+    ``ManeuverTracker.sample`` does, in its operation order, from its bound
+    rate, axis, w0 and yaw state: the yaw is ``yaw_of``'s with x and y at
+    +0.0, atan2(2.0 (qw qz + 0.0), 1.0 - 2.0 (0.0 + qz qz)), unwrapped
+    across +-pi into the yaw sum; t0 is the first t >= t1 at which the sum
+    reaches psi0, written back as it is pinned; and a step with t1 <= t
+    before t0 is a stage-2 spin row at h = 0.5 (rate (t - t1)).  The yaw sum
+    and the last yaw are written back as the loop ends, so the tracker is
+    left as ``sample`` would leave it.  For the hold sample
     HOLD = ((1, 0, 0, 0), 0, 0) and x and y at +0.0, ``_bind_law``'s general
     body reduces term by term to
 
@@ -193,7 +203,32 @@ def run_on_plane(y0, controller, dt: float, duration: float):
 
     as nu_x, nu_y, a_x, a_y, J_00 a_x and J_11 a_y are +0.0, and so are
     their sums with the zero off-diagonal products and (w x Jw)_x and _y;
-    (w x Jw)_z is +0.0 - +0.0, which turns a zero (J a)_z into +0.0.
+    (w x Jw)_z is +0.0 - +0.0, which turns a zero (J a)_z into +0.0.  For
+    the spin sample q_d = (ch, z, z, p), with ch = cos h, sh = sin h, the
+    zero z = 0.0 sh (ax sh and ay sh) and p = az sh, w_d = (0.0, 0.0, w0z)
+    and a zero feedforward, it reduces to
+
+        m  = qw ch + z + qz p         (qw ch + 0.0 z + 0.0 z + qz p, where
+                                       0.0 z is z and (x + z) + z is x + z)
+        nz = qw p + 0.0 - qz ch       (qw p - 0.0 z + 0.0 z - qz ch, where
+                                       (x - z) + z is x + 0.0)
+        nx = qw z - 0.0 ch - 0.0 p + qz z,  ny = qw z + 0.0 p - 0.0 ch - qz z
+        |q_err|^2 = m m + nz nz,   w_err = (0.0, 0.0, w0z - wz)
+
+    and from there on to the hold's Lambda, a_z and tau.  nx and ny are
+    zeros of either sign (for a finite qw and qz; else m is not finite, nor
+    Lambda), so nx nx and ny ny are +0.0, and nu_x, nu_y, a_x and a_y are
+    +0.0 as for a hold.  nx and ny are stored with their own signs, and the
+    zero terms they put in Lambda and in a_z keep theirs, but these need no
+    form of their own.  Their signs turn once sh < 0, as the spin passes
+    pi: the continuous law's at the IC (4, 359) reaches h = 180.5 deg.
+
+      * a sum of zeros is -0.0 only if every term it adds is; nx is -0.0
+        only if 0.0 p is +0.0, ny only if it is -0.0, so never both, and
+        Lambda's 0.0 nx + 0.0 ny is +0.0, as for a hold;
+      * m ez + 0.0 ny - 0.0 nx is m ez unless that is a zero, and a zero
+        there gives a zero kd term, which the +0.0 before it absorbs.
+
     ``bind_rk4``'s step with such a torque keeps every stage on the plane
     (y + h k of a +0.0 entry and a zero derivative is +0.0), where the
     derivative reduces to
@@ -205,26 +240,27 @@ def run_on_plane(y0, controller, dt: float, duration: float):
     (Jinv_20 rx + Jinv_21 ry is a zero, and Jinv_22 tz is one only for
     tz = +0.0, as Jinv_22 >= 1; wx_dot and wy_dot are zeros of either sign).
     Both need every entry finite.  A state that a step makes non-finite makes
-    the next law call's Lambda + tau_z, or spin torque x, non-finite; a run
-    whose Lambda + tau_z is not finite, whose spin torque leaves the plane,
-    or whose renorm divides by zero returns None, for its caller to run
-    again from the start through ``simulate``.
+    the next step's Lambda + tau_z non-finite; a run whose Lambda + tau_z is
+    not finite, or whose renorm divides by zero, returns None, for its
+    caller to run again from the start through ``simulate``.
 
-    A hold step opens no Python frame.  The two calls of
-    ``renorm_if_drifted`` are written out with their bits: the step's |q|^2
-    is pw^2 + pz^2 plus two +0.0 terms, and the law's is qw^2 + qz^2 for a
-    finite qw and qz, as (qw + 0.0)^2 is qw^2, (0.0 - qz)^2 is qz^2 and
-    (qw 0.0 + qz 0.0)^2 and 0.0^2 are +0.0 (a non-finite qw or qz leaves m
-    or nz non-finite in both forms, and so Lambda + tau_z).  The sign rules
-    are ``update_sigma``'s, whose delta > 0 ``GainSet`` guarantees, and
-    ``_shorter_path_sign``'s.  A step stores only what it forms: qw, qz, wz,
-    tau_z, m, nz, sigma and Lambda, into lists of a chunk.  At the chunk's
-    end numpy forms nx = qw 0.0 + qz 0.0 and ez = 0.0 - wz on the stored
-    columns, the same IEEE operations on the same operands; the law's
-    renorm scales nx by 1/sqrt(|q|^2), finite and positive or +0.0, which
-    leaves a zero as it is, sign included.  ny, the rates' and the torque's
-    x and y stay the +0.0 of ``np.zeros``.  The chunk's stage-2 spin rows
-    are then written over their slots, as the law returned them.
+    No step opens a Python frame.  The two calls of ``renorm_if_drifted``
+    are written out with their bits: the step's |q|^2 is pw^2 + pz^2 plus
+    two +0.0 terms, and the law's is m^2 + nz^2 for a finite m and nz, as
+    (qw + 0.0)^2 is qw^2, (0.0 - qz)^2 is qz^2 and the squares of the zero
+    nx and ny are +0.0 (a non-finite m or nz leaves m or nz non-finite in
+    both forms, and so Lambda + tau_z).  The sign rules are
+    ``update_sigma``'s, whose delta > 0 ``GainSet`` guarantees, and
+    ``_shorter_path_sign``'s.  A step stores only what it forms: qw, qz,
+    wz, tau_z, m, nz, sigma and Lambda, into lists of a chunk, and a spin
+    row also nx and ny.  At the chunk's end numpy forms nx = qw 0.0 + qz 0.0
+    and ez = 0.0 - wz on the stored columns, the same IEEE operations on the
+    same operands; the law's renorm scales nx and ny by 1/sqrt(|q|^2),
+    finite and positive or +0.0, which leaves a zero as it is, sign
+    included.  The chunk's spin rows, contiguous and ending at t0's row or
+    at the chunk's end, then take their stored nx and ny and ez = w0z - wz.
+    The rates' and the torque's x and y, and the hold rows' ny, stay the
+    +0.0 of ``np.zeros``.
     """
     y, J, n_steps = rigid_body.checked_run(y0, controller.J, dt, duration)
     J, Jinv = rigid_body._inertia_rows(J)
@@ -235,56 +271,83 @@ def run_on_plane(y0, controller, dt: float, duration: float):
     if (qx or qy or wx or wy or math.copysign(1.0, -qx - qy - wx - wy) > 0.0
             or j01 or j02 or j10 or j12 or j20 or j21 or j22 > 1.0):
         return None
-    gains, name, tracker = controller.gains, controller._name, controller.tracker
+    tracker = controller.tracker
+    pending = tracker.t0 is None
+    turning = pending and tracker._axis is not None
+    if turning:
+        (w0x, w0y, w0z), (ax, ay, az) = tracker._w0, tracker._axis
+        if w0x or w0y or ax or ay or math.copysign(1.0, -w0x - w0y - ax - ay) > 0.0:
+            return None
+    gains, name = controller.gains, controller._name
     kn, kq, kw, delta = law_kn(gains, name), gains.kq, gains.kw, gains.delta
     slope, radius = gains.lam_slope, gains.roa_radius
     switching, benchmark = name == "switching", name == "benchmark"
     sigma = controller.sigma if switching else +1  # the sign the controller hands its law
     isfinite, sqrt, h, third, n = math.isfinite, math.sqrt, 0.5 * dt, dt / 6.0, n_steps + 1
-    # ny, the torque's and the rates' x and y stay +0.0; nx and ez are formed
-    # per chunk from the stored qw, qz and wz
+    atan2, cos, sin, pi, two_pi = math.atan2, math.cos, math.sin, math.pi, 2.0 * math.pi
+    t1, psi0, rate = tracker.spec.stage1_duration, tracker.spec.psi0, tracker._rate
+    yaw_sum, prev_yaw = tracker._yaw, tracker._prev_yaw
+    spin, k0 = False, n  # whether this step is a spin row; t0's row
+    # the torque's and the rates' x and y stay +0.0, and ny but in spin rows;
+    # nx and ez are formed per chunk from the stored qw, qz and wz
     ys_out, taus_out, tel = np.zeros((n, 7)), np.zeros((n, 3)), np.zeros((n, 9))
     qws, qzs, wzs, tzs, ms, nzs, sigmas, lams = ([0.0] * CHUNK for _ in range(8))
+    nxs, nys = [], []  # the chunk's spin rows' nx and ny
+    nx_add, ny_add = nxs.append, nys.append
     try:
         for start in range(0, n, CHUNK):
             c, last = min(CHUNK, n - start), n_steps - start
-            spin = []  # (row index, tau, telemetry row) of the chunk's stage-2 spin samples
             for i in range(c):
-                ref = HOLD if tracker.t0 is not None else tracker.sample(
-                    (start + i) * dt, (qw, 0.0, 0.0, qz, 0.0, 0.0, wz)
-                )
-                if ref is HOLD:
-                    m, nz, nn = qw + 0.0, 0.0 - qz, qw * qw + qz * qz
-                    if abs(nn - 1.0) > NORM_DRIFT_TOL:
-                        s = 1.0 / sqrt(nn)
-                        m, nz = m * s, nz * s
-                    ez = 0.0 - wz
-                    lam = slope * (0.0 + ez * nz) + radius * m
-                    if switching:
-                        if lam >= delta:
-                            sigma = +1
-                        elif lam <= -delta:
-                            sigma = -1
-                    elif benchmark:
-                        sigma = +1 if m >= 0.0 else -1
-                    kd = sigma * kn
-                    tz = j22 * (
-                        sigma * kq * nz + kw * (ez + kd * nz) + 0.0 + kd * (0.5 * (m * ez + 0.0))
-                    ) + 0.0
-                    if not isfinite(lam + tz):
-                        return None
-                    tzs[i] = tz
-                    ms[i] = m
-                    nzs[i] = nz
-                    sigmas[i] = sigma
-                    lams[i] = lam
+                if pending:
+                    t = (start + i) * dt
+                    yaw = atan2(2.0 * (qw * qz + 0.0), 1.0 - 2.0 * (0.0 + qz * qz))
+                    d = yaw - prev_yaw
+                    if d > pi:
+                        d -= two_pi
+                    elif d < -pi:
+                        d += two_pi
+                    yaw_sum += d
+                    prev_yaw = yaw
+                    if t >= t1:
+                        if yaw_sum >= psi0:
+                            tracker.t0, k0, pending, spin = t, start + i, False, False
+                        else:
+                            spin = turning
+                if spin:
+                    half = 0.5 * (rate * (t - t1))
+                    sh, ch = sin(half), cos(half)
+                    z, p = 0.0 * sh, az * sh
+                    # the body's four distinct zero products of nx and ny
+                    xw, xz, xc, xp = qw * z, qz * z, 0.0 * ch, 0.0 * p
+                    nx_add(xw - xc - xp + xz)
+                    ny_add(xw + xp - xc - xz)
+                    m, nz = qw * ch + z + qz * p, qw * p + 0.0 - qz * ch
+                    nn, ez = m * m + nz * nz, w0z - wz
                 else:
-                    tau, row = controller._law(sigma, (qw, 0.0, 0.0, qz, 0.0, 0.0, wz), ref)
-                    tx, ty, tz = tau
-                    if tx or ty:
-                        return None
-                    sigma = row[7]
-                    spin.append((start + i, tau, row))
+                    m, nz, nn = qw + 0.0, 0.0 - qz, qw * qw + qz * qz
+                    ez = 0.0 - wz
+                if abs(nn - 1.0) > NORM_DRIFT_TOL:
+                    s = 1.0 / sqrt(nn)
+                    m, nz = m * s, nz * s
+                lam = slope * (0.0 + ez * nz) + radius * m
+                if switching:
+                    if lam >= delta:
+                        sigma = +1
+                    elif lam <= -delta:
+                        sigma = -1
+                elif benchmark:
+                    sigma = +1 if m >= 0.0 else -1
+                kd = sigma * kn
+                tz = j22 * (
+                    sigma * kq * nz + kw * (ez + kd * nz) + 0.0 + kd * (0.5 * (m * ez + 0.0))
+                ) + 0.0
+                if not isfinite(lam + tz):
+                    return None
+                tzs[i] = tz
+                ms[i] = m
+                nzs[i] = nz
+                sigmas[i] = sigma
+                lams[i] = lam
                 qws[i] = qw
                 qzs[i] = qz
                 wzs[i] = wz
@@ -312,11 +375,17 @@ def run_on_plane(y0, controller, dt: float, duration: float):
             tel[rows, 7], tel[rows, 8] = sigmas[:c], lams[:c]
             tel[rows, 1] = ys_out[rows, 0] * 0.0 + ys_out[rows, 3] * 0.0
             tel[rows, 6] = 0.0 - ys_out[rows, 6]
-            if spin:
-                ks, taus, law_rows = zip(*spin)
-                taus_out[list(ks)], tel[list(ks)] = taus, law_rows
+            if nxs:
+                end = min(k0, start + c)
+                spun = slice(end - len(nxs), end)
+                tel[spun, 1], tel[spun, 2] = nxs, nys
+                tel[spun, 6] = w0z - ys_out[spun, 6]
+                nxs.clear()
+                nys.clear()
     except ZeroDivisionError:  # the renorm of a zero quaternion
         return None
+    finally:
+        tracker._yaw, tracker._prev_yaw = yaw_sum, prev_yaw
     return rigid_body.Trajectory(
         t=np.arange(n) * dt, q=ys_out[:, :4], w=ys_out[:, 4:], tau=taus_out, telemetry=tel
     )

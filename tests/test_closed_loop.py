@@ -753,3 +753,100 @@ def test_plane_driver_matches_simulate_across_flushes(name, case):
         assert abs(qq[0] - 1.0) > 1e-12 > abs(qq[1] - 1.0)
     elif case == "negated":  # qw 0.0 + qz 0.0 is -0.0 for a negative qw and qz
         assert (np.signbit(nx) & (nx == 0.0)).any()
+
+
+# --- Full-mode cases the draws never reach -----------------------------------
+# The draws spin at 20 rad/s to psi0 = 0.5 rad after five steps of stage 1:
+# no spin passes pi (where sin h < 0 can turn the spin rows' zero nx and ny
+# negative), the trigger never fires on the first stage-2 step and stage 1 is
+# never empty.  Each case runs until the spin is over, at dt = 1 ms.
+
+AT_REST = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _full_case(case):
+    """(spec, y0) of a full-mode case."""
+    if case == "past_pi":  # the command line's full mode at the IC (4, 359)
+        return ManeuverSpec(w0=np.array([0.0, 0.0, 4.0]), psi0=math.radians(359.0)), AT_REST
+    if case == "trigger_at_t1":  # at a yaw of 150 deg, past psi0 = 1 rad once stage 1 ends
+        spec = ManeuverSpec(w0=np.array([0.0, 0.0, 20.0]), psi0=1.0, stage1_duration=0.005)
+        h = math.radians(75.0)
+        return spec, (math.cos(h), 0.0, 0.0, math.sin(h), 0.0, 0.0, 0.0)
+    if case.startswith("no_stage1"):
+        # the first row spins at h = 0, where the spin sample's zeros meet the
+        # signed zeros of a start at -1 (qz = +0.0) or at a yaw of pi (qw = -0.0)
+        psi0, y0 = {
+            "no_stage1": (1.0, AT_REST),
+            "no_stage1_negated": (1.0, (-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+            "no_stage1_half_turn": (4.0, (-0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0)),
+        }[case]
+        return ManeuverSpec(w0=np.array([0.0, 0.0, 20.0]), psi0=psi0, stage1_duration=0.0), y0
+    # negative_zero_x: w_d's x is -0.0, and so is w_err's, which the driver never writes
+    return ManeuverSpec(w0=np.array([-0.0, 0.0, 2.0]), psi0=math.radians(150.0)), AT_REST
+
+
+def _spin_over(spec):
+    """A full-mode run's length without the stage-3 horizon: past t0."""
+    return spec.stage1_duration + 1.5 * spec.psi0 / spec.rate + 0.5
+
+
+def _case_controller(name, spec):
+    return CONTROLLERS[name](DEFAULT_GAINS[name], DEFAULT_INERTIA, ManeuverTracker(spec))
+
+
+def _full_case_runs(name, case):
+    """``_run_outcome`` of the case through run_on_plane and through
+    simulate, and the case's (spec, y0)."""
+    spec, y0 = _full_case(case)
+    J, dt, duration = DEFAULT_INERTIA, 1e-3, _spin_over(spec)
+
+    def make():
+        return _case_controller(name, spec)
+
+    got = _run_outcome(lambda c: run_on_plane(y0, c, dt, duration), make)
+    want = _run_outcome(lambda c: simulate(y0, c, J, dt, duration), make)
+    return got, want, spec, y0
+
+
+@pytest.mark.parametrize(
+    "case", ["past_pi", "trigger_at_t1", "no_stage1", "no_stage1_negated", "no_stage1_half_turn"]
+)
+@pytest.mark.parametrize("name", LAWS)
+def test_plane_driver_full_mode_cases(name, case):
+    got, want, spec, _ = _full_case_runs(name, case)
+    assert got is not None  # the driver finished the run
+    assert got == want
+    t0, t1, dt = want[1], spec.stage1_duration, 1e-3
+    if case == "past_pi" and name == "continuous":
+        # the last spin row, the one before t0's, is past h = pi
+        assert 0.5 * (spec.rate * (t0 - dt - t1)) > math.pi
+    elif case == "trigger_at_t1":
+        assert t0 == t1
+    elif case.startswith("no_stage1"):
+        assert t1 == 0.0 < t0
+
+
+@pytest.mark.parametrize("name", LAWS)
+def test_plane_driver_refuses_a_negative_zero_spin_axis(name):
+    got, _, spec, y0 = _full_case_runs(name, "negative_zero_x")
+    assert got is None  # so run_scenario takes simulate's bits
+    traj = simulate(y0, _case_controller(name, spec), DEFAULT_INERTIA, 1e-3, _spin_over(spec))
+    wex = traj.telemetry[:, 4]
+    assert (np.signbit(wex) & (wex == 0.0)).any()
+
+
+@pytest.mark.parametrize("cut", [False, True])
+@pytest.mark.parametrize("name", LAWS)
+def test_plane_driver_leaves_the_tracker_as_simulate(name, cut):
+    # t0, the yaw sum and the last yaw the tracker is left with, once the
+    # spin is over or with t0 still pending (a run cut in stage 2)
+    spec, y0 = _full_case("past_pi")
+    duration = 2.0 if cut else _spin_over(spec)
+    trackers = []
+    for run in (run_on_plane, lambda y, c, dt, d: simulate(y, c, c.J, dt, d)):
+        controller = _case_controller(name, spec)
+        assert run(y0, controller, 1e-3, duration) is not None
+        tracker = controller.tracker
+        trackers.append((tracker.t0, tracker._yaw.hex(), tracker._prev_yaw.hex()))
+    assert trackers[0] == trackers[1]
+    assert (trackers[0][0] is None) is cut

@@ -10,9 +10,10 @@ benchmark.  A stage-3 control step is the controller's ``__call__``,
 sigma rule of the benchmark and switching laws; a stage-2 control step adds
 ``quat.yaw_of``, which the tracker calls while t0 is pending, and its spin
 sample is formed in ``sample``'s own body; an integration step is the
-RK4 step, its four derivative calls and ``renorm_if_drifted``.  A hold
-step of a run on the yaw plane, in ``harness.run_on_plane``, opens none: it
-writes the law's renorm and sigma rule and the step's renorm itself.
+RK4 step, its four derivative calls and ``renorm_if_drifted``.  A step of
+a run on the yaw plane, in ``harness.run_on_plane``, opens none, in stage 1,
+in the stage-2 spin and from t0 on: it writes the tracker's read, the law's
+hold and spin rows, its renorm and sigma rule and the step's renorm itself.
 
 The per-state certificates are held to the same rule: each of
 ``lyapunov_value``, ``lyapunov_rate``, ``lyapunov_decay_bound`` and
@@ -142,17 +143,42 @@ def test_simulate_step_frames():
 PLANE_STEP_FRAMES = {"continuous": [], "benchmark": [], "switching": []}
 
 
+def _plane_step_frames(sc, y0, n):
+    """Sorted names of the frames that one step more of ``run_on_plane``
+    from y0 opens, after n steps, and the tracker the longer run left."""
+    controllers = [make_controller(sc) for _ in range(2)]
+    runs = [
+        _frames(run_on_plane, y0, controller, sc.dt, k * sc.dt)
+        for controller, k in zip(controllers, (n, n + 1))
+    ]
+    extra = sorted(runs[1])
+    for name in runs[0]:
+        extra.remove(name)
+    return extra, controllers[1].tracker
+
+
 @pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
 def test_plane_driver_step_frames(law):
     # on the yaw plane, from the stage-3 state, run_on_plane writes the law's
     # and the step's yaw rows, their renorms and the sign rule itself: one
     # hold step more opens no frame, no controller, sample, law or step
     sc = make_ic_scenario(2.0, 150.0, law)
-    y0 = stage3_initial_state(sc.maneuver)
-    runs = [_frames(run_on_plane, y0, make_controller(sc), sc.dt, n * sc.dt) for n in (3, 4)]
-    extra = sorted(runs[1])
-    for name in runs[0]:
-        extra.remove(name)
+    extra, _ = _plane_step_frames(sc, stage3_initial_state(sc.maneuver), 3)
+    assert extra == PLANE_STEP_FRAMES[law]
+
+
+@pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
+@pytest.mark.parametrize("stage", (1, 2))
+def test_plane_driver_pending_step_frames(law, stage):
+    # with t0 pending, run_on_plane also writes the tracker's read of the
+    # yaw and, in stage 2, the law's spin row: one stage-1 or stage-2 step
+    # more opens no frame, no sample, yaw_of, law, renorm or sign rule
+    sc = _full_mode_scenario(law)
+    first_spin_row = round(sc.maneuver.stage1_duration / sc.dt)
+    n = {1: 3, 2: first_spin_row + 3}[stage]
+    extra, tracker = _plane_step_frames(sc, AT_REST, n)
+    assert tracker.t0 is None
+    assert ((n + 1) * sc.dt >= sc.maneuver.stage1_duration) is (stage == 2)
     assert extra == PLANE_STEP_FRAMES[law]
 
 

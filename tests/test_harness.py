@@ -86,6 +86,24 @@ class TestControlEffort:
         with pytest.raises(ValueError):
             control_effort(run, -1.0, 0.5)
 
+    @pytest.mark.parametrize("where", ["on_grid", "off_grid", "to_last_row"])
+    def test_slice_is_the_mask_form(self, where):
+        # the rows t0 - 1e-12 <= t <= tf + 1e-12 of a sorted t, taken as a
+        # slice, give the bits of the boolean mask that selects them
+        run = run_scenario(make_ic_scenario(2.0, 150.0, "switching", horizon=1.0))
+        t = run.t
+        t0, tf = {
+            "on_grid": (t[137], t[137] + 0.5),
+            "off_grid": (t[137] + 0.37e-3, t[137] + 0.5 + 0.61e-3),
+            "to_last_row": (t[137], t[-1]),
+        }[where]
+        mask = (t >= t0 - 1e-12) & (t <= tf + 1e-12)
+        if where == "to_last_row":
+            assert mask[-1]
+        sq = np.einsum("ij,ij->i", run.tau[mask], run.tau[mask])
+        want = math.sqrt(float(np.trapezoid(sq, t[mask])) / (tf - t0))
+        assert control_effort(run, t0, tf).hex() == want.hex()
+
     def test_quadrature_is_second_order(self):
         # non-periodic smooth torque t^2: trapezoid error scales as dt^2
         def gamma_at(dt):
