@@ -32,7 +32,8 @@ A stage-2 control step opens one more, the tracker's ``quat.yaw_of``
 while t0 is pending, so five or six; the tracker forms the spin sample in
 its own frame.  A run on the yaw plane forms the law's yaw rows, the
 hold's and the stage-2 spin's, in ``harness.run_on_plane`` instead, with
-these bits, and calls neither the controller nor its law.
+these bits, from the scenario: it builds no controller, starts the
+switching law's sigma at +1 as every run does and keeps it in a local.
 ``switch_function`` writes Lambda again, on an ``ErrorState``; delegating
 to it would cost the law a frame (ROADMAP item 2).  A controller returns ``(tau, row)``, tuples of
 floats, the row of the fixed width ``simulate`` needs for its (N, 9)

@@ -5,10 +5,13 @@ inertia, step size, seed); run_scenario wires the reference generator, the
 chosen control law, and the integrator together and returns the full
 telemetry as flat arrays.  It picks the loop once per run: a run that
 starts on the yaw plane, as every manoeuvre the paper flies does, goes
-through ``run_on_plane``, which writes only the yaw rows of the law and of
-the RK4 step; any other run, or one the plane cannot finish, goes through
-``rigid_body.simulate`` from the start.  The performance figure of merit
-is the RMS of the torque 2-norm over the evaluation window [t0, t0 + horizon].
+through ``run_on_plane``, which reads the scenario, builds no controller,
+writes only the yaw rows of the law and of the RK4 step, mirrors the
+tracker's read of the yaw in its own locals and returns t0 with the
+trajectory; any other run, or one the plane cannot finish, goes through
+``rigid_body.simulate`` from the start, with one controller built for it.
+The performance figure of merit is the RMS of the torque 2-norm over the
+evaluation window [t0, t0 + horizon].
 
 A run's inputs each have one form.  A run starts from the packed state
 tuple (identity at rest in full mode, ``stage3_initial_state`` in stage3
@@ -168,10 +171,14 @@ def make_controller(scenario: Scenario):
     return CONTROLLERS[scenario.controller](scenario.gains, scenario.inertia, tracker)
 
 
-def run_on_plane(y0, controller, dt: float, duration: float):
-    """``simulate(y0, controller, controller.J, dt, duration)`` on the yaw
-    plane, with its bits, or None for a run it does not take or cannot
-    finish; its refusals are ``rigid_body.checked_run``'s.
+def run_on_plane(scenario: Scenario, y0, duration: float):
+    """``(Trajectory, t0)`` of ``simulate(y0, make_controller(scenario),
+    scenario.inertia, scenario.dt, duration)`` on the yaw plane, with its
+    bits and the t0 its tracker pins (None for a run cut before it), or None
+    for a run it does not take or cannot finish; its refusals are
+    ``rigid_body.checked_run``'s.  It reads dt, the inertia, the law, its
+    gains and the maneuver from the scenario, builds no controller and
+    assigns to no object it did not make.
 
     It takes a run that starts with qx, qy, wx and wy at +0.0 on a diagonal
     inertia (validated, so it and its inverse, diagonal too, are finite) with
@@ -180,15 +187,16 @@ def run_on_plane(y0, controller, dt: float, duration: float):
     axis, the spin's w0 and axis must have x and y at +0.0 too, as every
     full-mode run of the command line has.  Only qw, qz and wz then move.
 
-    While t0 is pending, each step reads the tracker as
-    ``ManeuverTracker.sample`` does, in its operation order, from its bound
-    rate, axis, w0 and yaw state: the yaw is ``yaw_of``'s with x and y at
-    +0.0, atan2(2.0 (qw qz + 0.0), 1.0 - 2.0 (0.0 + qz qz)), unwrapped
+    It starts where every run starts: the switching law at sigma = +1, and
+    the tracker as ``ManeuverTracker(scenario.maneuver)`` binds it, from
+    which it takes the spin's rate, axis and w0, with the yaw sum and the
+    last yaw at 0.0 and t0 at the tracker's start value.  While t0 is
+    pending, each step mirrors ``ManeuverTracker.sample``'s read in its
+    operation order, in its own locals: the yaw is ``yaw_of``'s with x and
+    y at +0.0, atan2(2.0 (qw qz + 0.0), 1.0 - 2.0 (0.0 + qz qz)), unwrapped
     across +-pi into the yaw sum; t0 is the first t >= t1 at which the sum
-    reaches psi0, written back as it is pinned; and a step with t1 <= t
-    before t0 is a stage-2 spin row at h = 0.5 (rate (t - t1)).  The yaw sum
-    and the last yaw are written back as the loop ends, so the tracker is
-    left as ``sample`` would leave it.  For the hold sample
+    reaches psi0; and a step with t1 <= t before t0 is a stage-2 spin row
+    at h = 0.5 (rate (t - t1)).  For the hold sample
     HOLD = ((1, 0, 0, 0), 0, 0) and x and y at +0.0, ``_bind_law``'s general
     body reduces term by term to
 
@@ -262,7 +270,8 @@ def run_on_plane(y0, controller, dt: float, duration: float):
     The rates' and the torque's x and y, and the hold rows' ny, stay the
     +0.0 of ``np.zeros``.
     """
-    y, J, n_steps = rigid_body.checked_run(y0, controller.J, dt, duration)
+    dt = scenario.dt
+    y, J, n_steps = rigid_body.checked_run(y0, scenario.inertia, dt, duration)
     J, Jinv = rigid_body._inertia_rows(J)
     (_, j01, j02), (j10, _, j12), (j20, j21, j22) = J
     i22 = Jinv[2][2]
@@ -271,22 +280,23 @@ def run_on_plane(y0, controller, dt: float, duration: float):
     if (qx or qy or wx or wy or math.copysign(1.0, -qx - qy - wx - wy) > 0.0
             or j01 or j02 or j10 or j12 or j20 or j21 or j22 > 1.0):
         return None
-    tracker = controller.tracker
-    pending = tracker.t0 is None
+    tracker = ManeuverTracker(scenario.maneuver)
+    t0 = tracker.t0
+    pending = t0 is None
     turning = pending and tracker._axis is not None
     if turning:
         (w0x, w0y, w0z), (ax, ay, az) = tracker._w0, tracker._axis
         if w0x or w0y or ax or ay or math.copysign(1.0, -w0x - w0y - ax - ay) > 0.0:
             return None
-    gains, name = controller.gains, controller._name
+    gains, name = scenario.gains, scenario.controller
     kn, kq, kw, delta = law_kn(gains, name), gains.kq, gains.kw, gains.delta
     slope, radius = gains.lam_slope, gains.roa_radius
     switching, benchmark = name == "switching", name == "benchmark"
-    sigma = controller.sigma if switching else +1  # the sign the controller hands its law
+    sigma = +1  # every run's start sign
     isfinite, sqrt, h, third, n = math.isfinite, math.sqrt, 0.5 * dt, dt / 6.0, n_steps + 1
     atan2, cos, sin, pi, two_pi = math.atan2, math.cos, math.sin, math.pi, 2.0 * math.pi
     t1, psi0, rate = tracker.spec.stage1_duration, tracker.spec.psi0, tracker._rate
-    yaw_sum, prev_yaw = tracker._yaw, tracker._prev_yaw
+    yaw_sum = prev_yaw = 0.0
     spin, k0 = False, n  # whether this step is a spin row; t0's row
     # the torque's and the rates' x and y stay +0.0, and ny but in spin rows;
     # nx and ez are formed per chunk from the stored qw, qz and wz
@@ -310,7 +320,7 @@ def run_on_plane(y0, controller, dt: float, duration: float):
                     prev_yaw = yaw
                     if t >= t1:
                         if yaw_sum >= psi0:
-                            tracker.t0, k0, pending, spin = t, start + i, False, False
+                            t0, k0, pending, spin = t, start + i, False, False
                         else:
                             spin = turning
                 if spin:
@@ -384,16 +394,14 @@ def run_on_plane(y0, controller, dt: float, duration: float):
                 nys.clear()
     except ZeroDivisionError:  # the renorm of a zero quaternion
         return None
-    finally:
-        tracker._yaw, tracker._prev_yaw = yaw_sum, prev_yaw
-    return rigid_body.Trajectory(
+    traj = rigid_body.Trajectory(
         t=np.arange(n) * dt, q=ys_out[:, :4], w=ys_out[:, 4:], tau=taus_out, telemetry=tel
     )
+    return traj, t0
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
     """Simulate a scenario and assemble the full telemetry."""
-    controller = make_controller(scenario)
     spec = scenario.maneuver
     if spec.mode == MODE_STAGE3:
         state = stage3_initial_state(spec)
@@ -415,12 +423,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 f" 1.5 psi0/|w0| + 0.5 s = {stage2_allowance:.3g} s, so the run takes"
                 f" {steps:.3g} steps, more than the {MAX_STEPS} a run may take"
             )
-    traj = run_on_plane(state, controller, scenario.dt, duration)
-    if traj is None:  # off the plane, or a run it cannot finish: from the start
+    out = run_on_plane(scenario, state, duration)
+    if out is None:  # off the plane, or a run it cannot finish: from the start
         controller = make_controller(scenario)
         traj = simulate(state, controller, scenario.inertia, scenario.dt, duration)
-
-    t0 = controller.tracker.t0
+        out = traj, controller.tracker.t0
+    traj, t0 = out
     if t0 is None:
         raise SimulationError("stage-2 -> stage-3 transition never triggered")
     tf = t0 + scenario.horizon_after_t0

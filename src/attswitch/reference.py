@@ -12,9 +12,9 @@ unwraps the yaw of the measured packed state y until the stage-3 trigger
 fires, and returns the hold sample ``HOLD`` or forms the stage-2 spin in its
 own body: one Python frame, and ``quat.yaw_of`` while t0 is pending.  A run
 on the yaw plane, in ``harness.run_on_plane``, mirrors that read bit for bit
-in its own loop, from the tracker's bound rate, axis, w0 and yaw state, and
-writes t0 and the yaw state back, so the tracker ends as ``sample`` leaves
-it.
+in its own loop, from the rate, axis and w0 of a tracker it builds and from
+a yaw sum, last yaw and t0 of its own, and returns t0 without writing to
+the tracker.
 ``stage3_initial_state`` gives the stage-3 start as the packed state tuple
 that ``rigid_body.simulate`` takes, so this module needs nothing from
 ``rigid_body``.

@@ -35,7 +35,6 @@ from attswitch.controllers import (
 )
 from attswitch import harness
 from attswitch.harness import (
-    CONTROLLERS,
     DEFAULT_GAINS,
     REFERENCE_ICS,
     Scenario,
@@ -46,7 +45,7 @@ from attswitch.harness import (
     scenario_from_text,
 )
 from attswitch.quat import hamilton_product
-from attswitch.reference import ManeuverSpec, ManeuverTracker, stage3_initial_state
+from attswitch.reference import ManeuverSpec, stage3_initial_state
 from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, SimulationError, _bind_derivative, simulate
 
 LAWS = ("benchmark", "switching", "continuous")
@@ -371,7 +370,7 @@ def _diagonal_general_run(key):
     qx, wx, wy = OFF_PLANE_STARTS[start]
     norm = math.sqrt(qw * qw + qx * qx + qz * qz)
     y0 = (qw / norm, qx / norm, 0.0, qz / norm, wx, wy, wz)
-    assert run_on_plane(y0, make_controller(sc), sc.dt, steps * sc.dt) is None
+    assert run_on_plane(sc, y0, steps * sc.dt) is None
     traj = simulate(y0, make_controller(sc), sc.inertia, sc.dt, steps * sc.dt)
     h = hashlib.sha256()
     for a in (traj.t, traj.q, traj.w, traj.tau, traj.telemetry):
@@ -573,22 +572,47 @@ def test_kn_zero_laws_match_the_general_form(name, diagonal, seed, gains, y, q_d
 # --- The yaw-plane driver against simulate ----------------------------------
 # run_scenario runs a run that starts on the yaw plane through
 # harness.run_on_plane, and one that it refuses (None) through simulate, from
-# the start.  What the driver returns must be simulate's run, bit for bit.
+# the start.  What the driver returns must be simulate's run, bit for bit,
+# and the t0 that simulate's tracker pins.
 
 
-def _run_outcome(run, make):
-    """``run(controller)``'s trajectory and the tracker's t0, the arrays as
-    bytes with any NaN as one NaN (CPython may return either NaN operand of
-    a sum), None for None, or the type and text of what it raised."""
-    controller = make()
+def _scenario(name, spec, gains=None, J=DEFAULT_INERTIA, dt=1e-3):
+    """The ``name`` law's scenario of ``spec``, its gains DEFAULT_GAINS[name]
+    if not given.  dt and J are assigned after construction, so a step or an
+    inertia that ``Scenario`` refuses still reaches both loops."""
+    sc = Scenario(name=name, maneuver=spec, controller=name, gains=gains or DEFAULT_GAINS[name])
+    sc.dt, sc.inertia = dt, J
+    return sc
+
+
+def _simulated(sc, y0, duration):
+    """``simulate``'s run of the scenario from y0 and its tracker's t0."""
+    controller = make_controller(sc)
+    return simulate(y0, controller, sc.inertia, sc.dt, duration), controller.tracker.t0
+
+
+def _run_outcome(run):
+    """``run()``'s trajectory and t0, the arrays as bytes with any NaN as
+    one NaN (CPython may return either NaN operand of a sum), None for None,
+    or the type and text of what it raised."""
     try:
-        traj = run(controller)
+        out = run()
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
-    if traj is None:
+    if out is None:
         return None
+    traj, t0 = out
     a = np.concatenate([traj.t, *(x.ravel() for x in (traj.q, traj.w, traj.tau, traj.telemetry))])
-    return np.where(np.isnan(a), math.nan, a).tobytes(), controller.tracker.t0
+    return np.where(np.isnan(a), math.nan, a).tobytes(), t0
+
+
+def _outcomes(sc, y0, duration):
+    """``_run_outcome`` of the scenario's run from y0 through run_on_plane
+    and through simulate."""
+    return (
+        _run_outcome(lambda: run_on_plane(sc, y0, duration)),
+        _run_outcome(lambda: _simulated(sc, y0, duration)),
+    )
 
 
 _UNIT = st.one_of(
@@ -596,7 +620,7 @@ _UNIT = st.one_of(
     st.floats(-4.0, 4.0).map(lambda a: (math.cos(a), math.sin(a))),
 )
 _EXAMPLE = dict(
-    name="switching", sigma=+1, mode="stage3", jd=(1.66e-5, 1.66e-5, 2.93e-5), gains=(10.0, 100.0, 10.0),
+    name="switching", mode="stage3", jd=(1.66e-5, 1.66e-5, 2.93e-5), gains=(10.0, 100.0, 10.0),
     q=(0.6, 0.8), drift=1.0, wz=2.0, xy=(0.0, 0.0, 0.0, 0.0), tilt=0.0, dt=1e-3, steps=40,
 )
 
@@ -608,8 +632,6 @@ def _example(**changes):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(
     name=st.sampled_from(LAWS),
-    # the switching controller's sign at the start, as a run leaves it
-    sigma=st.sampled_from((1, -1)),
     mode=st.sampled_from(("stage3", "full")),
     # inertias, and J_22 > 1; the examples add those validate_inertia refuses
     jd=st.one_of(*[_vector(st.floats(1e-6, 1e-3), 3)] * 3, _vector(st.floats(1e-6, 2.0), 3)),
@@ -655,26 +677,16 @@ def _example(**changes):
 @_example(name="continuous", mode="full", steps=60)
 @_example(name="benchmark", mode="full", steps=60, dt=0.019)
 @_example(name="switching", mode="full", steps=60, dt=0.019)
-@_example(sigma=-1, q=(0.6, -0.8), wz=-3.0)
+@_example(q=(0.6, -0.8), wz=-3.0)
 @_example(mode="full", tilt=1e-3, steps=60)  # the spin torque leaves the plane
-def test_plane_driver_matches_simulate(
-    name, sigma, mode, jd, gains, q, drift, wz, xy, tilt, dt, steps
-):
-    J, g = np.diag(jd), _law_gains(*gains)
+def test_plane_driver_matches_simulate(name, mode, jd, gains, q, drift, wz, xy, tilt, dt, steps):
     spec = ManeuverSpec(
         w0=np.array([tilt, 0.0, 20.0]), psi0=0.5, stage1_duration=5 * dt, mode=mode
     )
+    sc = _scenario(name, spec, _law_gains(*gains), np.diag(jd), dt)
     (qw, qz), (qx, qy, wx, wy) = q, xy
     y0 = (qw * drift, qx, qy, qz * drift, wx, wy, wz)
-    duration = steps * dt
-
-    def make():
-        controller = CONTROLLERS[name](g, J, ManeuverTracker(spec))
-        controller.sigma = sigma  # read by the switching law only
-        return controller
-
-    got = _run_outcome(lambda c: run_on_plane(y0, c, dt, duration), make)
-    want = _run_outcome(lambda c: simulate(y0, c, J, dt, duration), make)
+    got, want = _outcomes(sc, y0, steps * dt)
     if got is not None:
         assert got == want
     # the driver refuses only a run off the plane or one that leaves it or
@@ -695,7 +707,7 @@ def test_plane_run_that_blows_up_raises_the_general_error(monkeypatch, law, wz, 
     sc = make_ic_scenario(wz, 150.0, law, horizon=horizon)
     sc.dt = dt  # past the step limit that Scenario refuses
     y0 = stage3_initial_state(sc.maneuver)
-    assert run_on_plane(y0, make_controller(sc), dt, horizon) is None
+    assert run_on_plane(sc, y0, horizon) is None
     with pytest.raises(SimulationError) as plane:
         run_scenario(sc)
     monkeypatch.setattr(harness, "run_on_plane", lambda *args: None)
@@ -718,9 +730,12 @@ def _flush_run(case):
     """(spec, y0) of a flush case, at dt = 1 ms."""
     if case.startswith("full"):
         # stage 1 for 50 ms (200 ms: the spin rows run past row CHUNK), then
-        # a spin at 20 rad/s until the yaw reaches psi0
-        stage1, psi0 = (0.2, 2.0) if case == "full_straddle" else (0.05, 1.0)
-        spec = ManeuverSpec(w0=np.array([0.0, 0.0, 20.0]), psi0=psi0, stage1_duration=stage1)
+        # a spin at 20 rad/s until the yaw reaches psi0 (at 2 rad/s: the run
+        # is cut first, with spin rows in every chunk and t0 pending)
+        stage1, psi0, wz = {
+            "full": (0.05, 1.0, 20.0), "full_straddle": (0.2, 2.0, 20.0), "full_cut": (0.05, 2.0, 2.0)
+        }[case]
+        spec = ManeuverSpec(w0=np.array([0.0, 0.0, wz]), psi0=psi0, stage1_duration=stage1)
         return spec, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     spec = ManeuverSpec(w0=np.array([0.0, 0.0, 2.0]), psi0=math.radians(150.0), mode="stage3")
     qw, _, _, qz, _, _, wz = stage3_initial_state(spec)
@@ -728,27 +743,23 @@ def _flush_run(case):
     return spec, (qw * scale, 0.0, 0.0, qz * scale, 0.0, 0.0, wz)
 
 
-@pytest.mark.parametrize("case", ["stage3", "full", "full_straddle", "drifted", "negated"])
+@pytest.mark.parametrize("case", ["stage3", "full", "full_straddle", "full_cut", "drifted", "negated"])
 @pytest.mark.parametrize("name", LAWS)
 def test_plane_driver_matches_simulate_across_flushes(name, case):
     spec, y0 = _flush_run(case)
-    J, dt = DEFAULT_INERTIA, 1e-3
-
-    def make():
-        return CONTROLLERS[name](DEFAULT_GAINS[name], J, ManeuverTracker(spec))
-
-    duration = _FLUSH_STEPS * dt
-    got = _run_outcome(lambda c: run_on_plane(y0, c, dt, duration), make)
+    sc, dt = _scenario(name, spec), 1e-3
+    got, want = _outcomes(sc, y0, _FLUSH_STEPS * dt)
     assert got is not None
-    assert got == _run_outcome(lambda c: simulate(y0, c, J, dt, duration), make)
-    controller = make()
-    traj = simulate(y0, controller, J, dt, duration)
-    t0, nx = controller.tracker.t0, traj.telemetry[:, 1]
+    assert got == want
+    traj, t0 = _simulated(sc, y0, _FLUSH_STEPS * dt)
+    nx = traj.telemetry[:, 1]
     qq = (traj.q * traj.q).sum(axis=1)
     if case == "full":  # the spin ends inside the first chunk
         assert spec.stage1_duration < t0 < CHUNK * dt
     elif case == "full_straddle":  # the spin rows run past the first flush
         assert spec.stage1_duration < (CHUNK - 1) * dt and t0 > CHUNK * dt
+    elif case == "full_cut":
+        assert t0 is None
     elif case == "drifted":  # the law rescales row 0, the step rescales row 1
         assert abs(qq[0] - 1.0) > 1e-12 > abs(qq[1] - 1.0)
     elif case == "negated":  # qw 0.0 + qz 0.0 is -0.0 for a negative qw and qz
@@ -790,22 +801,11 @@ def _spin_over(spec):
     return spec.stage1_duration + 1.5 * spec.psi0 / spec.rate + 0.5
 
 
-def _case_controller(name, spec):
-    return CONTROLLERS[name](DEFAULT_GAINS[name], DEFAULT_INERTIA, ManeuverTracker(spec))
-
-
 def _full_case_runs(name, case):
-    """``_run_outcome`` of the case through run_on_plane and through
-    simulate, and the case's (spec, y0)."""
+    """``_outcomes`` of the case at dt = 1 ms, and the case's (scenario, y0)."""
     spec, y0 = _full_case(case)
-    J, dt, duration = DEFAULT_INERTIA, 1e-3, _spin_over(spec)
-
-    def make():
-        return _case_controller(name, spec)
-
-    got = _run_outcome(lambda c: run_on_plane(y0, c, dt, duration), make)
-    want = _run_outcome(lambda c: simulate(y0, c, J, dt, duration), make)
-    return got, want, spec, y0
+    sc = _scenario(name, spec)
+    return (*_outcomes(sc, y0, _spin_over(spec)), sc, y0)
 
 
 @pytest.mark.parametrize(
@@ -813,9 +813,10 @@ def _full_case_runs(name, case):
 )
 @pytest.mark.parametrize("name", LAWS)
 def test_plane_driver_full_mode_cases(name, case):
-    got, want, spec, _ = _full_case_runs(name, case)
+    got, want, sc, _ = _full_case_runs(name, case)
     assert got is not None  # the driver finished the run
     assert got == want
+    spec = sc.maneuver
     t0, t1, dt = want[1], spec.stage1_duration, 1e-3
     if case == "past_pi" and name == "continuous":
         # the last spin row, the one before t0's, is past h = pi
@@ -828,25 +829,8 @@ def test_plane_driver_full_mode_cases(name, case):
 
 @pytest.mark.parametrize("name", LAWS)
 def test_plane_driver_refuses_a_negative_zero_spin_axis(name):
-    got, _, spec, y0 = _full_case_runs(name, "negative_zero_x")
+    got, _, sc, y0 = _full_case_runs(name, "negative_zero_x")
     assert got is None  # so run_scenario takes simulate's bits
-    traj = simulate(y0, _case_controller(name, spec), DEFAULT_INERTIA, 1e-3, _spin_over(spec))
+    traj, _ = _simulated(sc, y0, _spin_over(sc.maneuver))
     wex = traj.telemetry[:, 4]
     assert (np.signbit(wex) & (wex == 0.0)).any()
-
-
-@pytest.mark.parametrize("cut", [False, True])
-@pytest.mark.parametrize("name", LAWS)
-def test_plane_driver_leaves_the_tracker_as_simulate(name, cut):
-    # t0, the yaw sum and the last yaw the tracker is left with, once the
-    # spin is over or with t0 still pending (a run cut in stage 2)
-    spec, y0 = _full_case("past_pi")
-    duration = 2.0 if cut else _spin_over(spec)
-    trackers = []
-    for run in (run_on_plane, lambda y, c, dt, d: simulate(y, c, c.J, dt, d)):
-        controller = _case_controller(name, spec)
-        assert run(y0, controller, 1e-3, duration) is not None
-        tracker = controller.tracker
-        trackers.append((tracker.t0, tracker._yaw.hex(), tracker._prev_yaw.hex()))
-    assert trackers[0] == trackers[1]
-    assert (trackers[0][0] is None) is cut

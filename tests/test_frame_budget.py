@@ -145,16 +145,12 @@ PLANE_STEP_FRAMES = {"continuous": [], "benchmark": [], "switching": []}
 
 def _plane_step_frames(sc, y0, n):
     """Sorted names of the frames that one step more of ``run_on_plane``
-    from y0 opens, after n steps, and the tracker the longer run left."""
-    controllers = [make_controller(sc) for _ in range(2)]
-    runs = [
-        _frames(run_on_plane, y0, controller, sc.dt, k * sc.dt)
-        for controller, k in zip(controllers, (n, n + 1))
-    ]
+    from y0 opens, after n steps, and the t0 the longer run returns."""
+    runs = [_frames(run_on_plane, sc, y0, k * sc.dt) for k in (n, n + 1)]
     extra = sorted(runs[1])
     for name in runs[0]:
         extra.remove(name)
-    return extra, controllers[1].tracker
+    return extra, run_on_plane(sc, y0, (n + 1) * sc.dt)[1]
 
 
 @pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
@@ -176,8 +172,8 @@ def test_plane_driver_pending_step_frames(law, stage):
     sc = _full_mode_scenario(law)
     first_spin_row = round(sc.maneuver.stage1_duration / sc.dt)
     n = {1: 3, 2: first_spin_row + 3}[stage]
-    extra, tracker = _plane_step_frames(sc, AT_REST, n)
-    assert tracker.t0 is None
+    extra, t0 = _plane_step_frames(sc, AT_REST, n)
+    assert t0 is None
     assert ((n + 1) * sc.dt >= sc.maneuver.stage1_duration) is (stage == 2)
     assert extra == PLANE_STEP_FRAMES[law]
 

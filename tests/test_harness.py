@@ -228,6 +228,30 @@ class TestRunScenario:
         assert len(run.t) == 12329
         assert peak <= 4e6
 
+    @pytest.mark.parametrize("law", ["continuous", "benchmark", "switching"])
+    @pytest.mark.parametrize("case, built", [("stage3", 0), ("full", 0), ("general", 1), ("blows_up", 1)])
+    def test_controllers_built(self, monkeypatch, law, case, built):
+        # a run on the yaw plane builds no controller; one that the plane
+        # driver refuses (J_22 > 1) or hands back (a state that blows up in
+        # the first step) builds one, for simulate
+        made = []
+        make = harness.make_controller
+        monkeypatch.setattr(harness, "make_controller", lambda sc: made.append(sc) or make(sc))
+        if case == "full":
+            sc = harness.scenario_from_text(
+                "", {"mode": "full", "wz": "2", "psi0_deg": "150", "controller": law, "horizon": "0.5"}
+            )
+        else:
+            wz = 1e150 if case == "blows_up" else 2.0
+            inertia = np.diag([1e-5, 1e-5, 2.0]) if case == "general" else None
+            sc = make_ic_scenario(wz, 150.0, law, inertia=inertia, horizon=0.5)
+        if case == "blows_up":
+            with pytest.raises(harness.SimulationError):
+                run_scenario(sc)
+        else:
+            run_scenario(sc)
+        assert made == [sc] * built
+
     @pytest.mark.parametrize("controller", ["continuous", "benchmark", "switching"])
     def test_step_limit_is_where_one_closed_loop_step_turns_unstable(self, controller):
         # one control step (the law, then the RK4 step) linearised by central
