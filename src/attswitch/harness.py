@@ -8,8 +8,10 @@ starts on the yaw plane, as every manoeuvre the paper flies does, goes
 through ``run_on_plane``, which reads the scenario, builds no controller,
 writes only the yaw rows of the law and of the RK4 step, mirrors the
 tracker's read of the yaw in its own locals and returns t0 with the
-trajectory; any other run, or one the plane cannot finish, goes through
-``rigid_body.simulate`` from the start, with one controller built for it.
+trajectory.  Its hold step opens no frame and calls no builtin, and each
+chunk of steps reaches the arrays through one ``struct`` pack.  Any other
+run, or one the plane cannot finish, goes through ``rigid_body.simulate``
+from the start, with one controller built for it.
 The performance figure of merit is the RMS of the torque 2-norm over the
 evaluation window [t0, t0 + horizon].
 
@@ -27,6 +29,7 @@ V and ROA membership come from ``stability`` on that row.
 """
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,6 +174,10 @@ def make_controller(scenario: Scenario):
     return CONTROLLERS[scenario.controller](scenario.gains, scenario.inertia, tracker)
 
 
+# run_on_plane's eight stored columns of a chunk, in one native-order pack
+_pack_chunk = struct.Struct(f"{8 * CHUNK}d").pack
+
+
 def run_on_plane(scenario: Scenario, y0, duration: float):
     """``(Trajectory, t0)`` of ``simulate(y0, make_controller(scenario),
     scenario.inertia, scenario.dt, duration)`` on the yaw plane, with its
@@ -242,33 +249,48 @@ def run_on_plane(scenario: Scenario, y0, duration: float):
     derivative reduces to
 
         qw_dot = 0.5 (-0.0 - qz wz)         (-qx wx - qy wy is -0.0)
+               = -0.5 (qz wz)               (-0.0 - x is -x for every x,
+                                             and 0.5 (-x) is (-0.5) x)
         qz_dot = 0.5 (qw wz + 0.0)          (v + 0.0 - 0.0 is v + 0.0)
         wz_dot = Jinv_22 tz                 (rz = tz - (+0.0) = tz)
 
     (Jinv_20 rx + Jinv_21 ry is a zero, and Jinv_22 tz is one only for
-    tz = +0.0, as Jinv_22 >= 1; wx_dot and wy_dot are zeros of either sign).
-    Both need every entry finite.  A state that a step makes non-finite makes
-    the next step's Lambda + tau_z non-finite; a run whose Lambda + tau_z is
-    not finite, or whose renorm divides by zero, returns None, for its
-    caller to run again from the start through ``simulate``.
+    tz = +0.0, as Jinv_22 >= 1; wx_dot and wy_dot are zeros of either sign);
+    the wz sum's 2 wz_dot is formed once.  Both need every entry finite.  A
+    state that a step makes non-finite makes the next step's Lambda + tau_z
+    non-finite; a run whose Lambda + tau_z is not finite, tested as
+    ``not -inf < Lambda + tau_z < inf`` (true for a NaN, as for isfinite),
+    or whose renorm divides by zero, returns None, for its caller to run
+    again from the start through ``simulate``.
 
     No step opens a Python frame.  The two calls of ``renorm_if_drifted``
     are written out with their bits: the step's |q|^2 is pw^2 + pz^2 plus
     two +0.0 terms, and the law's is m^2 + nz^2 for a finite m and nz, as
     (qw + 0.0)^2 is qw^2, (0.0 - qz)^2 is qz^2 and the squares of the zero
     nx and ny are +0.0 (a non-finite m or nz leaves m or nz non-finite in
-    both forms, and so Lambda + tau_z).  The sign rules are
-    ``update_sigma``'s, whose delta > 0 ``GainSet`` guarantees, and
-    ``_shorter_path_sign``'s.  A step stores only what it forms: qw, qz,
-    wz, tau_z, m, nz, sigma and Lambda, into lists of a chunk, and a spin
-    row also nx and ny.  At the chunk's end numpy forms nx = qw 0.0 + qz 0.0
-    and ez = 0.0 - wz on the stored columns, the same IEEE operations on the
-    same operands; the law's renorm scales nx and ny by 1/sqrt(|q|^2),
-    finite and positive or +0.0, which leaves a zero as it is, sign
-    included.  The chunk's spin rows, contiguous and ending at t0's row or
-    at the chunk's end, then take their stored nx and ny and ez = w0z - wz.
-    The rates' and the torque's x and y, and the hold rows' ny, stay the
-    +0.0 of ``np.zeros``.
+    both forms, and so Lambda + tau_z).  Each tests its drift d = |q|^2 - 1
+    as ``d > tol or d < -tol``, which is ``abs(d) > tol``, NaN included.
+    The sign rules are ``update_sigma``'s, whose delta > 0 ``GainSet``
+    guarantees, against a -delta formed once, and ``_shorter_path_sign``'s.
+    sigma is carried as the float +-1.0, and each rule that sets it also
+    binds skq = sigma kq and kd = sigma kn, as kq and kn or as -1.0 kq and
+    -1.0 kn formed once: an int +-1 times a float is that float times
+    +-1.0, so the torque's sigma kq nz is skq nz, bit for bit.
+
+    A step stores only what it forms: qw, qz, wz, tau_z, m, nz, sigma and
+    Lambda, into eight lists of a chunk, and a spin row also nx and ny.  At
+    the chunk's end one native-order ``struct`` pack turns the eight lists
+    into one buffer, each double's bytes copied as they are, whose
+    ``np.frombuffer`` rows go to their column slices.  numpy then forms
+    nx = qw 0.0 + qz 0.0 and ez = 0.0 - wz on those rows, the same IEEE
+    operations on the same operands; the law's renorm scales nx and ny by
+    1/sqrt(|q|^2), finite and positive or +0.0, which leaves a zero as it
+    is, sign included.  The chunk's spin rows, contiguous and ending at t0's
+    row or at the chunk's end, then take their stored nx and ny and
+    ez = w0z - wz.  The rates' and the torque's x and y, and the hold rows'
+    ny, stay the +0.0 of ``np.zeros``.  So a hold step calls no builtin, a
+    stage-1 step only ``atan2`` and a spin step ``atan2``, ``sin`` and
+    ``cos``.
     """
     dt = scenario.dt
     y, J, n_steps = rigid_body.checked_run(y0, scenario.inertia, dt, duration)
@@ -292,8 +314,11 @@ def run_on_plane(scenario: Scenario, y0, duration: float):
     kn, kq, kw, delta = law_kn(gains, name), gains.kq, gains.kw, gains.delta
     slope, radius = gains.lam_slope, gains.roa_radius
     switching, benchmark = name == "switching", name == "benchmark"
-    sigma = +1  # every run's start sign
-    isfinite, sqrt, h, third, n = math.isfinite, math.sqrt, 0.5 * dt, dt / 6.0, n_steps + 1
+    # every run's start sign, and the sign -1's sigma kq and sigma kn
+    sigma, skq, kd = 1.0, kq, kn
+    nkq, nkn, ndelta = -1.0 * kq, -1.0 * kn, -delta
+    tol, ntol, inf, ninf = NORM_DRIFT_TOL, -NORM_DRIFT_TOL, math.inf, -math.inf
+    sqrt, h, third, n = math.sqrt, 0.5 * dt, dt / 6.0, n_steps + 1
     atan2, cos, sin, pi, two_pi = math.atan2, math.cos, math.sin, math.pi, 2.0 * math.pi
     t1, psi0, rate = tracker.spec.stage1_duration, tracker.spec.psi0, tracker._rate
     yaw_sum = prev_yaw = 0.0
@@ -302,8 +327,7 @@ def run_on_plane(scenario: Scenario, y0, duration: float):
     # nx and ez are formed per chunk from the stored qw, qz and wz
     ys_out, taus_out, tel = np.zeros((n, 7)), np.zeros((n, 3)), np.zeros((n, 9))
     qws, qzs, wzs, tzs, ms, nzs, sigmas, lams = ([0.0] * CHUNK for _ in range(8))
-    nxs, nys = [], []  # the chunk's spin rows' nx and ny
-    nx_add, ny_add = nxs.append, nys.append
+    nxs, nys, ns = [0.0] * CHUNK, [0.0] * CHUNK, 0  # the chunk's spin rows' nx and ny
     try:
         for start in range(0, n, CHUNK):
             c, last = min(CHUNK, n - start), n_steps - start
@@ -329,29 +353,31 @@ def run_on_plane(scenario: Scenario, y0, duration: float):
                     z, p = 0.0 * sh, az * sh
                     # the body's four distinct zero products of nx and ny
                     xw, xz, xc, xp = qw * z, qz * z, 0.0 * ch, 0.0 * p
-                    nx_add(xw - xc - xp + xz)
-                    ny_add(xw + xp - xc - xz)
+                    nxs[ns] = xw - xc - xp + xz
+                    nys[ns] = xw + xp - xc - xz
+                    ns += 1
                     m, nz = qw * ch + z + qz * p, qw * p + 0.0 - qz * ch
                     nn, ez = m * m + nz * nz, w0z - wz
                 else:
                     m, nz, nn = qw + 0.0, 0.0 - qz, qw * qw + qz * qz
                     ez = 0.0 - wz
-                if abs(nn - 1.0) > NORM_DRIFT_TOL:
+                d = nn - 1.0
+                if d > tol or d < ntol:
                     s = 1.0 / sqrt(nn)
                     m, nz = m * s, nz * s
                 lam = slope * (0.0 + ez * nz) + radius * m
                 if switching:
                     if lam >= delta:
-                        sigma = +1
-                    elif lam <= -delta:
-                        sigma = -1
+                        sigma, skq, kd = 1.0, kq, kn
+                    elif lam <= ndelta:
+                        sigma, skq, kd = -1.0, nkq, nkn
                 elif benchmark:
-                    sigma = +1 if m >= 0.0 else -1
-                kd = sigma * kn
-                tz = j22 * (
-                    sigma * kq * nz + kw * (ez + kd * nz) + 0.0 + kd * (0.5 * (m * ez + 0.0))
-                ) + 0.0
-                if not isfinite(lam + tz):
+                    if m >= 0.0:
+                        sigma, skq, kd = 1.0, kq, kn
+                    else:
+                        sigma, skq, kd = -1.0, nkq, nkn
+                tz = j22 * (skq * nz + kw * (ez + kd * nz) + 0.0 + kd * (0.5 * (m * ez + 0.0))) + 0.0
+                if not ninf < lam + tz < inf:
                     return None
                 tzs[i] = tz
                 ms[i] = m
@@ -364,34 +390,36 @@ def run_on_plane(scenario: Scenario, y0, duration: float):
                 if i == last:
                     break
                 a6 = i22 * tz
-                w = wz + h * a6
-                a0, a3 = 0.5 * (-0.0 - qz * wz), 0.5 * (qw * wz + 0.0)
+                a62, w = 2.0 * a6, wz + h * a6
+                a0, a3 = -0.5 * (qz * wz), 0.5 * (qw * wz + 0.0)
                 pw, pz = qw + h * a0, qz + h * a3
-                b0, b3 = 0.5 * (-0.0 - pz * w), 0.5 * (pw * w + 0.0)
+                b0, b3 = -0.5 * (pz * w), 0.5 * (pw * w + 0.0)
                 pw, pz = qw + h * b0, qz + h * b3
-                c0, c3 = 0.5 * (-0.0 - pz * w), 0.5 * (pw * w + 0.0)
+                c0, c3 = -0.5 * (pz * w), 0.5 * (pw * w + 0.0)
                 pw, pz, w = qw + dt * c0, qz + dt * c3, wz + dt * a6
-                d0, d3 = 0.5 * (-0.0 - pz * w), 0.5 * (pw * w + 0.0)
+                d0, d3 = -0.5 * (pz * w), 0.5 * (pw * w + 0.0)
                 pw = qw + third * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
                 pz = qz + third * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-                wz = wz + third * (a6 + 2.0 * a6 + 2.0 * a6 + a6)
+                wz = wz + third * (a6 + a62 + a62 + a6)
                 qw, qz, nn = pw, pz, pw * pw + pz * pz
-                if abs(nn - 1.0) > NORM_DRIFT_TOL:
+                d = nn - 1.0
+                if d > tol or d < ntol:
                     s = 1.0 / sqrt(nn)
                     qw, qz = pw * s, pz * s
             rows = slice(start, start + c)
-            ys_out[rows, 0], ys_out[rows, 3], ys_out[rows, 6] = qws[:c], qzs[:c], wzs[:c]
-            taus_out[rows, 2], tel[rows, 0], tel[rows, 3] = tzs[:c], ms[:c], nzs[:c]
-            tel[rows, 7], tel[rows, 8] = sigmas[:c], lams[:c]
-            tel[rows, 1] = ys_out[rows, 0] * 0.0 + ys_out[rows, 3] * 0.0
-            tel[rows, 6] = 0.0 - ys_out[rows, 6]
-            if nxs:
+            block = np.frombuffer(
+                _pack_chunk(*qws, *qzs, *wzs, *tzs, *ms, *nzs, *sigmas, *lams)
+            ).reshape(8, CHUNK)[:, :c]
+            (ys_out[rows, 0], ys_out[rows, 3], ys_out[rows, 6], taus_out[rows, 2],
+             tel[rows, 0], tel[rows, 3], tel[rows, 7], tel[rows, 8]) = block
+            tel[rows, 1] = block[0] * 0.0 + block[1] * 0.0
+            tel[rows, 6] = 0.0 - block[2]
+            if ns:
                 end = min(k0, start + c)
-                spun = slice(end - len(nxs), end)
-                tel[spun, 1], tel[spun, 2] = nxs, nys
+                spun = slice(end - ns, end)
+                tel[spun, 1], tel[spun, 2] = nxs[:ns], nys[:ns]
                 tel[spun, 6] = w0z - ys_out[spun, 6]
-                nxs.clear()
-                nys.clear()
+                ns = 0
     except ZeroDivisionError:  # the renorm of a zero quaternion
         return None
     traj = rigid_body.Trajectory(

@@ -44,7 +44,7 @@ from attswitch.harness import (
     run_scenario,
     scenario_from_text,
 )
-from attswitch.quat import hamilton_product
+from attswitch.quat import NORM_DRIFT_TOL, hamilton_product
 from attswitch.reference import ManeuverSpec, stage3_initial_state
 from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, SimulationError, _bind_derivative, simulate
 
@@ -679,6 +679,16 @@ def _example(**changes):
 @_example(name="switching", mode="full", steps=60, dt=0.019)
 @_example(q=(0.6, -0.8), wz=-3.0)
 @_example(mode="full", tilt=1e-3, steps=60)  # the spin torque leaves the plane
+# |q|^2 - 1 just inside and just past +-NORM_DRIFT_TOL (RENORM_EDGES)
+@_example(q=(0.602, 0.798496086403058))  # 4503 2^-52: no renorm
+@_example(q=(0.6, 0.8000000000006251))  # 4504 2^-52: renorm
+@_example(q=(0.6, 0.799999999999375))  # -9007 2^-53: no renorm
+@_example(q=(0.601, 0.7992490225198902))  # -9008 2^-53: renorm
+# the step's |q|^2 - 1 at the tolerance's edge, from a start just inside it;
+# no output shows it, but a step tolerance moved past a neighbour fails these
+@_example(q=(0.989, 0.14791551643083165))  # 4504 2^-52 at the 9th step: renorm
+@_example(q=(-0.647, -0.7624899999337729))  # -9008 2^-53 at the 2nd step: renorm
+@_example(q=(0.721, 0.6929350618918132))  # -9006 2^-53 at the 5th step: no renorm
 def test_plane_driver_matches_simulate(name, mode, jd, gains, q, drift, wz, xy, tilt, dt, steps):
     spec = ManeuverSpec(
         w0=np.array([tilt, 0.0, 20.0]), psi0=0.5, stage1_duration=5 * dt, mode=mode
@@ -696,6 +706,23 @@ def test_plane_driver_matches_simulate(name, mode, jd, gains, q, drift, wz, xy, 
         values = np.frombuffer(want[0])
         if np.isfinite(values).all() and np.abs(values).max() < 1e100:
             assert got is not None
+
+
+# the renorm-edge examples' q and |q|^2 - 1: the last drift inside the
+# tolerance and the first past it, above 1 (steps of 2^-52) and below (2^-53)
+RENORM_EDGES = [
+    ((0.602, 0.798496086403058), 4503 * 2.0**-52, False),
+    ((0.6, 0.8000000000006251), 4504 * 2.0**-52, True),
+    ((0.6, 0.799999999999375), -9007 * 2.0**-53, False),
+    ((0.601, 0.7992490225198902), -9008 * 2.0**-53, True),
+]
+
+
+@pytest.mark.parametrize("q, d, renorms", RENORM_EDGES)
+def test_renorm_edge_examples(q, d, renorms):
+    qw, qz = q
+    assert qw * qw + qz * qz - 1.0 == d
+    assert (abs(d) > NORM_DRIFT_TOL) is renorms
 
 
 @pytest.mark.parametrize("law", LAWS)

@@ -1,6 +1,7 @@
 """The per-step frame budget: the Python frames that one stage-3 control
 step and one integration step open, counted as ``call`` events of
-``sys.setprofile``.
+``sys.setprofile``, and the builtins that a step on the yaw plane calls,
+counted as its ``c_call`` events.
 
 Frames, not arithmetic, are most of what a closed-loop step costs, so a
 refactor that puts a layer back on the per-step path (a helper the law calls,
@@ -14,6 +15,11 @@ RK4 step, its four derivative calls and ``renorm_if_drifted``.  A step of
 a run on the yaw plane, in ``harness.run_on_plane``, opens none, in stage 1,
 in the stage-2 spin and from t0 on: it writes the tracker's read, the law's
 hold and spin rows, its renorm and sigma rule and the step's renorm itself.
+Its hold step calls no builtin either: the renorm tests and the finiteness
+test of Lambda + tau_z are comparisons, not ``abs`` and ``math.isfinite``,
+and a chunk's stores reach the arrays in one ``struct`` pack after the
+chunk.  A stage-1 step calls only the tracker's ``atan2``, and a spin step
+also the ``sin`` and ``cos`` of its half angle.
 
 The per-state certificates are held to the same rule: each of
 ``lyapunov_value``, ``lyapunov_rate``, ``lyapunov_decay_bound`` and
@@ -36,16 +42,24 @@ from attswitch.rigid_body import simulate
 
 
 def _frames(fn, *args):
-    """Names of the Python frames that ``fn(*args)`` opens, itself first.
+    """Names of the Python frames that ``fn(*args)`` opens, itself first."""
+    return _calls(fn, *args)[0]
+
+
+def _calls(fn, *args):
+    """Names of the Python frames that ``fn(*args)`` opens, itself first,
+    and of the builtins that it calls, in order.
 
     The garbage collector is off meanwhile (and then back as it was): a
     collection inside the call would add the frames of whatever gc callback
     is installed, such as hypothesis's."""
-    names = []
+    names, builtins = [], []
 
     def profile(frame, event, arg):
         if event == "call":
             names.append(frame.f_code.co_name)
+        elif event == "c_call":
+            builtins.append(arg.__name__)
 
     collecting = gc.isenabled()
     gc.disable()
@@ -56,7 +70,7 @@ def _frames(fn, *args):
         sys.setprofile(None)
         if collecting:
             gc.enable()
-    return names
+    return names, builtins
 
 
 @pytest.mark.parametrize("enabled", (True, False))
@@ -114,6 +128,14 @@ def test_stage2_control_step_frames(law):
     assert _frames(controller, 1.5, AT_REST) == expected
 
 
+def _extra(before, after):
+    """Sorted names that ``after`` has beyond ``before``."""
+    extra = sorted(after)
+    for name in before:
+        extra.remove(name)
+    return extra
+
+
 def _simulate_step_frames(y0):
     """Sorted names of the frames that one step more of a run from y0 opens."""
     sc = make_ic_scenario(2.0, 150.0, "continuous")
@@ -121,11 +143,7 @@ def _simulate_step_frames(y0):
     def controller(t, y):
         return (0.0, 0.0, 0.0), ()
 
-    runs = [_frames(simulate, y0, controller, sc.inertia, sc.dt, n * sc.dt) for n in (3, 4)]
-    extra = sorted(runs[1])
-    for name in runs[0]:
-        extra.remove(name)
-    return extra
+    return _extra(*(_frames(simulate, y0, controller, sc.inertia, sc.dt, n * sc.dt) for n in (3, 4)))
 
 
 def test_simulate_step_frames():
@@ -141,16 +159,20 @@ def test_simulate_step_frames():
 
 # sorted, as _simulate_step_frames gives them
 PLANE_STEP_FRAMES = {"continuous": [], "benchmark": [], "switching": []}
+# the builtins one step more of run_on_plane calls, sorted: a hold step none,
+# a stage-1 step the tracker's atan2, a stage-2 spin step also its sin and cos
+PLANE_STEP_BUILTINS = {"hold": [], 1: ["atan2"], 2: ["atan2", "cos", "sin"]}
 
 
-def _plane_step_frames(sc, y0, n):
+def _plane_step_calls(sc, y0, n):
     """Sorted names of the frames that one step more of ``run_on_plane``
-    from y0 opens, after n steps, and the t0 the longer run returns."""
-    runs = [_frames(run_on_plane, sc, y0, k * sc.dt) for k in (n, n + 1)]
-    extra = sorted(runs[1])
-    for name in runs[0]:
-        extra.remove(name)
-    return extra, run_on_plane(sc, y0, (n + 1) * sc.dt)[1]
+    from y0 opens, after n steps, and of the builtins it calls, and the t0
+    the longer run returns."""
+    (frames, builtins), (more_frames, more_builtins) = (
+        _calls(run_on_plane, sc, y0, k * sc.dt) for k in (n, n + 1)
+    )
+    t0 = run_on_plane(sc, y0, (n + 1) * sc.dt)[1]
+    return _extra(frames, more_frames), _extra(builtins, more_builtins), t0
 
 
 @pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
@@ -159,8 +181,17 @@ def test_plane_driver_step_frames(law):
     # and the step's yaw rows, their renorms and the sign rule itself: one
     # hold step more opens no frame, no controller, sample, law or step
     sc = make_ic_scenario(2.0, 150.0, law)
-    extra, _ = _plane_step_frames(sc, stage3_initial_state(sc.maneuver), 3)
+    extra, _, _ = _plane_step_calls(sc, stage3_initial_state(sc.maneuver), 3)
     assert extra == PLANE_STEP_FRAMES[law]
+
+
+@pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
+def test_plane_driver_step_builtins(law):
+    # a hold step writes its renorm tests and the finiteness test of
+    # Lambda + tau_z as comparisons: one step more calls no abs, no isfinite
+    sc = make_ic_scenario(2.0, 150.0, law)
+    _, extra, _ = _plane_step_calls(sc, stage3_initial_state(sc.maneuver), 3)
+    assert extra == PLANE_STEP_BUILTINS["hold"]
 
 
 @pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
@@ -169,13 +200,30 @@ def test_plane_driver_pending_step_frames(law, stage):
     # with t0 pending, run_on_plane also writes the tracker's read of the
     # yaw and, in stage 2, the law's spin row: one stage-1 or stage-2 step
     # more opens no frame, no sample, yaw_of, law, renorm or sign rule
+    extra, _ = _pending_step_calls(law, stage)
+    assert extra == PLANE_STEP_FRAMES[law]
+
+
+@pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
+@pytest.mark.parametrize("stage", (1, 2))
+def test_plane_driver_pending_step_builtins(law, stage):
+    # with t0 pending, a step calls the tracker's atan2, and a spin step the
+    # sin and cos of its half angle; it stores a spin row's nx and ny by
+    # index, with no list append
+    _, extra = _pending_step_calls(law, stage)
+    assert extra == PLANE_STEP_BUILTINS[stage]
+
+
+def _pending_step_calls(law, stage):
+    """``_plane_step_calls``'s frames and builtins of one stage-1 or
+    stage-2 step more of the law's full-mode run from rest, t0 pending."""
     sc = _full_mode_scenario(law)
     first_spin_row = round(sc.maneuver.stage1_duration / sc.dt)
     n = {1: 3, 2: first_spin_row + 3}[stage]
-    extra, t0 = _plane_step_frames(sc, AT_REST, n)
+    frames, builtins, t0 = _plane_step_calls(sc, AT_REST, n)
     assert t0 is None
     assert ((n + 1) * sc.dt >= sc.maneuver.stage1_duration) is (stage == 2)
-    assert extra == PLANE_STEP_FRAMES[law]
+    return frames, builtins
 
 
 CERTIFICATE_FRAMES = {
