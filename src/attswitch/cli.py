@@ -155,6 +155,9 @@ def _cmd_simulate(args) -> int:
     _check_out(out)
     run = harness.run_scenario(scenario)
     out.mkdir(parents=True, exist_ok=True)
+    # report.txt is written last, so a write that fails leaves none behind,
+    # not an earlier run's beside this run's scenario.txt
+    (out / "report.txt").unlink(missing_ok=True)
     _write(out / "scenario.txt", echo)
     harness.export_run(run, out / "telemetry.csv")
     report = harness.format_run_report(run)

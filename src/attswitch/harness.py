@@ -26,6 +26,13 @@ A run's start has one reading: the switching law's telemetry row at t0.
 ``lyapunov_ic_table`` makes that row with one call of the law, no run, and
 ``values_at_t0`` reads it from a run for ``report.txt`` and ``sweep.csv``;
 V and ROA membership come from ``stability`` on that row.
+
+telemetry.csv holds each cell as "%.17g" writes it.  ``export_run`` writes
+it a block of rows at a time: a block's constant columns are literals of
+its one row template, and its other cells come from ``_format17``, which
+forms "%.17g"'s bytes in numpy.  ``_digits17`` takes a cell's 17 digits
+exactly from an error-free (Dekker) product with a double-double table of
+powers of ten; the few cells it cannot settle go through "%.17g" itself.
 """
 
 import math
@@ -687,31 +694,194 @@ def effort_comparison(
     return ComparisonReport(repeats=repeats, perturbation=pert, rows=rows)
 
 
+# export_run's rows per block.  The formatter's temporaries grow with the
+# block: a 12,329-row export peaks at 1.0 MB traced with 256 rows, 2.0 MB
+# with 512 and 4.0 MB with 1024, all within 3 % of each other in time (128
+# rows: 10 % slower), and 512 rows read 2-4 MB more peak RSS in the
+# simulate_full benchmark than 256.
+EXPORT_ROWS = CHUNK
+
+# 10^k for k = 0..300 as the double-double hi + lo, both from Python ints,
+# and hi's Veltkamp halves (split at 2^27 + 1)
+_SPLIT = 134217729.0
+_POW10 = np.array([float(10**k) for k in range(301)])
+_POW10_LO = np.array([float(10**k - int(p)) for k, p in enumerate(_POW10.tolist())])
+_POW10_HI_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_HI_LO = _POW10 - _POW10_HI_HI
+
+# A cell's text is gathered from a 28-byte source row of seven uint32 words:
+# ".-e" and the first digit, four words of four digits, the three digits of
+# the exponent and "0", and four NULs.  Byte 3 + i is digit i.
+_DOT, _MINUS, _E, _EXP, _ZERO, _NUL = 0, 1, 2, 20, 23, 24
+_HEADS = np.frombuffer(b"".join(b".-e%d" % d for d in range(10)), np.uint32)
+_GROUPS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, 10000).T + np.uint8(48))
+_GROUPS = _GROUPS.view(np.uint32).ravel()  # "0000" .. "9999"
+_EXPS = np.frombuffer(b"".join(b"%03d0" % x for x in range(300)), np.uint32)
+# _LAST[j][g]: the digit count up to the last nonzero digit of D when that
+# digit lies in the 4-digit group j (digits 4j + 1 .. 4j + 4) holding g
+# (1 for j = 0, g = 0, and 0 for j > 0, g = 0, so the maximum over j is n)
+_LAST = (_GROUPS.view(np.uint8).reshape(10000, 4) > 48) * np.arange(1, 5, dtype=np.uint8)
+_LAST = _LAST.max(axis=1) + np.array([[1], [5], [9], [13]], np.uint8)
+_LAST[:, 0] = [1, 0, 0, 0]
+
+
+def _template(x: int, n: int) -> bytes:
+    """Source bytes of the "%.17g" text of n significant digits with decimal
+    exponent x (x < -4 for the exponent form: -10 for two exponent digits,
+    -100 for three), NUL-padded to 24."""
+    d = bytes(range(3, 20))
+    if x >= 0:
+        t = d[: x + 1] + (bytes([_DOT]) + d[x + 1 : n] if n > x + 1 else b"")
+    elif x >= -4:
+        t = bytes([_ZERO, _DOT] + [_ZERO] * (-x - 1)) + d[:n]
+    else:
+        exp = bytes([_EXP + 1, _EXP + 2] if x > -100 else [_EXP, _EXP + 1, _EXP + 2])
+        t = d[:1] + (bytes([_DOT]) + d[1:n] if n > 1 else b"") + bytes([_E, _MINUS]) + exp
+    return t.ljust(24, bytes([_NUL]))
+
+
+# a template per key (sign, form, n - 1), forms 0..20 fixed notation at
+# x = form - 4, 21 and 22 the exponent form with two and three exponent
+# digits; _KEYS[k] is the key, less n, of a positive cell at k = 16 - x,
+# and a negative cell's key is _NEGATIVE more
+_FORMS = [*range(-4, 17), -10, -100]
+_NEGATIVE = 17 * len(_FORMS)
+_TEMPLATES = np.frombuffer(
+    b"".join(
+        sign + _template(x, n)[: 24 - len(sign)]
+        for sign in (b"", bytes([_MINUS]))
+        for x in _FORMS
+        for n in range(1, 18)
+    ),
+    "V24",
+)
+_KEYS = 17 * np.array([20 - k if k <= 20 else 21 if k < 116 else 22 for k in range(301)]) - 1
+
+
+def _digits17(v: np.ndarray):
+    """``(D, k, ok)`` for the 1-D float array v: where ok, |x| rounds to 17
+    significant digits as D 10^-k, 10^16 <= D < 10^17, exactly.
+
+    ok holds for each cell with 1e-280 <= |x| < 1e16 but those named
+    below.  Let k = 16 - floor(log10 |x|), moved once by +-1 so that
+    p = fl(|x| 10^k) lies in [1e16, 1e17).  The Veltkamp/Dekker TwoProduct
+    of |x| with the table's hi gives |x| hi = p + err exactly (no product
+    under- or overflows in this range), and lo = err + |x| lo_k.  The exact
+    value is V = |x| 10^k = p + lo + eps: |x| lo_k rounds by at most
+    2^-50, the table misses 10^k by at most 2^-106 10^k (1.2e-15 here) and
+    the sum rounds by at most 2^-48, so |eps| < 1e-14 units of the 17th
+    digit, against a margin of 1e-6.  D = p + rint(lo) is exact in int64
+    (p is an integer above 2^53), and is not ok where lo is within 1e-6 of
+    a half unit (exact ties included).  D = 10^17 is the carry to 10^16 at
+    k - 1, which is also the rounding there of a V at or just past 10^17.
+    Not ok either: D = 10^16 with lo - rint(lo) < 0, which may stand for a
+    V below 10^16, whose k is one more, and D outside [10^16, 10^17], an
+    exponent the move missed.  A cell that is not ok has D = 10^16 and
+    k = 16.
+    """
+    a = np.abs(v)
+    ok = (a >= 1e-280) & (a < 1e16)
+    a[~ok] = 1.0
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    p = a * _POW10[k]
+    k += p < 1e16
+    k -= p >= 1e17
+    p = a * _POW10[k]
+    ah = _SPLIT * a
+    ah -= ah - a
+    al = a - ah
+    hh, hl = _POW10_HI_HI[k], _POW10_HI_LO[k]
+    lo = ah * hh
+    lo -= p
+    lo += ah * hl
+    lo += al * hh
+    lo += al * hl
+    lo += a * _POW10_LO[k]
+    r = np.rint(lo)
+    lo -= r
+    D = p.astype(np.int64)
+    D += r.astype(np.int64)
+    ok &= (np.abs(lo) < 0.5 - 1e-6) & (D >= 10**16) & (D <= 10**17) & ((D != 10**16) | (lo >= 0.0))
+    carry = D == 10**17
+    D[carry] = 10**16
+    k -= carry
+    D[~ok] = 10**16
+    k[~ok] = 16
+    return D, k, ok
+
+
+def _source_rows(D, k):
+    """``(src, n)``: the cells' source rows as (m, 28) bytes, and their
+    significant digit counts, from ``_digits17``'s D and k (a frame of its
+    own, so its temporaries are freed before ``_format17``'s gather)."""
+    head = D // 10**8
+    tail = D - head * 10**8
+    first = head // 10**8
+    head -= first * 10**8
+    g0, g2 = head // 10**4, tail // 10**4
+    groups = g0, head - g0 * 10**4, g2, tail - g2 * 10**4
+    src = np.empty((len(D), 7), np.uint32)
+    src[:, 0] = _HEADS[first]
+    for j, g in enumerate(groups):
+        src[:, j + 1] = _GROUPS[g]
+    src[:, 5] = _EXPS[np.abs(k - 16)]
+    src[:, 6] = 0
+    n = np.maximum(np.maximum(_LAST[0][groups[0]], _LAST[1][groups[1]]),
+                   np.maximum(_LAST[2][groups[2]], _LAST[3][groups[3]]))
+    return src.view(np.uint8), n
+
+
+def _format17(v: np.ndarray) -> list:
+    """``b"%.17g" % x`` for each float x of the 1-D array v.
+
+    The cells that ``_digits17`` takes are laid out here: fixed notation
+    for exponents -4 .. 16 and the exponent form otherwise, without trailing
+    zeros or a bare point, gathered from a source row by a template per
+    sign, form and significant digit count.  Every other cell (+-0, NaN,
+    inf, subnormals, |x| >= 1e16, the half-unit margin, a missed exponent)
+    is ``b"%.17g" % x``, the definition.
+    """
+    D, k, ok = _digits17(v)
+    src, n = _source_rows(D, k)
+    key = _KEYS[k] + n
+    key += _NEGATIVE * (v < 0)
+    m = len(v)
+    idx = _TEMPLATES[key].view(np.uint8).reshape(m, 24) + np.arange(0, 28 * m, 28)[:, None]
+    # an S24 item drops its trailing NULs
+    cells = src.ravel()[idx].view("S24").ravel().tolist()
+    bad = np.flatnonzero(~ok)
+    for i, x in zip(bad.tolist(), v[bad].tolist()):
+        cells[i] = b"%.17g" % x
+    return cells
+
+
 def export_run(run: RunResult, path) -> None:
     """Write the run telemetry as CSV (17 significant digits, byte-stable).
 
-    The rows are formatted CHUNK at a time: each block is stacked from
-    slices of the run's arrays and written with one string format.  A
-    column whose bits do not change within the block (the x/y parts of a
-    yaw maneuver, sigma between switches) is formatted once with the same
-    "%.17g" into that block's row template, and only the other columns go
-    through the format.  Comparing bits, not values, keeps -0.0 and 0.0
-    apart, so the bytes are those of formatting every cell.
+    The rows are formatted EXPORT_ROWS at a time: each block is stacked from
+    slices of the run's arrays and written with one bytes format of its row
+    template.  A column whose bits do not change within the block (the x/y
+    parts of a yaw maneuver, sigma between switches) is formatted once with
+    "%.17g" into the template, and the block's other cells, all at once, by
+    ``_format17``, whose bytes are "%.17g"'s.  Comparing bits, not values,
+    keeps -0.0 and 0.0 apart, so the bytes are those of formatting every
+    cell with "%.17g".
     """
     cols = (run.t, run.q, run.w, run.m_e, run.n_e, run.w_e, run.tau, run.sigma, run.lam, run.V)
     try:
-        with open(path, "w") as f:
-            f.write(CSV_HEADER + "\n")
-            for a in range(0, len(run.t), CHUNK):
+        # bytes, so the file's "\n" is written as it is on every platform
+        with open(path, "wb") as f:
+            f.write(CSV_HEADER.encode() + b"\n")
+            for a in range(0, len(run.t), EXPORT_ROWS):
                 # column_stack promotes the int sigma column to float
-                block = np.column_stack([c[a : a + CHUNK] for c in cols])
+                block = np.column_stack([c[a : a + EXPORT_ROWS] for c in cols])
                 bits = block.view(np.uint64)
                 fixed = (bits == bits[0]).all(axis=0)
                 # "%.17g" text holds no "%", so a literal needs no escaping
-                line = ",".join(
-                    "%.17g" % v if k else "%.17g" for v, k in zip(block[0].tolist(), fixed)
-                ) + "\n"
-                f.write((line * len(block)) % tuple(block[:, ~fixed].ravel().tolist()))
+                line = b",".join(
+                    b"%.17g" % v if k else b"%b" for v, k in zip(block[0].tolist(), fixed)
+                ) + b"\n"
+                f.write((line * len(block)) % tuple(_format17(block[:, ~fixed].ravel())))
     except OSError as exc:
         raise OSError(f"cannot write telemetry to {path}: {exc}") from exc
 

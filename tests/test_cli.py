@@ -334,6 +334,19 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_failed_telemetry_write_leaves_no_earlier_report(self, tmp_path, capsys):
+        # the benchmark run's scenario.txt sat beside the switching run's
+        # report.txt after its telemetry write failed
+        out = tmp_path / "run"
+        assert main(["simulate", "--ic", "2,150", "--horizon", "0.1", "--out", str(out)]) == 0
+        (out / "telemetry.csv").unlink()
+        (out / "telemetry.csv").mkdir()
+        args = ["simulate", "--ic", "3,120", "--controller", "benchmark", "--horizon", "0.1"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert "cannot write telemetry to" in capsys.readouterr().err
+        assert "controller = benchmark" in (out / "scenario.txt").read_text()
+        assert not (out / "report.txt").exists()
+
     def test_scenario_file_with_flag_override(self, tmp_path, capsys):
         scenario = tmp_path / "case.txt"
         scenario.write_text(

@@ -1,12 +1,15 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import reference_export
+from hypothesis import given, settings, strategies as st
 
 from attswitch import harness
 from attswitch.harness import (
+    EXPORT_ROWS,
     REFERENCE_ICS,
     SWITCHING_GAINS,
     PerturbationSpec,
@@ -24,7 +27,7 @@ from attswitch.harness import (
 )
 from attswitch.controllers import _bind_law
 from attswitch.reference import HOLD, ManeuverSpec
-from attswitch.rigid_body import CHUNK, DEFAULT_INERTIA, bind_rk4
+from attswitch.rigid_body import DEFAULT_INERTIA, bind_rk4
 
 TABLE_TARGETS = {
     (2.0, 150.0): (-1, 7.97),
@@ -463,8 +466,8 @@ def _constant(value, text):
 
 def _block_change(run, i):
     # constant in the first block and varying after it, and the reverse
-    run.q[:, 3] = np.where(i < CHUNK, 7.25, i * 0.1)
-    run.w[:, 2] = np.where(i < CHUNK, i * 0.1, -7.25)
+    run.q[:, 3] = np.where(i < EXPORT_ROWS, 7.25, i * 0.1)
+    run.w[:, 2] = np.where(i < EXPORT_ROWS, i * 0.1, -7.25)
     return b",7.25,"
 
 
@@ -523,7 +526,7 @@ class TestExport:
         export_run(run2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("n", [EXPORT_ROWS - 1, EXPORT_ROWS, EXPORT_ROWS + 1])
     def test_block_boundaries_match_row_export(self, tmp_path, n):
         rng = np.random.default_rng(n)
         special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0])
@@ -547,7 +550,9 @@ class TestExport:
         assert text == want.read_bytes()
         assert b",-0," in text and b"e-324" in text and b"e-310" in text and b"e+300" in text
 
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize(
+        "n", [EXPORT_ROWS - 1, EXPORT_ROWS, EXPORT_ROWS + 1, 2 * EXPORT_ROWS + 1]
+    )
     @pytest.mark.parametrize("case", sorted(CONSTANT_COLUMNS))
     def test_constant_columns_match_row_export(self, tmp_path, case, n):
         # every other column varies in every block of two rows or more
@@ -576,7 +581,7 @@ class TestExport:
         run = run_scenario(sc)
         # stage 1 holds the body at rest: only t varies in its first block
         cols = (run.t, run.q, run.w, run.m_e, run.n_e, run.w_e, run.tau, run.sigma, run.lam, run.V)
-        block = np.column_stack([c[:CHUNK] for c in cols])
+        block = np.column_stack([c[:EXPORT_ROWS] for c in cols])
         varies = [np.unique(block[:, j]).size > 1 for j in range(block.shape[1])]
         assert varies == [True] + [False] * (block.shape[1] - 1)
         got, want = tmp_path / "block.csv", tmp_path / "row.csv"
@@ -584,10 +589,98 @@ class TestExport:
         reference_export(run, want)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize(
+        "law, ic",
+        [("continuous", (2.0, 150.0)), ("benchmark", (2.0, 150.0)), ("switching", (2.0, 150.0)),
+         ("continuous", (4.0, 359.0))],
+    )
+    def test_default_horizon_full_mode_run_matches_row_export(self, tmp_path, law, ic):
+        # the command line's full-mode runs at their default 3 s horizon, and
+        # at (4, 359) a spin past pi, whose nx and ny turn to -0.0
+        sc = harness.scenario_from_text(
+            "", {"mode": "full", "wz": ic[0], "psi0_deg": ic[1], "controller": law}
+        )
+        run = run_scenario(sc)
+        got, want = tmp_path / "block.csv", tmp_path / "row.csv"
+        export_run(run, got)
+        reference_export(run, want)
+        text = got.read_bytes()
+        assert text == want.read_bytes()
+        # the settled tail writes exponent-form text
+        assert b"e-0" in text
+
+    def test_full_mode_export_memory_peak(self):
+        # the block's cells are formatted at once, so the peak grows with the
+        # block: 1.0 MB traced at 256 rows, where the whole run at once took 48 MB
+        sc = harness.scenario_from_text("", {"mode": "full", "wz": "1", "psi0_deg": "299"})
+        run = run_scenario(sc)
+        assert len(run.t) == 12329
+        tracemalloc.start()
+        try:
+            export_run(run, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
     def test_unwritable_path_raises_oserror(self, tmp_path):
         run = fake_run(np.array([0.0]), np.zeros((1, 3)))
         with pytest.raises(OSError):
             export_run(run, tmp_path / "missing_dir" / "x.csv")
+
+
+def _powers_of_ten():
+    """Every 10^k for k in -300..16, both neighbours of each, and their negatives."""
+    p = 10.0 ** np.arange(-300, 17)
+    p = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    return np.concatenate([p, -p])
+
+
+# exact 17th-digit ties, rounded half to even: 18 significant digits ending in 5
+TIES = [1234567890123456.75, 1000000000000000.25, 1000000000000000.75, 123456789012345.125,
+        -987654321098765.375, (2**18 - 1) / 2**18, 100001 / 2**18]
+# the numpy path's edges, and the cells it leaves to "%.17g"
+EDGES = [1e16, np.nextafter(1e16, 0.0), 1e-280, np.nextafter(1e-280, 0.0),
+         np.nextafter(1e-280, 1.0), 9999999999999998.0, 0.0, -0.0, 5e-324, -2.5e-310,
+         2.2250738585072014e-308, math.nan, math.inf, -math.inf, 1e300, -1e17]
+
+
+class TestFormat17:
+    """``harness._format17`` against the "%.17g" it replaces, byte for byte."""
+
+    @staticmethod
+    def check(values):
+        v = np.array(values, dtype=float)
+        assert harness._format17(v) == [b"%.17g" % x for x in v.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    def test_raw_bit_patterns(self, bits):
+        self.check(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    def test_floats(self, values):
+        self.check(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        self.check(_powers_of_ten())
+
+    def test_edges_and_specials(self):
+        self.check(EDGES)
+
+    def test_exact_ties(self):
+        self.check(TIES + [-x for x in TIES])
+
+    def test_numpy_path_takes_the_range_and_leaves_the_rest(self):
+        # byte equality alone would pass a formatter that left every cell to
+        # "%.17g"; ties, zeros, subnormals and |x| >= 1e16 are left to it
+        rng = np.random.default_rng(0)
+        # above about 1e9 a double's short decimal expansion ties often
+        inside = rng.normal(size=1000) * 10.0 ** rng.integers(-270, 9, size=1000)
+        assert harness._digits17(inside)[2].all()
+        outside = TIES + [0.0, -0.0, 5e-324, -2.5e-310, math.nan, math.inf, 1e16, -1e17, 1e300]
+        assert not harness._digits17(np.array(outside))[2].any()
 
 
 class TestReports:
