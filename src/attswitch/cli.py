@@ -20,7 +20,7 @@ import numpy as np
 from . import harness, stability
 from .controllers import GAIN_KEYS
 from .reference import MODE_FULL, MODE_STAGE3
-from .rigid_body import DEFAULT_DT, SimulationError
+from .rigid_body import DEFAULT_DT, DEFAULT_HORIZON, SimulationError
 from .stability import report_number
 
 USAGE_ERROR = 1
@@ -224,7 +224,7 @@ def _cmd_sweep(args) -> int:
     gains = harness.gains_with(harness.DEFAULT_GAINS[args.controller], vars(args))
     grids = _parse_grid(args.wz, "--wz"), _parse_grid(args.psi, "--psi")
     dt = args.dt if args.dt is not None else DEFAULT_DT
-    horizon = args.horizon if args.horizon is not None else 3.0
+    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
     harness.check_run_count(grids[0][2] * grids[1][2])
     wz_grid, psi_grid = (np.linspace(*grid) for grid in grids)
     # refused before the first run: a yaw off (0, 360) deg, then whatever the

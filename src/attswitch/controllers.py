@@ -30,19 +30,17 @@ step thus opens four Python frames (continuous) or five: ``__call__``,
 ``ManeuverTracker.sample``, the law, ``renorm_if_drifted`` and the rule.
 A stage-2 control step opens one more, the tracker's ``quat.yaw_of``
 while t0 is pending, so five or six; the tracker forms the spin sample in
-its own frame.  A run on the yaw plane forms the law's yaw rows, the
-hold's and the stage-2 spin's, in ``harness.run_on_plane`` instead, with
-these bits, from the scenario: it builds no controller, starts the
-switching law's sigma at +1 as every run does and keeps it in a local.
+its own frame.  A run on the yaw plane runs the law in
+``harness.run_on_plane`` instead, with these bits.
 ``switch_function`` writes Lambda again, on an ``ErrorState``; delegating
-to it would cost the law a frame (ROADMAP item 2).  A controller returns ``(tau, row)``, tuples of
-floats, the row of the fixed width ``simulate`` needs for its (N, 9)
-telemetry array, laid out as ``_bind_law`` documents; a run's first row is also its
-starting error state, sign and Lambda (``harness.lyapunov_ic_table``).  An
+to it would cost the law a frame (ROADMAP item 2).  A controller returns
+``(tau, row)``, tuples of floats; the row is nine floats, laid out as
+``_bind_law`` documents, and a run's first row is also its starting error
+state, sign and Lambda (``harness.lyapunov_ic_table``).  An
 ``ErrorState`` holds seven entries (m, nx, ny, nz, ex, ey, ez): floats read
-once, or a run's columns (``ErrorState.of_columns``); ``_read`` unpacks
-them, nu included, for ``nu_sigma`` and ``stability.error_jacobian``, and
-is the reference form of nu that the hot certificates write out.
+once, or a run's columns (``ErrorState.of_columns``).  nu's reference form
+is ``err.w_err + sigma * gains.kn * err.n_e``, ``reference_nu`` in
+tests/conftest.py, from which the reference certificates there read it.
 """
 
 import math
@@ -171,19 +169,6 @@ class ErrorState:
 
     def __repr__(self) -> str:
         return f"ErrorState(q_err={self._f[:4]!r}, w_err={self._f[4:]!r})"
-
-
-def _read(err: ErrorState, sigma: int, kn: float):
-    """``(m, nx, ny, nz, ux, uy, uz)``: the error state's floats, with
-    nu = w_err + sigma kn n_e for switch sign sigma."""
-    m, nx, ny, nz, ex, ey, ez = err._f
-    g = sigma * kn
-    return m, nx, ny, nz, ex + g * nx, ey + g * ny, ez + g * nz
-
-
-def nu_sigma(err: ErrorState, sigma: int, gains: GainSet) -> np.ndarray:
-    """Composite error w_err + sigma * kn * n_e for the given switch sign."""
-    return np.array(_read(err, sigma, gains.kn)[4:])
 
 
 def _shorter_path_sign(m_e) -> int:

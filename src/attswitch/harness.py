@@ -58,6 +58,7 @@ from .reference import HOLD, MODE_STAGE3, ManeuverSpec, ManeuverTracker, stage3_
 from .rigid_body import (
     CHUNK,
     DEFAULT_DT,
+    DEFAULT_HORIZON,
     DEFAULT_INERTIA,
     MAX_STEPS,
     SimulationError,
@@ -110,7 +111,7 @@ class Scenario:
     gains: GainSet
     inertia: np.ndarray = field(default_factory=lambda: DEFAULT_INERTIA.copy())
     dt: float = DEFAULT_DT
-    horizon_after_t0: float = 3.0
+    horizon_after_t0: float = DEFAULT_HORIZON
     seed: int = 0
 
     def __post_init__(self):
@@ -517,7 +518,7 @@ def make_ic_scenario(
     gains: GainSet | None = None,
     inertia: np.ndarray | None = None,
     dt: float = DEFAULT_DT,
-    horizon: float = 3.0,
+    horizon: float = DEFAULT_HORIZON,
 ) -> Scenario:
     """Stage3-mode scenario for an initial condition {wz rad/s, psi0 deg}."""
     if gains is None:
@@ -644,7 +645,7 @@ def effort_comparison(
     repeats: int = 10,
     perturbation: PerturbationSpec | None = None,
     dt: float = DEFAULT_DT,
-    horizon: float = 3.0,
+    horizon: float = DEFAULT_HORIZON,
     seed: int = 0,
     ics=REFERENCE_ICS,
 ) -> ComparisonReport:
@@ -963,12 +964,6 @@ def _float_key(get, read=float, shown=None):
     return read, lambda sc: _exact_text(get(sc), read, shown)
 
 
-def _read_controller(text: str) -> str:
-    if text not in CONTROLLERS:
-        raise ValueError(f"unknown controller {text!r}")
-    return text
-
-
 def _read_j_diag(text: str) -> tuple:
     jd = tuple(float(x) for x in str(text).split(","))
     if len(jd) != 3:
@@ -986,6 +981,15 @@ def _echo_name(sc: Scenario) -> str:
     return name
 
 
+def _echo_wz(sc: Scenario) -> str:
+    w0 = sc.maneuver.w0.tolist()
+    wx, wy, wz = w0
+    # -wx - wy is -0.0 only when both are +0.0
+    if wx or wy or math.copysign(1.0, -wx - wy) > 0.0:
+        raise ValueError(f"scenario.txt holds only wz; w0 = {w0} has an x or y other than +0.0")
+    return _exact_text(wz)
+
+
 def _echo_j_diag(sc: Scenario) -> str:
     j = np.diag(sc.inertia)
     if not np.array_equal(sc.inertia, np.diag(j)):
@@ -998,8 +1002,8 @@ def _echo_j_diag(sc: Scenario) -> str:
 SCENARIO_KEYS = {
     "name": (str, _echo_name),
     "mode": (str, lambda sc: sc.maneuver.mode),
-    "controller": (_read_controller, lambda sc: sc.controller),
-    "wz": _float_key(lambda sc: sc.maneuver.w0[2]),
+    "controller": (str, lambda sc: sc.controller),
+    "wz": (float, _echo_wz),
     "psi0_deg": _float_key(
         lambda sc: sc.maneuver.psi0, lambda text: math.radians(float(text)), math.degrees
     ),
@@ -1017,8 +1021,9 @@ def scenario_to_text(scenario: Scenario) -> str:
 
     Each float is written "%.12g" when that text reads back to the same
     float, else with the shortest text that does.  A name that the file
-    cannot hold ('#', a line break, edge whitespace) and a non-diagonal
-    inertia (the file holds only ``j_diag``) raise ValueError.
+    cannot hold ('#', a line break, edge whitespace), a w0 with an x or y
+    other than +0.0 (the file holds only ``wz``) and a non-diagonal inertia
+    (the file holds only ``j_diag``) raise ValueError.
     """
     return "".join(f"{key} = {echo(scenario)}\n" for key, (_, echo) in SCENARIO_KEYS.items())
 
@@ -1026,9 +1031,9 @@ def scenario_to_text(scenario: Scenario) -> str:
 def scenario_from_text(text: str, overrides=None, source: str = "scenario") -> Scenario:
     """Scenario from scenario.txt ``text`` (``#`` starts a comment) with
     ``overrides`` (key -> file text or parsed value) replacing its values;
-    ``source`` names the text in error messages.  wz and psi0_deg are
-    required; other keys default to a stage3 switching run, with the law's
-    DEFAULT_GAINS."""
+    ``source`` names the text in error messages.  A key may appear once.
+    wz and psi0_deg are required; other keys default to a stage3 switching
+    run, with the law's DEFAULT_GAINS; an unknown law is left to Scenario."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -1040,6 +1045,8 @@ def scenario_from_text(text: str, overrides=None, source: str = "scenario") -> S
         key = key.strip()
         if key not in SCENARIO_KEYS:
             raise ValueError(f"{source}:{lineno}: unknown scenario key {key!r}")
+        if key in raw:
+            raise ValueError(f"{source}:{lineno}: repeated scenario key {key!r}")
         raw[key] = value.strip()
     raw.update(overrides or {})
     v = {key: SCENARIO_KEYS[key][0](value) for key, value in raw.items()}
@@ -1049,6 +1056,8 @@ def scenario_from_text(text: str, overrides=None, source: str = "scenario") -> S
     if not 0.0 < v["psi0_deg"] < 2.0 * math.pi:
         raise ValueError(f"psi0_deg must lie in (0, 360) deg, got {raw['psi0_deg']}")
     controller = v.get("controller", "switching")
+    # None for an unknown law, which Scenario refuses
+    base = DEFAULT_GAINS.get(controller)
     return Scenario(
         name=v.get("name", f"ic_{float(raw['wz']):g}_{float(raw['psi0_deg']):g}"),
         maneuver=ManeuverSpec(
@@ -1058,9 +1067,9 @@ def scenario_from_text(text: str, overrides=None, source: str = "scenario") -> S
             mode=v.get("mode", MODE_STAGE3),
         ),
         controller=controller,
-        gains=gains_with(DEFAULT_GAINS[controller], v),
+        gains=None if base is None else gains_with(base, v),
         inertia=np.diag(v["j_diag"]) if "j_diag" in v else DEFAULT_INERTIA.copy(),
         dt=v.get("dt", DEFAULT_DT),
-        horizon_after_t0=v.get("horizon", 3.0),
+        horizon_after_t0=v.get("horizon", DEFAULT_HORIZON),
         seed=v.get("seed", 0),
     )

@@ -24,8 +24,7 @@ nothing is built per step, and refuses a bad y0 or a run longer than
 ``MAX_STEPS`` steps before it allocates the run (``checked_run``, which
 ``harness.run_on_plane`` shares).  Besides the controller's, a step opens
 six Python frames: the RK4 step, four derivatives, one renorm.  A run on
-the yaw plane, as every manoeuvre the paper flies, is integrated by
-``harness.run_on_plane`` instead, with these bits.
+the yaw plane is integrated in ``harness.run_on_plane`` instead.
 """
 
 import math
@@ -38,6 +37,8 @@ from .quat import renorm_if_drifted
 
 DEFAULT_INERTIA = np.diag([1.66e-5, 1.66e-5, 2.93e-5])  # kg m^2, 31-g quadrotor scale
 DEFAULT_DT = 1e-3
+# seconds a run goes on past its stage-3 start t0
+DEFAULT_HORIZON = 3.0
 # rows per chunk of a run, in simulate and in the CSV export
 CHUNK = 256
 # longest run simulate allocates: about 1.5 GB of trajectory arrays, some

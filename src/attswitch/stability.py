@@ -12,10 +12,11 @@ x = (|n_e|, |nu|).  The antipodal equilibrium is a saddle whose spectrum has
 a closed form; both facts are exposed here together with the region and
 rate certificates built from them.
 
-``lyapunov_value``, ``lyapunov_rate`` and ``lyapunov_decay_bound`` unpack
-the seven entries of their ``ErrorState`` and form nu in their own body, in
-the operand order of ``controllers._read``, so that each call is one Python
-frame; ``error_jacobian`` reads them with ``_read``, as ``nu_sigma`` does.
+``lyapunov_value``, ``lyapunov_rate``, ``lyapunov_decay_bound`` and
+``error_jacobian`` unpack the seven entries of their ``ErrorState`` and form
+nu in their own body, so that each call is one Python frame; nu's reference
+form is ``err.w_err + sigma * gains.kn * err.n_e``, ``reference_nu`` in
+tests/conftest.py.
 Every certificate reads the constants derived from the gains from the
 ``GainSet``, formed there once.  The entries are floats, or on
 ``ErrorState.of_columns`` a run's telemetry columns, one result per sample;
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ErrorState, GainSet, _read, switch_function
+from .controllers import ErrorState, GainSet
 
 
 def lyapunov_value(err: ErrorState, sigma: int, gains: GainSet) -> float:
@@ -104,8 +105,9 @@ def closed_loop_field(m: float, n: np.ndarray, nu: np.ndarray, sigma: int, gains
 
 def error_jacobian(err: ErrorState, sigma: int, gains: GainSet) -> np.ndarray:
     """7x7 Jacobian of the closed-loop error field at the given state."""
-    m, nx, ny, nz, ux, uy, uz = _read(err, sigma, gains.kn)
+    m, nx, ny, nz, ex, ey, ez = err._f
     kn = sigma * gains.kn
+    ux, uy, uz = ex + kn * nx, ey + kn * ny, ez + kn * nz
     d, h = -0.5 * (kn * m), 0.5 * m  # diagonals of the two n_e-row blocks
     p, k = -(sigma * gains.kq), -gains.kw
     # row-major; fromiter fills from a flat list faster than np.array from nested rows
@@ -256,22 +258,3 @@ def format_stability_report(gains: GainSet, ic_rows=None) -> str:
             )
     return "\n".join(lines) + "\n"
 
-
-__all__ = [
-    "lyapunov_value",
-    "lyapunov_series",
-    "lyapunov_decay_bound",
-    "lyapunov_rate",
-    "roa_contains",
-    "p_matrix_certificate",
-    "closed_loop_field",
-    "error_jacobian",
-    "saddle_jacobian",
-    "SaddleSpectrum",
-    "saddle_eigenvalues",
-    "exponential_rate_check",
-    "inter_switch_decrease_check",
-    "format_stability_report",
-    "report_number",
-    "switch_function",
-]

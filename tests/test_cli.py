@@ -402,6 +402,24 @@ class TestSimulateCommand:
         bad.write_text("up = down\n")
         assert main(["simulate", "--scenario", str(bad)]) == 1
 
+    def test_repeated_scenario_key_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the last dt was kept, so this file ran at 0.002
+        runs = _counted_runs(monkeypatch)
+        scenario = tmp_path / "case.txt"
+        scenario.write_text("wz = 2\npsi0_deg = 150\ndt = 0.001\nhorizon = 0.1\ndt = 0.002\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert f"{scenario}:5: repeated scenario key 'dt'" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
+    def test_unknown_controller_in_scenario_file_usage_error(self, tmp_path, capsys, monkeypatch):
+        runs = _counted_runs(monkeypatch)
+        scenario = tmp_path / "case.txt"
+        scenario.write_text("wz = 2\npsi0_deg = 150\ncontroller = plaid\nkq = 20\n")
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "run")]) == 1
+        assert "unknown controller 'plaid'" in capsys.readouterr().err
+        assert runs == []
+
     def test_missing_scenario_file_usage_error(self, capsys):
         assert main(["simulate", "--scenario", "nope.txt"]) == 1
 

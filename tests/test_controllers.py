@@ -13,7 +13,6 @@ from attswitch.controllers import (
     GainSet,
     SwitchingController,
     _bind_law,
-    nu_sigma,
     switch_function,
     update_sigma,
 )
@@ -27,6 +26,7 @@ from conftest import (
     law_torque,
     rand_unit_quat,
     reference_error_state,
+    reference_nu,
 )
 
 B3 = np.array([0.0, 0.0, 1.0])
@@ -146,7 +146,7 @@ def certificates(err, gains):
             stability.lyapunov_rate(err, sigma, gains),
             stability.lyapunov_decay_bound(err, sigma, gains),
             stability.roa_contains(err, sigma, gains),
-            nu_sigma(err, sigma, gains).tolist(),
+            reference_nu(err, sigma, gains).tolist(),
             stability.error_jacobian(err, sigma, gains).tolist(),
         )
         for sigma in (+1, -1)
@@ -260,23 +260,6 @@ class TestBenchmarkTorque:
         assert np.allclose(
             law_torque("benchmark", err, np.zeros(3), PAPER_GAINS, np.eye(3)), 0.0
         )
-
-
-class TestNuSigma:
-    def test_positive_sign(self):
-        err = err_for(100.0, 2.0)
-        nu = nu_sigma(err, +1, PAPER_GAINS)
-        assert nu[2] == pytest.approx(-9.6604, abs=1e-4)
-
-    def test_negative_sign(self):
-        err = err_for(100.0, 2.0)
-        nu = nu_sigma(err, -1, PAPER_GAINS)
-        assert nu[2] == pytest.approx(5.6604, abs=1e-4)
-
-    def test_reduces_to_rate_error_without_attitude_error(self):
-        err = ErrorState(q_err=IDENTITY.copy(), w_err=np.array([0.3, -0.2, 0.4]))
-        for s in (+1, -1):
-            assert np.allclose(nu_sigma(err, s, PAPER_GAINS), err.w_err)
 
 
 def _error_vector_rate(err):

@@ -231,6 +231,7 @@ CERTIFICATE_FRAMES = {
     stability.lyapunov_rate: ["lyapunov_rate"],
     stability.lyapunov_decay_bound: ["lyapunov_decay_bound"],
     stability.roa_contains: ["roa_contains", "lyapunov_value"],
+    stability.error_jacobian: ["error_jacobian"],
 }
 
 

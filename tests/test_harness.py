@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -712,3 +713,12 @@ class TestReports:
         J[0, 1] = J[1, 0] = 1e-6
         with pytest.raises(ValueError, match="off-diagonal"):
             scenario_to_text(make_ic_scenario(2, 150, inertia=J))
+
+    @pytest.mark.parametrize("wx,wy", [(0.3, -0.0), (0.0, 0.3), (-0.0, 0.0), (0.0, -0.0)])
+    def test_scenario_echo_rejects_w0_off_the_yaw_axis(self, wx, wy):
+        # a w0 of (0.3, -0.0, 2) was echoed as wz = 2, and the run from that
+        # file flew another initial condition
+        sc = make_ic_scenario(2, 150)
+        sc.maneuver = dataclasses.replace(sc.maneuver, w0=np.array([wx, wy, 2.0]))
+        with pytest.raises(ValueError, match="holds only wz"):
+            scenario_to_text(sc)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from attswitch.controllers import ErrorState, GainSet, nu_sigma, switch_function
+from attswitch.controllers import ErrorState, GainSet, switch_function
 from attswitch.harness import (
     SWITCHING_GAINS,
     make_ic_scenario,
@@ -39,6 +39,7 @@ from conftest import (
     reference_lyapunov_decay_bound,
     reference_lyapunov_rate,
     reference_lyapunov_value,
+    reference_nu,
 )
 
 B3 = np.array([0.0, 0.0, 1.0])
@@ -197,7 +198,7 @@ class TestFloatCertificates:
                 err = ErrorState(q_err=q, w_err=rng.normal(size=3) * 3.0)
                 nn = float(err.n_e @ err.n_e)
                 for sigma in (+1, -1):
-                    nu = nu_sigma(err, sigma, gains)
+                    nu = reference_nu(err, sigma, gains)
                     vv, nv = float(nu @ nu), abs(float(nu @ err.n_e))
                     # 1e-12 times the sum of the absolute values of each result's terms
                     scales = (
@@ -226,7 +227,7 @@ class TestDecayBound:
         err = ErrorState(
             q_err=np.array([0.0, n[0], n[1], n[2]]), w_err=-SWITCHING_GAINS.kn * n
         )
-        assert np.allclose(nu_sigma(err, +1, SWITCHING_GAINS), 0.0)
+        assert np.allclose(reference_nu(err, +1, SWITCHING_GAINS), 0.0)
         assert lyapunov_decay_bound(err, +1, SWITCHING_GAINS) == pytest.approx(-20.0)
 
     def test_strictly_negative_for_positive_definite_P(self, rng):
@@ -249,7 +250,7 @@ class TestExactRate:
         for _ in range(300):
             err = rand_error_state(rng)
             for s in (+1, -1):
-                nu = nu_sigma(err, s, g)
+                nu = reference_nu(err, s, g)
                 m, n = err.m_e, err.n_e
                 md, nd, nud = closed_loop_field(m, n, nu, s, g)
 
@@ -382,7 +383,7 @@ class TestJacobians:
 
         for _ in range(100):
             err = rand_error_state(rng, rate_scale=2.0)
-            nu = nu_sigma(err, sigma, g)
+            nu = reference_nu(err, sigma, g)
             x = np.concatenate([[err.m_e], err.n_e, nu])
             A = error_jacobian(err, sigma, g)
             for j in range(7):
