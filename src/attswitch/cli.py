@@ -4,8 +4,9 @@ Commands: simulate, compare, table1, stability-report, sweep.  Scenario
 files are the flat ``key = value`` text that ``simulate`` writes as
 scenario.txt (``harness.SCENARIO_KEYS``); command-line flags override file
 values.  Angles are taken in degrees on the command line and converted to
-radians internally.  Exit codes: 0 success, 1 usage/configuration error,
-2 runtime failure.
+radians internally.  A command given ``--out`` removes its old report
+(report.txt, or sweep.csv) first and writes the new one last.  Exit codes:
+0 success, 1 usage/configuration error, 2 runtime failure.
 """
 
 import argparse
@@ -71,7 +72,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--perturb-psi", type=float, default=1.0, help="IC yaw spread, deg")
     cmp_.add_argument("--perturb-wz", type=float, default=0.05, help="IC rate spread, rad/s")
-    cmp_.add_argument("--dt", type=float, default=None)
+    cmp_.add_argument("--dt", type=float, default=DEFAULT_DT)
     cmp_.add_argument("--out", type=str, default="out/compare")
 
     tab = sub.add_parser("table1", help="Lyapunov values at the five benchmark ICs")
@@ -91,8 +92,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         default="switching",
         choices=sorted(harness.CONTROLLERS),
     )
-    swp.add_argument("--dt", type=float, default=None)
-    swp.add_argument("--horizon", type=float, default=None)
+    swp.add_argument("--dt", type=float, default=DEFAULT_DT)
+    swp.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
     swp.add_argument("--out", type=str, default="out/sweep")
     _add_gain_flags(swp)
 
@@ -134,36 +135,44 @@ def _build_scenario(args) -> harness.Scenario:
     return harness.scenario_from_text(text, overrides, args.scenario)
 
 
-def _check_out(out: Path) -> None:
-    """Refuse an ``--out`` whose nearest existing path is not a directory,
-    before any run and creating nothing, with the error mkdir would raise."""
+def _check_out(out):
+    """``--out`` as a Path (None for none), refused before any run if its
+    nearest existing path is not a directory, with the error mkdir raises."""
+    if out is None:
+        return None
+    out = Path(out)
     existing = next((p for p in (out, *out.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+    return out
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _publish(out, report_name: str, report: str, files=()) -> int:
+    """Make ``out``, remove its old report, write each ``(name, text or
+    writer of a path)`` of ``files``, then the report, and print it: a write
+    that fails prints nothing and leaves no report, not an earlier run's
+    beside this run's files.  With no ``out`` the report is only printed."""
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / report_name).unlink(missing_ok=True)
+        for name, content in files:
+            if callable(content):
+                content(out / name)
+            else:
+                (out / name).write_text(content)
+        (out / report_name).write_text(report)
+    print(report, end="")
+    return 0
 
 
 def _cmd_simulate(args) -> int:
     scenario = _build_scenario(args)
     # formed first: a scenario its file cannot hold is refused before the run
     echo = harness.scenario_to_text(scenario)
-    out = Path(args.out)
-    _check_out(out)
+    out = _check_out(args.out)
     run = harness.run_scenario(scenario)
-    out.mkdir(parents=True, exist_ok=True)
-    # report.txt is written last, so a write that fails leaves none behind,
-    # not an earlier run's beside this run's scenario.txt
-    (out / "report.txt").unlink(missing_ok=True)
-    _write(out / "scenario.txt", echo)
-    harness.export_run(run, out / "telemetry.csv")
-    report = harness.format_run_report(run)
-    _write(out / "report.txt", report)
-    print(report, end="")
-    return 0
+    files = [("scenario.txt", echo), ("telemetry.csv", lambda path: harness.export_run(run, path))]
+    return _publish(out, "report.txt", harness.format_run_report(run), files)
 
 
 def _params_text(**values) -> str:
@@ -177,23 +186,16 @@ def _params_text(**values) -> str:
 
 def _cmd_compare(args) -> int:
     pert = harness.PerturbationSpec(psi0_deg=args.perturb_psi, wz=args.perturb_wz)
-    dt = args.dt if args.dt is not None else DEFAULT_DT
-    out = Path(args.out)
-    _check_out(out)
-    report = harness.effort_comparison(
-        repeats=args.repeats, perturbation=pert, dt=dt, seed=args.seed
+    out = _check_out(args.out)
+    text = harness.format_comparison_report(
+        harness.effort_comparison(repeats=args.repeats, perturbation=pert, dt=args.dt, seed=args.seed)
     )
-    text = harness.format_comparison_report(report)
-    out.mkdir(parents=True, exist_ok=True)
     # the report header's names, so one input has one name in the run directory
     params = _params_text(
         repeats=args.repeats, seed=args.seed, perturbation_psi0_deg=pert.psi0_deg,
-        perturbation_wz=pert.wz, dt=dt,
+        perturbation_wz=pert.wz, dt=args.dt,
     )
-    _write(out / "params.txt", params)
-    _write(out / "report.txt", text)
-    print(text, end="")
-    return 0
+    return _publish(out, "report.txt", text, [("params.txt", params)])
 
 
 def _table_text(rows) -> str:
@@ -207,45 +209,38 @@ def _table_text(rows) -> str:
 
 
 def _cmd_report(args) -> int:
-    """table1 and stability-report; report.txt is written before the print."""
+    """table1 and stability-report: report.txt only, and only with --out."""
     gains = harness.gains_with(harness.SWITCHING_GAINS, vars(args))
+    out = _check_out(args.out)
     rows = harness.lyapunov_ic_table(gains)
-    if args.command == "table1":
-        text = _table_text(rows)
-    else:
-        text = stability.format_stability_report(gains, rows)
-    if args.out:
-        _write(Path(args.out) / "report.txt", text)
-    print(text, end="")
-    return 0
+    table1 = args.command == "table1"
+    text = _table_text(rows) if table1 else stability.format_stability_report(gains, rows)
+    return _publish(out, "report.txt", text)
 
 
 def _cmd_sweep(args) -> int:
     gains = harness.gains_with(harness.DEFAULT_GAINS[args.controller], vars(args))
     grids = _parse_grid(args.wz, "--wz"), _parse_grid(args.psi, "--psi")
-    dt = args.dt if args.dt is not None else DEFAULT_DT
-    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
     harness.check_run_count(grids[0][2] * grids[1][2])
     wz_grid, psi_grid = (np.linspace(*grid) for grid in grids)
+
+    def scenario(wz, psi):
+        return harness.make_ic_scenario(
+            float(wz), float(psi), args.controller, gains, dt=args.dt, horizon=args.horizon
+        )
+
     # refused before the first run: a yaw off (0, 360) deg, then whatever the
     # scenario at a corner of the grid refuses (the grid lies between them)
     for psi in (psi_grid[0], psi_grid[-1]):
         if not 0.0 < psi < 360.0:
             raise ValueError(f"--psi values must lie in (0, 360) deg, got {psi:g}")
         for wz in (wz_grid[0], wz_grid[-1]):
-            harness.make_ic_scenario(
-                float(wz), float(psi), args.controller, gains, dt=dt, horizon=horizon
-            )
-    out = Path(args.out)
-    _check_out(out)
+            scenario(wz, psi)
+    out = _check_out(args.out)
     lines = ["wz,psi0_deg,sigma_t0,V_t0,in_roa,switches,gamma_tau,final_yaw_error_deg"]
     for wz in wz_grid:
         for psi in psi_grid:
-            run = harness.run_scenario(
-                harness.make_ic_scenario(
-                    float(wz), float(psi), args.controller, gains, dt=dt, horizon=horizon
-                )
-            )
+            run = harness.run_scenario(scenario(wz, psi))
             sigma, _, V, in_roa = harness.values_at_t0(run)
             lines.append(
                 f"{harness._exact_text(wz)},{harness._exact_text(psi)},"
@@ -253,16 +248,11 @@ def _cmd_sweep(args) -> int:
                 f"{len(run.switch_times)},{run.gamma_tau:.9g},"
                 f"{report_number(math.degrees(run.final_yaw_error))}"
             )
-    text = "\n".join(lines) + "\n"
-    out.mkdir(parents=True, exist_ok=True)
     params = _params_text(
-        wz=args.wz, psi=args.psi, controller=args.controller, dt=dt, horizon=horizon,
+        wz=args.wz, psi=args.psi, controller=args.controller, dt=args.dt, horizon=args.horizon,
         **{key: getattr(gains, key) for key in GAIN_KEYS},
     )
-    _write(out / "params.txt", params)
-    _write(out / "sweep.csv", text)
-    print(text, end="")
-    return 0
+    return _publish(out, "sweep.csv", "\n".join(lines) + "\n", [("params.txt", params)])
 
 
 _DISPATCH = {

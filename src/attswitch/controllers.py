@@ -259,7 +259,7 @@ def _bind_law(gains: GainSet, J, name: str):
 
 
 class _ControllerBase:
-    """Shared set-up: gains, inertia and reference tracker.
+    """Shared set-up: the reference tracker and the bound law.
 
     A controller is called as ``controller(t, y)`` with the packed state
     y = (qw, qx, qy, qz, wx, wy, wz) and returns ``(tau, row)``: the torque
@@ -274,10 +274,8 @@ class _ControllerBase:
     _name = "continuous"
 
     def __init__(self, gains: GainSet, J: np.ndarray, tracker: ManeuverTracker):
-        self.gains = gains
-        self.J = np.asarray(J, dtype=float)
         self.tracker = tracker
-        self._law = _bind_law(gains, self.J.tolist(), self._name)
+        self._law = _bind_law(gains, np.asarray(J, dtype=float).tolist(), self._name)
 
 
 class ContinuousController(_ControllerBase):

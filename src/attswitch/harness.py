@@ -451,13 +451,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
         state = (*IDENTITY.tolist(), 0.0, 0.0, 0.0)
         stage2_allowance = 1.5 * spec.psi0 / spec.rate + 0.5
         duration = spec.stage1_duration + stage2_allowance + scenario.horizon_after_t0
-        # refused here, where the allowance that made the run so long is known
+        # refused here, where each of the three terms of the run is known
         steps = duration / scenario.dt
         if steps >= MAX_STEPS + 0.5:
             raise ValueError(
-                f"full mode at wz = {float(spec.w0[2])!r} rad/s allows stage 2"
-                f" 1.5 psi0/|w0| + 0.5 s = {stage2_allowance:.3g} s, so the run takes"
-                f" {steps:.3g} steps, more than the {MAX_STEPS} a run may take"
+                f"full mode runs stage 1 ({spec.stage1_duration:.3g} s) + stage 2 at wz ="
+                f" {float(spec.w0[2])!r} rad/s (1.5 psi0/|w0| + 0.5 s = {stage2_allowance:.3g} s)"
+                f" + the horizon ({scenario.horizon_after_t0:.3g} s) = {duration:.3g} s, so the"
+                f" run takes {steps:.3g} steps, more than the {MAX_STEPS} a run may take"
             )
     out = run_on_plane(scenario, state, duration)
     if out is None:  # off the plane, or a run it cannot finish: from the start

@@ -107,6 +107,11 @@ class TestTableCommand:
         assert main(["table1", "--out", str(out)]) == 0
         assert (out / "report.txt").exists()
 
+    def test_out_below_dev_null_prints_nothing(self, capsys):
+        assert main(["table1", "--out", "/dev/null/x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Not a directory" in captured.err
+
     @pytest.mark.parametrize("command", ["table1", "stability-report"])
     def test_out_below_a_file_prints_nothing(self, tmp_path, capsys, command):
         # report.txt is written before the text is printed: the whole table
@@ -255,8 +260,26 @@ class TestSimulateCommand:
         out = tmp_path / "run"
         assert main(["simulate", "--mode", "full", "--ic", "1e-160,150", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "wz = 1e-160 rad/s allows stage 2 1.5 psi0/|w0| + 0.5 s = 3.93e+160 s" in err
+        assert "stage 2 at wz = 1e-160 rad/s (1.5 psi0/|w0| + 0.5 s = 3.93e+160 s)" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, term",
+        [("--stage1", "stage 1 (2e+04 s) + stage 2 at wz = 2.0 rad/s (1.5 psi0/|w0| + 0.5 s = 2.46 s)"
+                      " + the horizon (3 s)"),
+         ("--horizon", "stage 1 (1 s) + stage 2 at wz = 2.0 rad/s (1.5 psi0/|w0| + 0.5 s = 2.46 s)"
+                       " + the horizon (2e+04 s)")],
+        ids=["stage1", "horizon"],
+    )
+    def test_full_mode_run_past_step_limit_names_each_term(self, tmp_path, capsys, flag, term):
+        # the refusal used to name only the stage-2 allowance, 2.46 s, as if
+        # it made a run that stage 1 or the horizon makes 2e4 s long
+        out = tmp_path / "run"
+        args = ["simulate", "--mode", "full", "--ic", "2,150", flag, "2e4", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"full mode runs {term} = 2e+04 s, so the run takes 2e+07 steps" in err
         assert not out.exists()
 
     def test_inertia_whose_inverse_is_not_finite_usage_error(self, tmp_path, capsys):
@@ -492,6 +515,17 @@ class TestCompareCommand:
         for key in ("perturbation_psi0_deg", "perturbation_wz"):
             assert report[key] == params[key]
 
+    def test_failed_params_write_leaves_no_earlier_report(self, tmp_path, capsys):
+        # the first run's report.txt used to stay beside the second run's
+        # files after its params.txt write failed
+        out = tmp_path / "cmp"
+        assert main(["compare", "--repeats", "1", "--out", str(out)]) == 0
+        (out / "params.txt").unlink()
+        (out / "params.txt").mkdir()
+        assert main(["compare", "--repeats", "1", "--seed", "5", "--out", str(out)]) == 2
+        assert "runtime error" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     def test_step_not_dividing_the_horizon_runs(self, tmp_path):
         # 3 s at dt = 1.1 ms: 2727 steps end at 2.9997 s, so 2728 are taken
         out = tmp_path / "cmp"
@@ -581,6 +615,18 @@ class TestSweepCommand:
         assert float(params["horizon"]) == 0.1
         gains = harness.gains_with(harness.SWITCHING_GAINS, {"kq": 10.00000000000001})
         assert {k: float(params[k]) for k in GAIN_KEYS} == {k: getattr(gains, k) for k in GAIN_KEYS}
+
+    def test_failed_params_write_leaves_no_earlier_sweep(self, tmp_path, capsys):
+        # the first grid's sweep.csv used to stay beside the second run's
+        # files after its params.txt write failed
+        out = tmp_path / "sweep"
+        args = ["sweep", "--psi", "150,150,1", "--horizon", "0.2", "--out", str(out)]
+        assert main(args + ["--wz", "2,2,1"]) == 0
+        (out / "params.txt").unlink()
+        (out / "params.txt").mkdir()
+        assert main(args + ["--wz", "3,3,1"]) == 2
+        assert "runtime error" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_horizon_between_steps_runs(self, tmp_path):
         out = tmp_path / "sweep"

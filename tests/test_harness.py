@@ -213,8 +213,9 @@ class TestRunScenario:
         with pytest.raises(ValueError) as refused:
             run_scenario(sc)
         assert str(refused.value) == (
-            "full mode at wz = 1e-160 rad/s allows stage 2 1.5 psi0/|w0| + 0.5 s = 3.93e+160 s,"
-            " so the run takes 3.93e+163 steps, more than the 10000000 a run may take"
+            "full mode runs stage 1 (1 s) + stage 2 at wz = 1e-160 rad/s (1.5 psi0/|w0| + 0.5 s ="
+            " 3.93e+160 s) + the horizon (3 s) = 3.93e+160 s, so the run takes 3.93e+163 steps,"
+            " more than the 10000000 a run may take"
         )
         assert steps == []
 
