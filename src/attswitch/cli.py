@@ -11,6 +11,7 @@ radians internally.  A command given ``--out`` removes its old report
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -44,7 +45,11 @@ def _add_gain_flags(p):
         p.add_argument(f"--{key}", type=float, default=None, help=f"GainSet.{key}")
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line's parser, built once per process: a parse keeps no
+    state in it, and no default is mutable, so each argv parses as if by a
+    parser of its own."""
     parser = _Parser(prog="attswitch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -96,8 +101,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     swp.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
     swp.add_argument("--out", type=str, default="out/sweep")
     _add_gain_flags(swp)
+    return parser
 
-    return parser.parse_args(argv)
+
+def parse_args(argv=None) -> argparse.Namespace:
+    return _parser().parse_args(argv)
 
 
 def _parse_pair(text: str, what: str):

@@ -9,9 +9,11 @@ through ``run_on_plane``, which reads the scenario, builds no controller,
 writes only the yaw rows of the law and of the RK4 step, mirrors the
 tracker's read of the yaw in its own locals and returns t0 with the
 trajectory.  Its hold step opens no frame and calls no builtin, and each
-chunk of steps reaches the arrays through one ``struct`` pack.  Any other
-run, or one the plane cannot finish, goes through ``rigid_body.simulate``
-from the start, with one controller built for it.
+chunk of steps reaches the arrays through one ``struct`` pack; a stage 1
+that starts at rest, as every full-mode run does, is stepped for two rows
+and filled from the second up to t1.  Any other run, or one the plane
+cannot finish, goes through ``rigid_body.simulate`` from the start, with
+one controller built for it.
 The performance figure of merit is the RMS of the torque 2-norm over the
 evaluation window [t0, t0 + horizon].
 
@@ -186,6 +188,21 @@ def make_controller(scenario: Scenario):
 _pack_chunk = struct.Struct(f"{8 * CHUNK}d").pack
 
 
+def _first_row_at(t, dt, n):
+    """The first row k >= 1 whose time k dt, formed and compared as the
+    driver forms and compares it, is at least t > 0, or n if no row before n
+    is.  It starts at ceil(t / dt) and moves from there a row at a time,
+    which takes a step or two, not one per row."""
+    if n * dt < t:
+        return n
+    k = math.ceil(t / dt)
+    while (k - 1) * dt >= t:
+        k -= 1
+    while k * dt < t:
+        k += 1
+    return k
+
+
 def run_on_plane(scenario: Scenario, y0, duration: float):
     """``(Trajectory, t0)`` of ``simulate(y0, make_controller(scenario),
     scenario.inertia, scenario.dt, duration)`` on the yaw plane, with its
@@ -296,9 +313,21 @@ def run_on_plane(scenario: Scenario, y0, duration: float):
     is, sign included.  The chunk's spin rows, contiguous and ending at t0's
     row or at the chunk's end, then take their stored nx and ny and
     ez = w0z - wz.  The rates' and the torque's x and y, and the hold rows'
-    ny, stay the +0.0 of ``np.zeros``.  So a hold step calls no builtin, a
-    stage-1 step only ``atan2`` and a spin step ``atan2``, ``sin`` and
-    ``cos``.
+    ny, stay the +0.0 of ``np.zeros``.
+
+    A run whose t0 is pending, and whose stage 1 and whole length are each
+    more than two rows, steps rows 0 and 1 as a chunk of their own.  If
+    row 1's eight stored values have row 0's bits, row 1 is a fixed point:
+    its qw, qz, wz and tau_z are row 0's, so its step is row 0's, which
+    returned row 1's state, and every row before t1 repeats row 1.  Its yaw
+    read repeats, so d is +0.0 and the yaw sum, never -0.0 after row 0,
+    does not move, and its sign rule meets row 1's Lambda and sigma.  The
+    driver then copies row 1 into each row before the first at t >= t1
+    (``_first_row_at``) and goes on from that row.  A start at rest at
+    qw = +-1, as every full-mode run of the command line starts, is such a
+    fixed point.  So a hold step calls no builtin, a stage-1 step that moves
+    only ``atan2``, a stage 1 from rest ``atan2`` twice in all, and a spin
+    step ``atan2``, ``sin`` and ``cos``.
     """
     dt = scenario.dt
     y, J, n_steps = rigid_body.checked_run(y0, scenario.inertia, dt, duration)
@@ -336,9 +365,13 @@ def run_on_plane(scenario: Scenario, y0, duration: float):
     ys_out, taus_out, tel = np.zeros((n, 7)), np.zeros((n, 3)), np.zeros((n, 9))
     qws, qzs, wzs, tzs, ms, nzs, sigmas, lams = ([0.0] * CHUNK for _ in range(8))
     nxs, nys, ns = [0.0] * CHUNK, [0.0] * CHUNK, 0  # the chunk's spin rows' nx and ny
+    # a stage 1 longer than two rows starts with a chunk of rows 0 and 1,
+    # after which one bit test may fill the rest of the hover from row 1
+    hover = pending and 2 * dt < t1 and n > 2
+    start, c = 0, 2 if hover else CHUNK
     try:
-        for start in range(0, n, CHUNK):
-            c, last = min(CHUNK, n - start), n_steps - start
+        while start < n:
+            c, last = min(c, n - start), n_steps - start
             for i in range(c):
                 if pending:
                     t = (start + i) * dt
@@ -428,6 +461,12 @@ def run_on_plane(scenario: Scenario, y0, duration: float):
                 tel[spun, 1], tel[spun, 2] = nxs[:ns], nys[:ns]
                 tel[spun, 6] = w0z - ys_out[spun, 6]
                 ns = 0
+            start, c = start + c, CHUNK
+            if hover:
+                hover = False
+                if block[:, 0].tobytes() == block[:, 1].tobytes():
+                    start = _first_row_at(t1, dt, n)
+                    ys_out[2:start], taus_out[2:start], tel[2:start] = ys_out[1], taus_out[1], tel[1]
     except ZeroDivisionError:  # the renorm of a zero quaternion
         return None
     traj = rigid_body.Trajectory(

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attswitch import harness
+from attswitch import cli, harness
 from attswitch.cli import main, parse_args
 from attswitch.controllers import GAIN_KEYS
 
@@ -85,6 +85,43 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as e:
             parse_args(["simulate", "--controller", "plaid"])
         assert e.value.code == 1
+
+    # the parser is built once per process and parses every argv after that
+
+    def test_a_flag_reads_as_its_default_in_the_next_parse(self):
+        cli._parser.cache_clear()
+        assert parse_args(["simulate", "--seed", "5", "--kq", "3"]).seed == 5
+        args = parse_args(["simulate"])
+        assert args.seed is None and args.kq is None and args.out == "out/simulate"
+        assert parse_args(["compare", "--seed", "5"]).seed == 5
+        assert parse_args(["compare"]).seed == 0
+        assert cli._parser.cache_info().misses == 1
+
+    def test_a_usage_error_twice(self, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as e:
+                parse_args(["simulate", "--warp", "9"])
+            assert e.value.code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].endswith("attswitch: error: unrecognized arguments: --warp 9\n")
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["--help"], "usage: attswitch [-h]"), (["simulate", "--help"], "usage: attswitch simulate")],
+        ids=("top", "simulate"),
+    )
+    def test_help_twice(self, capsys, argv, usage):
+        cli._parser.cache_clear()
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as e:
+                parse_args(argv)
+            assert e.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith(usage)
 
 
 class TestTableCommand:

@@ -861,3 +861,62 @@ def test_plane_driver_refuses_a_negative_zero_spin_axis(name):
     traj, _ = _simulated(sc, y0, _spin_over(sc.maneuver))
     wex = traj.telemetry[:, 4]
     assert (np.signbit(wex) & (wex == 0.0)).any()
+
+
+# --- The yaw-plane driver's stage-1 hover ------------------------------------
+# A full-mode run from rest at qw = +-1 holds that state through stage 1.
+# The driver steps rows 0 and 1, and when row 1's stored values repeat row
+# 0's it fills the rows before t1 from row 1 and goes on from the first row
+# at t >= t1.  simulate steps every row, so each case is checked against
+# it, and its expectation is read from simulate's run.
+
+# at rest at yaw 0 from the other sign of the quaternion, where the benchmark
+# and switching laws pick and hold sigma = -1
+AT_REST_NEGATED = (-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+# at rest at a yaw of 75 deg, which the hold law turns back towards 0
+TURNED = (math.cos(math.radians(37.5)), 0.0, 0.0, math.sin(math.radians(37.5)), 0.0, 0.0, 0.0)
+_HOVER_CASES = {
+    # case: (stage 1 in ms at dt = 1 ms, start, run length in ms or None for past t0)
+    "rest": (1000, AT_REST, None),
+    "rest_negated": (1000, AT_REST_NEGATED, None),
+    "flush": (300, AT_REST, None),  # the filled rows run past the first flush
+    "one_row": (1, AT_REST, None),  # rows 0 and 1 would reach t1: no check
+    "two_rows": (2, AT_REST, None),  # row 2 is the first at t1: no check
+    "three_rows": (3, AT_REST, None),  # the check fills row 2 only
+    "cut": (1000, AT_REST, 500),  # the run ends inside stage 1
+    "turned": (300, TURNED, None),  # not a fixed point: every row is stepped
+}
+
+
+@pytest.mark.parametrize("case", list(_HOVER_CASES))
+@pytest.mark.parametrize("name", LAWS)
+def test_plane_driver_stage1_hover(name, case):
+    ms, y0, length = _HOVER_CASES[case]
+    spec = ManeuverSpec(w0=np.array([0.0, 0.0, 20.0]), psi0=1.0, stage1_duration=ms * 1e-3)
+    sc = _scenario(name, spec)
+    duration = _spin_over(spec) if length is None else length * 1e-3
+    got, want = _outcomes(sc, y0, duration)
+    assert got is not None
+    assert got == want
+    traj, t0 = _simulated(sc, y0, duration)
+    hover = traj.t < spec.stage1_duration
+    assert hover.sum() == min(ms, len(traj))
+    assert (t0 is None) is (case == "cut")
+    rows = np.concatenate([traj.q, traj.w, traj.tau, traj.telemetry], axis=1)[hover]
+    # every stage-1 row from row 1 on is row 1, to the bit (none for one row)
+    repeats = (rows[1:].view(np.uint64) == rows[-1].view(np.uint64)).all()
+    assert repeats is np.bool_(case != "turned")
+    if case == "rest_negated":
+        sigma = traj.telemetry[hover, 7]
+        assert (sigma == (1.0 if name == "continuous" else -1.0)).all()
+
+
+@pytest.mark.parametrize("dt", (1e-3, 4e-3, 0.0195, 0.1))
+def test_first_row_at_matches_a_scan(dt):
+    # the row the hover fill stops at is the first at which the driver's own
+    # test t >= t1 holds, found without a scan over the rows
+    n = 400
+    times = [k * dt for k in range(1, n + 2)] + [0.1 + 0.2, 0.3, 1.0, 7.0, 40.0, 1e300]
+    for t in times + [math.nextafter(t, 0.0) for t in times] + [math.nextafter(t, math.inf) for t in times]:
+        want = next((k for k in range(1, n) if k * dt >= t), n)
+        assert harness._first_row_at(t, dt, n) == want

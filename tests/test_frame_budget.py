@@ -18,8 +18,11 @@ hold and spin rows, its renorm and sigma rule and the step's renorm itself.
 Its hold step calls no builtin either: the renorm tests and the finiteness
 test of Lambda + tau_z are comparisons, not ``abs`` and ``math.isfinite``,
 and a chunk's stores reach the arrays in one ``struct`` pack after the
-chunk.  A stage-1 step calls only the tracker's ``atan2``, and a spin step
-also the ``sin`` and ``cos`` of its half angle.
+chunk.  A stage-1 step from a start that moves calls only the tracker's
+``atan2``, and a spin step also the ``sin`` and ``cos`` of its half angle.
+A stage 1 from rest at the identity calls ``atan2`` twice in all: the
+driver steps rows 0 and 1 and, finding row 1 a repeat of row 0 that steps
+to itself, fills the rest of the hover from row 1.
 
 The per-state certificates are held to the same rule: each of
 ``lyapunov_value``, ``lyapunov_rate``, ``lyapunov_decay_bound`` and
@@ -108,6 +111,8 @@ def _full_mode_scenario(law):
 
 # at rest at yaw 0, a state that never arms t0 (psi0 > 0)
 AT_REST = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+# at rest at a yaw of 75 deg, which the hold law turns back towards 0
+TURNED = (math.cos(math.radians(37.5)), 0.0, 0.0, math.sin(math.radians(37.5)), 0.0, 0.0, 0.0)
 
 
 def test_stage2_sample_frames():
@@ -160,8 +165,9 @@ def test_simulate_step_frames():
 # sorted, as _simulate_step_frames gives them
 PLANE_STEP_FRAMES = {"continuous": [], "benchmark": [], "switching": []}
 # the builtins one step more of run_on_plane calls, sorted: a hold step none,
-# a stage-1 step the tracker's atan2, a stage-2 spin step also its sin and cos
-PLANE_STEP_BUILTINS = {"hold": [], 1: ["atan2"], 2: ["atan2", "cos", "sin"]}
+# a stage-1 step from rest none (the driver fills it from row 1), one from a
+# start that moves the tracker's atan2, a stage-2 spin step also its sin and cos
+PLANE_STEP_BUILTINS = {"hold": [], 1: [], "moving": ["atan2"], 2: ["atan2", "cos", "sin"]}
 
 
 def _plane_step_calls(sc, y0, n):
@@ -195,7 +201,7 @@ def test_plane_driver_step_builtins(law):
 
 
 @pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
-@pytest.mark.parametrize("stage", (1, 2))
+@pytest.mark.parametrize("stage", (1, "moving", 2))
 def test_plane_driver_pending_step_frames(law, stage):
     # with t0 pending, run_on_plane also writes the tracker's read of the
     # yaw and, in stage 2, the law's spin row: one stage-1 or stage-2 step
@@ -205,25 +211,39 @@ def test_plane_driver_pending_step_frames(law, stage):
 
 
 @pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
-@pytest.mark.parametrize("stage", (1, 2))
+@pytest.mark.parametrize("stage", (1, "moving", 2))
 def test_plane_driver_pending_step_builtins(law, stage):
-    # with t0 pending, a step calls the tracker's atan2, and a spin step the
-    # sin and cos of its half angle; it stores a spin row's nx and ny by
-    # index, with no list append
+    # with t0 pending, a step that moves calls the tracker's atan2, and a
+    # spin step the sin and cos of its half angle; it stores a spin row's nx
+    # and ny by index, with no list append.  A stage-1 row from rest is filled
     _, extra = _pending_step_calls(law, stage)
     assert extra == PLANE_STEP_BUILTINS[stage]
 
 
 def _pending_step_calls(law, stage):
     """``_plane_step_calls``'s frames and builtins of one stage-1 or
-    stage-2 step more of the law's full-mode run from rest, t0 pending."""
+    stage-2 step more of the law's full-mode run from rest, or of one
+    stage-1 step more from the turned start ("moving"), t0 pending."""
     sc = _full_mode_scenario(law)
     first_spin_row = round(sc.maneuver.stage1_duration / sc.dt)
-    n = {1: 3, 2: first_spin_row + 3}[stage]
-    frames, builtins, t0 = _plane_step_calls(sc, AT_REST, n)
+    n = {1: 3, "moving": 3, 2: first_spin_row + 3}[stage]
+    frames, builtins, t0 = _plane_step_calls(sc, TURNED if stage == "moving" else AT_REST, n)
     assert t0 is None
     assert ((n + 1) * sc.dt >= sc.maneuver.stage1_duration) is (stage == 2)
     return frames, builtins
+
+
+@pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
+@pytest.mark.parametrize("y0, moves", [(AT_REST, False), (TURNED, True)], ids=("rest", "turned"))
+def test_plane_driver_stage1_atan2_calls(law, y0, moves):
+    # a stage 1 from rest at the identity reads the yaw in rows 0 and 1 only,
+    # and fills the rest from row 1; one from a start that moves reads it
+    # once a row.  Both read it in each of the three stage-2 rows after it
+    sc = _full_mode_scenario(law)
+    rows = round(sc.maneuver.stage1_duration / sc.dt)
+    assert (rows - 1) * sc.dt < sc.maneuver.stage1_duration <= rows * sc.dt
+    _, builtins = _calls(run_on_plane, sc, y0, (rows + 2) * sc.dt)
+    assert builtins.count("atan2") == (rows if moves else 2) + 3
 
 
 CERTIFICATE_FRAMES = {
