@@ -46,10 +46,10 @@ def _add_gain_flags(p):
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The command line's parser, built once per process: a parse keeps no
-    state in it, and no default is mutable, so each argv parses as if by a
-    parser of its own."""
+def _parser():
+    """The command line's parser and its commands' parsers by name, built
+    once per process: a parse keeps no state in them, and no default is
+    mutable, so each argv parses as if by a parser of its own."""
     parser = _Parser(prog="attswitch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -101,11 +101,16 @@ def _parser() -> _Parser:
     swp.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
     swp.add_argument("--out", type=str, default="out/sweep")
     _add_gain_flags(swp)
-    return parser
+    return parser, sub.choices
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    return _parser().parse_args(argv)
+    parser, commands = _parser()
+    args, extra = parser.parse_known_args(argv)
+    # a flag that the command does not take is that command's usage error
+    if extra:
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _parse_pair(text: str, what: str):

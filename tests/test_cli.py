@@ -105,7 +105,17 @@ class TestParseArgs:
             assert e.value.code == 1
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
-        assert errors[0].endswith("attswitch: error: unrecognized arguments: --warp 9\n")
+        assert errors[0].endswith("attswitch simulate: error: unrecognized arguments: --warp 9\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "table1", "stability-report", "sweep"])
+    def test_unknown_flag_is_its_commands_usage_error(self, capsys, command):
+        # the command's own usage line and name, not the top-level parser's
+        with pytest.raises(SystemExit) as e:
+            main([command, "--warp", "9"])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: attswitch {command} [-h]")
+        assert err.endswith(f"attswitch {command}: error: unrecognized arguments: --warp 9\n")
 
     @pytest.mark.parametrize(
         "argv, usage",

@@ -876,47 +876,49 @@ AT_REST_NEGATED = (-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 # at rest at a yaw of 75 deg, which the hold law turns back towards 0
 TURNED = (math.cos(math.radians(37.5)), 0.0, 0.0, math.sin(math.radians(37.5)), 0.0, 0.0, 0.0)
 _HOVER_CASES = {
-    # case: (stage 1 in ms at dt = 1 ms, start, run length in ms or None for past t0)
-    "rest": (1000, AT_REST, None),
-    "rest_negated": (1000, AT_REST_NEGATED, None),
-    "flush": (300, AT_REST, None),  # the filled rows run past the first flush
-    "one_row": (1, AT_REST, None),  # rows 0 and 1 would reach t1: no check
-    "two_rows": (2, AT_REST, None),  # row 2 is the first at t1: no check
-    "three_rows": (3, AT_REST, None),  # the check fills row 2 only
-    "cut": (1000, AT_REST, 500),  # the run ends inside stage 1
-    "turned": (300, TURNED, None),  # not a fixed point: every row is stepped
+    # case: (stage 1 in s, dt in s, start, run length in s or None for past t0)
+    "rest": (1.0, 1e-3, AT_REST, None),
+    "rest_negated": (1.0, 1e-3, AT_REST_NEGATED, None),
+    "flush": (300 * 1e-3, 1e-3, AT_REST, None),  # the filled rows run past the first flush
+    "one_row": (1e-3, 1e-3, AT_REST, None),  # rows 0 and 1 would reach t1: no check
+    "two_rows": (2e-3, 1e-3, AT_REST, None),  # row 2 is the first at t1: no check
+    "three_rows": (3e-3, 1e-3, AT_REST, None),  # the check fills row 2 only
+    "cut": (1.0, 1e-3, AT_REST, 0.5),  # the run ends inside stage 1
+    "turned": (0.3, 1e-3, TURNED, None),  # not a fixed point: every row is stepped
+    # where the fill ends: the first row whose k dt is at least t1
+    "off_grid": (0.3005, 1e-3, AT_REST, None),  # between rows 300 and 301
+    "decimal_sum": (0.1 + 0.2, 1e-3, AT_REST, None),  # 0.30000000000000004, past row 300's 0.3
+    "row_time": (250 * 1e-3, 1e-3, AT_REST, None),
+    "row_time_down": (math.nextafter(250 * 1e-3, -math.inf), 1e-3, AT_REST, None),
+    "row_time_up": (math.nextafter(250 * 1e-3, math.inf), 1e-3, AT_REST, None),
+    "two_rows_up": (math.nextafter(2e-3, math.inf), 1e-3, AT_REST, None),  # the check fills row 2
+    "dt_4ms": (1.0, 4e-3, AT_REST, None),
+    "dt_19_5ms": (0.3, 0.0195, AT_REST, 0.5),
 }
 
 
 @pytest.mark.parametrize("case", list(_HOVER_CASES))
 @pytest.mark.parametrize("name", LAWS)
 def test_plane_driver_stage1_hover(name, case):
-    ms, y0, length = _HOVER_CASES[case]
-    spec = ManeuverSpec(w0=np.array([0.0, 0.0, 20.0]), psi0=1.0, stage1_duration=ms * 1e-3)
-    sc = _scenario(name, spec)
-    duration = _spin_over(spec) if length is None else length * 1e-3
+    t1, dt, y0, length = _HOVER_CASES[case]
+    spec = ManeuverSpec(w0=np.array([0.0, 0.0, 20.0]), psi0=1.0, stage1_duration=t1)
+    sc = _scenario(name, spec, dt=dt)
+    duration = _spin_over(spec) if length is None else length
     got, want = _outcomes(sc, y0, duration)
     assert got is not None
     assert got == want
     traj, t0 = _simulated(sc, y0, duration)
-    hover = traj.t < spec.stage1_duration
-    assert hover.sum() == min(ms, len(traj))
-    assert (t0 is None) is (case == "cut")
-    rows = np.concatenate([traj.q, traj.w, traj.tau, traj.telemetry], axis=1)[hover]
-    # every stage-1 row from row 1 on is row 1, to the bit (none for one row)
-    repeats = (rows[1:].view(np.uint64) == rows[-1].view(np.uint64)).all()
+    # k1, the first row the loop's own test k dt >= t1 passes, found by a scan
+    k1 = next((k for k in range(len(traj)) if k * dt >= t1), len(traj))
+    assert k1 == (traj.t < t1).sum()
+    assert (t0 is None) is (length is not None and length < t1)
+    rows = np.concatenate([traj.q, traj.w, traj.tau, traj.telemetry], axis=1).view(np.uint64)
+    # every stage-1 row from row 1 on is row 1, to the bit (none for one row),
+    # and the spin row at k1 after them is not
+    repeats = (rows[1:k1] == rows[1]).all()
     assert repeats is np.bool_(case != "turned")
+    if 1 < k1 < len(traj):
+        assert (rows[k1] != rows[1]).any()
     if case == "rest_negated":
-        sigma = traj.telemetry[hover, 7]
+        sigma = traj.telemetry[:k1, 7]
         assert (sigma == (1.0 if name == "continuous" else -1.0)).all()
-
-
-@pytest.mark.parametrize("dt", (1e-3, 4e-3, 0.0195, 0.1))
-def test_first_row_at_matches_a_scan(dt):
-    # the row the hover fill stops at is the first at which the driver's own
-    # test t >= t1 holds, found without a scan over the rows
-    n = 400
-    times = [k * dt for k in range(1, n + 2)] + [0.1 + 0.2, 0.3, 1.0, 7.0, 40.0, 1e300]
-    for t in times + [math.nextafter(t, 0.0) for t in times] + [math.nextafter(t, math.inf) for t in times]:
-        want = next((k for k in range(1, n) if k * dt >= t), n)
-        assert harness._first_row_at(t, dt, n) == want

@@ -22,7 +22,8 @@ chunk.  A stage-1 step from a start that moves calls only the tracker's
 ``atan2``, and a spin step also the ``sin`` and ``cos`` of its half angle.
 A stage 1 from rest at the identity calls ``atan2`` twice in all: the
 driver steps rows 0 and 1 and, finding row 1 a repeat of row 0 that steps
-to itself, fills the rest of the hover from row 1.
+to itself, fills the rest of the hover from row 1, up to the row that one
+search of the run's time column finds; a stage-3 run makes no such search.
 
 The per-state certificates are held to the same rule: each of
 ``lyapunov_value``, ``lyapunov_rate``, ``lyapunov_decay_bound`` and
@@ -244,6 +245,28 @@ def test_plane_driver_stage1_atan2_calls(law, y0, moves):
     assert (rows - 1) * sc.dt < sc.maneuver.stage1_duration <= rows * sc.dt
     _, builtins = _calls(run_on_plane, sc, y0, (rows + 2) * sc.dt)
     assert builtins.count("atan2") == (rows if moves else 2) + 3
+
+
+@pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
+@pytest.mark.parametrize("rows", (2, 3))
+def test_plane_driver_short_stage1_atan2_calls(law, rows):
+    # a stage 1 of two rows steps both; one of three steps rows 0 and 1 and
+    # fills row 2 from row 1, so neither reads the yaw in a third stage-1 row
+    sc = _full_mode_scenario(law)
+    sc = replace(sc, maneuver=replace(sc.maneuver, stage1_duration=rows * sc.dt))
+    _, builtins = _calls(run_on_plane, sc, AT_REST, (rows + 2) * sc.dt)
+    assert builtins.count("atan2") == 2 + 3
+
+
+@pytest.mark.parametrize("law", sorted(PLANE_STEP_FRAMES))
+def test_plane_driver_searches_for_t1_only_while_t0_is_pending(law):
+    # the hover's end row is read once in a full-mode run, and never in a
+    # stage-3 run, whose t0 is set from the start
+    full, stage3 = _full_mode_scenario(law), make_ic_scenario(2.0, 150.0, law)
+    _, builtins = _calls(run_on_plane, full, AT_REST, 1.1)
+    assert builtins.count("searchsorted") == 1
+    _, builtins = _calls(run_on_plane, stage3, stage3_initial_state(stage3.maneuver), 1.1)
+    assert builtins.count("searchsorted") == 0
 
 
 CERTIFICATE_FRAMES = {
